@@ -15,6 +15,7 @@
 #include "core/traffic.hpp"
 #include "core/weight_groups.hpp"
 #include "nn/model_zoo.hpp"
+#include "sched/builders.hpp"
 #include "sim/experiment.hpp"
 #include "sim/system.hpp"
 #include "train/masks.hpp"
@@ -72,16 +73,24 @@ int main() {
                 "metrics)");
   t.set_header({"scheme", "placement", "byte-hops", "comm-cyc", "speedup",
                 "noc-energy-red"});
+  sched::BuildOptions opts;
+  opts.cores = cores;
+  opts.bytes_per_value = cfg.bytes_per_value;
+  opts.overlap_comm = cfg.overlap_comm;
+  opts.sparse_cycle_model = cfg.sparse_cycle_model;
   for (const Row& row : rows) {
     for (const bool optimized : {false, true}) {
       util::Rng rng(7);
       const core::Placement placement =
           optimized ? core::optimize_placement(row.traffic, topo, rng)
                     : core::Placement::identity(cores);
-      const auto mapped = core::remap_traffic(row.traffic, placement, topo);
-      const auto r = system.run_inference(spec, mapped);
+      // The lowering moves each partition's work and message endpoints
+      // together, so the schedule stays verifiable under any permutation.
+      opts.placement = placement.partition_to_core;
+      const auto r = system.execute(sched::lower(spec, row.traffic, opts));
       t.add_row({row.label, optimized ? "annealed" : "identity",
-                 std::to_string(mapped.total_byte_hops()),
+                 std::to_string(
+                     core::placement_cost(row.traffic, placement, topo)),
                  std::to_string(r.comm_cycles),
                  util::fmt_speedup(sim::speedup(base, r)),
                  util::fmt_percent(sim::comm_energy_reduction(base, r))});

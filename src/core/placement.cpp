@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 
 #include "check/check.hpp"
 
@@ -42,31 +41,6 @@ std::size_t placement_cost(const InferenceTraffic& traffic,
     }
   }
   return cost;
-}
-
-InferenceTraffic remap_traffic(const InferenceTraffic& traffic,
-                               const Placement& placement,
-                               const noc::MeshTopology& topo) {
-  if (!placement.valid() ||
-      placement.partition_to_core.size() != topo.num_cores()) {
-    throw std::invalid_argument("invalid placement");
-  }
-  InferenceTraffic out;
-  out.transitions.reserve(traffic.transitions.size());
-  for (const auto& t : traffic.transitions) {
-    TransitionTraffic nt;
-    nt.layer_name = t.layer_name;
-    nt.total_bytes = t.total_bytes;
-    for (const auto& m : t.messages) {
-      noc::Message nm = m;
-      nm.src = placement.core_of(m.src);
-      nm.dst = placement.core_of(m.dst);
-      nt.total_byte_hops += nm.bytes * topo.hops(nm.src, nm.dst);
-      nt.messages.push_back(nm);
-    }
-    out.transitions.push_back(std::move(nt));
-  }
-  return out;
 }
 
 Placement optimize_placement(const InferenceTraffic& traffic,

@@ -38,12 +38,6 @@ std::size_t placement_cost(const InferenceTraffic& traffic,
                            const Placement& placement,
                            const noc::MeshTopology& topo);
 
-/// Rewrites message endpoints through the placement (and recomputes the
-/// per-transition byte-hop totals).
-InferenceTraffic remap_traffic(const InferenceTraffic& traffic,
-                               const Placement& placement,
-                               const noc::MeshTopology& topo);
-
 /// Simulated annealing over pairwise swaps, minimizing placement_cost.
 /// Deterministic for a given rng. Returns the best placement found
 /// (never worse than identity).

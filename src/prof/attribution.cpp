@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <unordered_map>
+#include <vector>
 
 #include "check/check.hpp"
 #include "util/stats.hpp"
@@ -32,18 +31,28 @@ bool is_inter_chip(const sched::Schedule& schedule, sched::EventId e) {
   return schedule.events[e].inter_chip;
 }
 
-/// (request, event) -> timeline index. Events are < schedule.events.size()
-/// so a flat key is collision-free.
-std::unordered_map<std::uint64_t, std::size_t> index_items(
-    const sched::Schedule& schedule, const sim::StreamTimeline& timeline) {
-  std::unordered_map<std::uint64_t, std::size_t> map;
-  map.reserve(timeline.items.size());
-  const std::uint64_t E = schedule.events.size();
+constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+/// One past the highest request id on the timeline.
+std::size_t request_count(const sim::StreamTimeline& timeline) {
+  std::size_t requests = 0;
+  for (const sim::StreamTimelineItem& it : timeline.items) {
+    requests = std::max(requests, it.request + 1);
+  }
+  return requests;
+}
+
+/// Timeline index of (request, event) at [request * E + event]; kNone where
+/// the timeline holds no such item.
+std::vector<std::size_t> index_items(const sched::Schedule& schedule,
+                                     const sim::StreamTimeline& timeline) {
+  const std::size_t E = schedule.events.size();
+  std::vector<std::size_t> index(request_count(timeline) * E, kNone);
   for (std::size_t i = 0; i < timeline.items.size(); ++i) {
     const sim::StreamTimelineItem& it = timeline.items[i];
-    map.emplace(static_cast<std::uint64_t>(it.request) * E + it.event, i);
+    index[it.request * E + it.event] = i;
   }
-  return map;
+  return index;
 }
 
 }  // namespace
@@ -56,12 +65,11 @@ StreamAttribution attribute_stream(const sched::Schedule& schedule,
   out.items.resize(n);
   if (n == 0) return out;
 
-  const std::uint64_t E = schedule.events.size();
-  const auto by_key = index_items(schedule, timeline);
+  const std::size_t E = schedule.events.size();
+  const std::vector<std::size_t> by_key = index_items(schedule, timeline);
 
   // Resource predecessor/successor: the adjacent item on the same resource
   // in dispatch order (dispatch order sequences each resource).
-  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> res_pred(n, kNone);
   std::vector<std::size_t> res_succ(n, kNone);
   {
@@ -124,11 +132,9 @@ StreamAttribution attribute_stream(const sched::Schedule& schedule,
     }
     std::size_t via = kNone;
     for (const sched::EventId dep : schedule.events[it.event].deps) {
-      const auto found =
-          by_key.find(static_cast<std::uint64_t>(it.request) * E + dep);
-      if (found != by_key.end() &&
-          items[found->second].finish_cycle == it.start_cycle) {
-        via = found->second;
+      const std::size_t found = by_key[it.request * E + dep];
+      if (found != kNone && items[found].finish_cycle == it.start_cycle) {
+        via = found;
         break;
       }
     }
@@ -166,11 +172,9 @@ StreamAttribution attribute_stream(const sched::Schedule& schedule,
           std::min(late_finish[res_pred[ri]], late_start);
     }
     for (const sched::EventId dep : schedule.events[it.event].deps) {
-      const auto found =
-          by_key.find(static_cast<std::uint64_t>(it.request) * E + dep);
-      if (found != by_key.end()) {
-        late_finish[found->second] =
-            std::min(late_finish[found->second], late_start);
+      const std::size_t found = by_key[it.request * E + dep];
+      if (found != kNone) {
+        late_finish[found] = std::min(late_finish[found], late_start);
       }
     }
   }
@@ -198,10 +202,12 @@ BlameBreakdown attribute_single_pass(const sim::InferenceResult& result) {
 StreamLatency stream_latency(const sched::Schedule& schedule,
                              const sim::StreamTimeline& timeline) {
   StreamLatency out;
-  // Ordered map: iteration below feeds the report in request order, so the
-  // accumulation-to-output path never passes through hash order (lslint's
-  // unordered-iteration rule; the JSON report is byte-stable because of it).
-  std::map<std::size_t, RequestLatency> by_request;
+  // Indexed by request id: iteration below feeds the report in request
+  // order, so the accumulation-to-output path never passes through hash
+  // order (lslint's unordered-iteration rule; the JSON report is
+  // byte-stable because of it). Ids with no item keep request == kNone.
+  std::vector<RequestLatency> by_request(request_count(timeline),
+                                         RequestLatency{kNone});
   for (const sim::StreamTimelineItem& it : timeline.items) {
     RequestLatency& r = by_request[it.request];
     r.request = it.request;
@@ -210,7 +216,8 @@ StreamLatency stream_latency(const sched::Schedule& schedule,
     (is_comm(schedule, it.event) ? r.comm_cycles : r.compute_cycles) += dur;
   }
   out.requests.reserve(by_request.size());
-  for (auto& [req, r] : by_request) {  // ascending request id
+  for (RequestLatency& r : by_request) {  // ascending request id
+    if (r.request == kNone) continue;
     r.queue_wait_cycles = r.latency_cycles - r.compute_cycles - r.comm_cycles;
     out.requests.push_back(r);
   }

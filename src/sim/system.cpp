@@ -343,12 +343,19 @@ StreamResult CmpSystem::run_stream(const sched::Schedule& schedule,
   // two-resource model, decision for decision). Work-conserving greedy:
   // always start the pending event with the earliest feasible start (deps
   // done and its resource free); lower request index breaks ties, so older
-  // requests drain first. Each request has exactly one pending event (its
-  // events chain), so the candidate set is tiny.
+  // requests drain first.
+  //
+  // head[g] counts the requests that have dispatched event g. All requests
+  // run the same schedule from cycle 0 and dispatch starts never decrease,
+  // so by induction over events requests reach and leave every event in
+  // index order — their end times, hence ready times, are non-decreasing
+  // in the request index. Among the requests pending at event g the
+  // earliest start (lowest index on ties) is therefore request head[g],
+  // pending while head[g] < head[g-1] (< requests for g = 0): a step
+  // compares E candidates, R * E * (E + deps) in total.
   const std::size_t C = schedule.chips;
-  std::vector<std::vector<std::uint64_t>> end(
-      requests, std::vector<std::uint64_t>(E, 0));
-  std::vector<std::size_t> next(requests, 0);
+  std::vector<std::uint64_t> end(requests * E, 0);  // [request * E + event]
+  std::vector<std::size_t> head(E, 0);
   std::vector<std::uint64_t> gang_free(C, 0);
   std::vector<std::uint64_t> noc_free(C, 0);
   std::vector<std::uint64_t> link_free(C > 1 ? C - 1 : 0, 0);
@@ -380,14 +387,17 @@ StreamResult CmpSystem::run_stream(const sched::Schedule& schedule,
   std::size_t inflight = 0;   // requests started but not finished
   std::size_t remaining = requests * E;
   while (remaining > 0) {
-    std::size_t best_r = requests;
+    // Candidates in ascending request order (later events hold older
+    // requests), so the strict < keeps the lowest request on ties.
+    std::size_t id = E;
     std::uint64_t best_start = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t r = 0; r < requests; ++r) {
-      if (next[r] == E) continue;
-      const sched::Event& e = *events[next[r]];
+    for (std::size_t g = E; g-- > 0;) {
+      const std::size_t r = head[g];
+      if (r == (g == 0 ? requests : head[g - 1])) continue;
+      const sched::Event& e = *events[g];
       std::uint64_t ready = 0;
       for (const sched::EventId dep : e.deps) {
-        ready = std::max(ready, end[r][dep]);
+        ready = std::max(ready, end[r * E + dep]);
       }
       const std::uint64_t res_free =
           e.kind == sched::EventKind::kComm
@@ -396,13 +406,13 @@ StreamResult CmpSystem::run_stream(const sched::Schedule& schedule,
       const std::uint64_t start = std::max(ready, res_free);
       if (start < best_start) {
         best_start = start;
-        best_r = r;
+        id = g;
       }
     }
-    const std::size_t id = next[best_r];
+    const std::size_t best_r = head[id];
     const sched::Event& e = *events[id];
     const std::uint64_t finish = best_start + dur[id];
-    end[best_r][id] = finish;
+    end[best_r * E + id] = finish;
     if (timeline != nullptr) {
       timeline->items.push_back({best_r, id, best_start, finish});
     }
@@ -462,9 +472,9 @@ StreamResult CmpSystem::run_stream(const sched::Schedule& schedule,
       }
     }
     makespan = std::max(makespan, finish);
-    ++next[best_r];
+    ++head[id];
     --remaining;
-    if (tracing && next[best_r] == E) {
+    if (tracing && id + 1 == E) {
       --inflight;
       obs::Tracer::instance().counter("stream.inflight", "stream", finish,
                                       static_cast<double>(inflight),
@@ -475,7 +485,7 @@ StreamResult CmpSystem::run_stream(const sched::Schedule& schedule,
   out.makespan_cycles = makespan;
   out.request_finish_cycle.resize(requests);
   for (std::size_t r = 0; r < requests; ++r) {
-    out.request_finish_cycle[r] = E > 0 ? end[r][E - 1] : 0;
+    out.request_finish_cycle[r] = E > 0 ? end[r * E + E - 1] : 0;
   }
   out.fill_cycles = out.request_finish_cycle.empty()
                         ? 0

@@ -16,12 +16,15 @@
 //
 // run_stream executes the same schedule for many independent requests,
 // software-pipelined: request k+1's layer-transition bursts overlap
-// request k's compute. The cores are one gang resource (every compute
-// layer occupies all P cores), the NoC one burst resource; both are
-// work-conserving and serve the earliest-ready event (request index breaks
-// ties). Burst latencies still come from the flit model via the memoizing
-// burst cache; cross-request NoC contention is queueing on the burst
-// resource. Throughput is reported in inferences per 1e6 cycles.
+// request k's compute. Each chip's cores are one gang resource (every
+// compute layer occupies all its cores), each chip's NoC one burst
+// resource and each chip boundary one serial link; all are work-conserving
+// and serve the event with the earliest feasible start (request index
+// breaks ties). Requests pass every event in index order, so dispatch
+// keeps one cursor per event: R requests over E events cost R * E^2.
+// Burst latencies still come from the flit model via the memoizing burst
+// cache; cross-request NoC contention is queueing on the burst resource.
+// Throughput is reported in inferences per 1e6 cycles.
 
 #include <cstdint>
 #include <string>

@@ -70,9 +70,6 @@ TEST(Placement, IdentityIsValidAndNoOp) {
   const Placement id = Placement::identity(16);
   EXPECT_TRUE(id.valid());
   EXPECT_EQ(placement_cost(traffic, id, topo), traffic.total_byte_hops());
-  const auto mapped = remap_traffic(traffic, id, topo);
-  EXPECT_EQ(mapped.total_bytes(), traffic.total_bytes());
-  EXPECT_EQ(mapped.total_byte_hops(), traffic.total_byte_hops());
 }
 
 TEST(Placement, ValidRejectsDuplicates) {
@@ -81,14 +78,6 @@ TEST(Placement, ValidRejectsDuplicates) {
   EXPECT_FALSE(p.valid());
   p.partition_to_core = {0, 1, 2, 5};
   EXPECT_FALSE(p.valid());
-}
-
-TEST(Placement, RemapRejectsInvalid) {
-  const noc::MeshTopology topo = noc::MeshTopology::for_cores(4);
-  const auto traffic = traffic_dense(nn::mlp_expt_spec(), topo, 2);
-  Placement bad;
-  bad.partition_to_core = {0, 0, 1, 2};
-  EXPECT_THROW(remap_traffic(traffic, bad, topo), std::invalid_argument);
 }
 
 TEST(Placement, CostChangesUnderSwap) {

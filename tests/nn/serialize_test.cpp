@@ -13,7 +13,11 @@ namespace {
 
 class SerializeTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "lsnn_checkpoint.bin";
+  // One file per test: ctest -j runs each test as its own process, so a
+  // shared name lets one test's TearDown delete another's checkpoint.
+  std::string path_ =
+      ::testing::TempDir() + "lsnn_checkpoint_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".bin";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

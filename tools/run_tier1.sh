@@ -106,6 +106,15 @@ fi
 grep -q '"stream_throughput"' "$repo_root/BENCH_stream.json"
 grep -q '"speedup_vs_back_to_back"' "$repo_root/BENCH_stream.json"
 
+# Stream scaling smoke: dispatch is linear in the request count, so 65536
+# AlexNet requests on 4 x 16 cores finish in well under a second. A
+# dispatcher that rescans every request per event (quadratic) needs
+# ~90 s and trips the timeout instead of passing slowly.
+timeout 10 "$build_dir/tools/ls_experiment" stream --net alexnet \
+  --cores 64 --chips 4 --requests 65536 --no-tuned >/dev/null || {
+  echo "stream scaling smoke: 65536 requests did not finish within 10 s" >&2
+  exit 1; }
+
 # Sparse bench smoke: the block-sparse dump must exist and contain the
 # swept sparsity levels.
 [ -s "$repo_root/BENCH_sparse.json" ] || {
