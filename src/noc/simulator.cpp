@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
-#include <deque>
+#include <functional>
+#include <limits>
 #include <queue>
 #include <stdexcept>
+#include <string>
 
 #include "check/check.hpp"
 #include "obs/trace.hpp"
@@ -32,20 +35,9 @@ namespace {
 // output direction).
 enum Port : std::size_t { kLocal = 0, kNorth, kSouth, kWest, kEast, kNumPorts };
 
-Port opposite(Port p) {
-  switch (p) {
-    case kNorth:
-      return kSouth;
-    case kSouth:
-      return kNorth;
-    case kWest:
-      return kEast;
-    case kEast:
-      return kWest;
-    default:
-      return kLocal;
-  }
-}
+constexpr Port kOpposite[kNumPorts] = {kLocal, kSouth, kNorth, kEast, kWest};
+constexpr const char* kPortNames[kNumPorts] = {"local", "north", "south",
+                                               "west", "east"};
 
 struct Flit {
   std::uint32_t packet = 0;
@@ -56,15 +48,19 @@ struct Flit {
 struct InFlight {
   std::uint64_t arrival = 0;
   Flit flit;
-  std::size_t router = 0;
-  std::size_t port = 0;
-  std::size_t vc = 0;
-};
-
-struct InFlightLater {
-  bool operator()(const InFlight& a, const InFlight& b) const {
+  std::uint32_t router = 0;  ///< destination router
+  std::uint32_t slot = 0;    ///< destination input port * vcs + vc
+  friend bool operator>(const InFlight& a, const InFlight& b) {
     return a.arrival > b.arrival;
   }
+};
+
+// A message that puts flits on the mesh, in packetizer form.
+struct Burst {
+  std::uint64_t inject = 0;
+  std::uint64_t flits = 0;
+  std::uint32_t first_packet = 0;
+  std::uint16_t dst = 0;
 };
 
 }  // namespace
@@ -104,208 +100,259 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
 
   const std::size_t n = topo_.num_cores();
   const std::size_t vcs = cfg_.vcs;
+  const std::size_t mpf = cfg_.max_packet_flits;
+  if (n > 65536) {
+    throw std::invalid_argument("NoC mesh of " + std::to_string(n) +
+                                " cores exceeds the 65536 flits can address");
+  }
 
-  // Input buffers: [router][port][vc] FIFO of flits.
-  std::vector<std::deque<Flit>> fifo(n * kNumPorts * vcs);
-  // Occupancy counts FIFO contents plus in-flight flits headed there
-  // (credit accounting happens at send time).
-  std::vector<std::size_t> occupancy(n * kNumPorts * vcs, 0);
-  auto buf_idx = [vcs](std::size_t router, std::size_t port, std::size_t vc) {
-    return (router * kNumPorts + port) * vcs + vc;
-  };
-
-  // Packet bookkeeping.
-  struct PacketInfo {
-    std::uint64_t inject = 0;
-    std::uint64_t delivered = 0;
-    bool done = false;
-  };
-  std::vector<PacketInfo> packets;
-
-  // Pending injection flits per source node, in order.
-  struct PendingFlit {
-    std::uint64_t ready = 0;
-    Flit flit;
-    std::size_t vc = 0;
-  };
-  std::vector<std::deque<PendingFlit>> inject_q(n);
-
+  // Packetizer: flits are generated at injection time from each source's
+  // ordered burst list; a message's packets take consecutive ids.
+  // queue[s][cursor[s]] is source s's current burst and sent[s] the flits
+  // already injected from it.
   NocStats stats;
   obs::Span phase_span;
   if (obs::trace_enabled()) phase_span.begin("noc.packetize", "noc");
+  std::vector<Burst> bursts;
+  std::vector<std::vector<std::uint32_t>> queue(n);
   std::uint64_t next_packet = 0;
   for (const Message& m : messages) {
     if (m.src >= n || m.dst >= n) throw std::out_of_range("message endpoint");
     if (m.src == m.dst || m.bytes == 0) continue;  // no NoC traffic
-    std::size_t flits_left = flits_for_bytes(m.bytes);
-    while (flits_left > 0) {
-      const std::size_t in_pkt = std::min(flits_left, cfg_.max_packet_flits);
-      const auto pkt_id = static_cast<std::uint32_t>(next_packet++);
-      const std::size_t vc = pkt_id % vcs;
-      packets.push_back({m.inject_cycle, 0, false});
-      for (std::size_t f = 0; f < in_pkt; ++f) {
-        Flit flit;
-        flit.packet = pkt_id;
-        flit.dst = static_cast<std::uint16_t>(m.dst);
-        flit.tail = (f + 1 == in_pkt);
-        inject_q[m.src].push_back({m.inject_cycle, flit, vc});
-        ++stats.total_flits;
-      }
-      flits_left -= in_pkt;
-    }
+    const std::uint64_t flits = flits_for_bytes(m.bytes);
+    bursts.push_back({m.inject_cycle, flits,
+                      static_cast<std::uint32_t>(next_packet),
+                      static_cast<std::uint16_t>(m.dst)});
+    queue[m.src].push_back(static_cast<std::uint32_t>(bursts.size() - 1));
+    next_packet += (flits + mpf - 1) / mpf;
+    stats.total_flits += flits;
   }
+  if (next_packet > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("NoC burst packetizes to " +
+                                std::to_string(next_packet) +
+                                " packets; packet ids are 32-bit");
+  }
+  stats.packets = next_packet;
   phase_span.end();
-  stats.packets = packets.size();
   if (stats.total_flits == 0) return stats;
 
+  std::vector<std::size_t> cursor(n, 0);
+  std::vector<std::uint64_t> sent(n, 0);
+  std::uint64_t awaiting = stats.total_flits;  // not yet injected
+
 #ifdef LS_ENABLE_CHECKS
-  // One-shot test fault: duplicate a pending flit so the network carries
-  // one more flit than the packetizer accounted for. The conservation
-  // checks after the drain loop must catch this.
+  // One-shot test fault: append a copy of the first pending flit to the
+  // first non-empty source, so the network carries one more flit than the
+  // packetizer accounted for. The conservation checks after the drain loop
+  // must catch this.
   if (g_corrupt_next_run.exchange(false)) {
-    for (auto& q : inject_q) {
-      if (!q.empty()) {
-        q.push_back(q.front());
-        break;
-      }
-    }
+    auto& q = *std::find_if(queue.begin(), queue.end(),
+                            [](const auto& sq) { return !sq.empty(); });
+    bursts.push_back(bursts[q.front()]);
+    bursts.back().flits = 1;
+    q.push_back(static_cast<std::uint32_t>(bursts.size() - 1));
+    ++awaiting;
   }
 #endif
 
   if (obs::trace_enabled()) phase_span.begin("noc.drain", "noc");
 
-  std::priority_queue<InFlight, std::vector<InFlight>, InFlightLater> in_flight;
+  // Route and neighbour tables: route[r*n + dst] is the output port a flit
+  // at router r takes toward dst, nbr[r*kNumPorts + port] the next router.
+  // Off-mesh neighbour entries wrap and are never read: XY/YX routes stay
+  // on the mesh.
+  std::vector<std::uint8_t> route(n * n);
+  std::vector<std::uint32_t> nbr(n * kNumPorts);
+  const auto cols = static_cast<std::uint32_t>(topo_.cols());
+  const bool xy = cfg_.routing == Routing::kXY;
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto id = static_cast<std::uint32_t>(r);
+    const std::uint32_t next[kNumPorts] = {id, id - cols, id + cols, id - 1,
+                                           id + 1};
+    std::copy_n(next, kNumPorts, nbr.begin() + r * kNumPorts);
+    const Coord a = topo_.coord(r);
+    for (std::size_t dst = 0; dst < n; ++dst) {
+      const Coord b = topo_.coord(dst);
+      const Port x = b.x > a.x ? kEast : b.x < a.x ? kWest : kLocal;
+      const Port y = b.y > a.y ? kSouth : b.y < a.y ? kNorth : kLocal;
+      const Port first = xy ? x : y;
+      route[r * n + dst] = first != kLocal ? first : (xy ? y : x);
+    }
+  }
 
-  // Round-robin pointers per (router, output port).
-  std::vector<std::size_t> rr(n * kNumPorts, 0);
+  // Input buffers: slot s = port*vcs + vc of router r is buffer r*slots + s,
+  // a ring of vc_depth flits (credits bound every FIFO by vc_depth).
+  // occupancy counts FIFO contents plus in-flight flits headed there
+  // (credit accounting happens at send time); nonempty[r] has bit s set
+  // while slot s of router r holds a flit.
+  const std::size_t slots = kNumPorts * vcs;
+  const std::size_t depth = cfg_.vc_depth;
+  std::vector<Flit> ring(n * slots * depth);
+  std::vector<std::uint32_t> head(n * slots, 0);
+  std::vector<std::uint32_t> size(n * slots, 0);
+  std::vector<std::uint32_t> occupancy(n * slots, 0);
+  std::vector<std::uint64_t> nonempty(n, 0);
+  const std::uint64_t all_slots = (std::uint64_t{1} << slots) - 1;
+  std::size_t buffered = 0;
+  auto push = [&](std::size_t r, std::size_t s, const Flit& f) {
+    const std::size_t bi = r * slots + s;
+    std::size_t at = head[bi] + size[bi]++;
+    if (at >= depth) at -= depth;
+    ring[bi * depth + at] = f;
+    nonempty[r] |= std::uint64_t{1} << s;
+    ++buffered;
+  };
+
+  std::vector<std::uint64_t> packet_inject(stats.packets);
+  std::vector<bool> packet_done(stats.packets, false);
+  for (const Burst& b : bursts) {
+    std::fill_n(packet_inject.begin() + b.first_packet,
+                (b.flits + mpf - 1) / mpf, b.inject);
+  }
+
+  std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>>
+      in_flight;
   // Flit counts per directed inter-router link (router x direction).
   std::vector<std::uint64_t> link_flits(n * kNumPorts, 0);
-
-  auto route_dir = [this](std::size_t router, std::size_t dst) -> Port {
-    const Coord here = topo_.coord(router);
-    const Coord there = topo_.coord(dst);
-    if (cfg_.routing == Routing::kXY) {
-      if (there.x > here.x) return kEast;
-      if (there.x < here.x) return kWest;
-      if (there.y > here.y) return kSouth;
-      if (there.y < here.y) return kNorth;
-    } else {
-      if (there.y > here.y) return kSouth;
-      if (there.y < here.y) return kNorth;
-      if (there.x > here.x) return kEast;
-      if (there.x < here.x) return kWest;
-    }
-    return kLocal;
-  };
-  auto neighbor = [this](std::size_t router, Port dir) -> std::size_t {
-    const Coord c = topo_.coord(router);
-    switch (dir) {
-      case kNorth:
-        return topo_.core_at({c.x, c.y - 1});
-      case kSouth:
-        return topo_.core_at({c.x, c.y + 1});
-      case kWest:
-        return topo_.core_at({c.x - 1, c.y});
-      case kEast:
-        return topo_.core_at({c.x + 1, c.y});
-      default:
-        return router;
-    }
-  };
 
   std::uint64_t delivered_flits = 0;
   std::uint64_t total_pkt_latency = 0;
   std::uint64_t cycle = 0;
 
   for (; delivered_flits < stats.total_flits; ++cycle) {
+    // An empty network changes no state until the next landing or the next
+    // ready source front; the round-robin pointer is derived from `cycle`.
+    if (buffered == 0) {
+      std::uint64_t next = in_flight.empty()
+                               ? std::numeric_limits<std::uint64_t>::max()
+                               : in_flight.top().arrival;
+      for (std::size_t s = 0; s < n && awaiting > 0; ++s) {
+        if (cursor[s] < queue[s].size()) {
+          next = std::min(next, bursts[queue[s][cursor[s]]].inject);
+        }
+      }
+      if (next > max_cycles) next = max_cycles + 1;
+      cycle = std::max(cycle, next);
+    }
     if (cycle > max_cycles) {
-      throw std::runtime_error("NoC simulation exceeded max_cycles");
+      std::string msg = "NoC simulation exceeded max_cycles (" +
+                        std::to_string(max_cycles) + ") at cycle " +
+                        std::to_string(cycle) + ": " +
+                        std::to_string(delivered_flits) + "/" +
+                        std::to_string(stats.total_flits) +
+                        " flits delivered, " +
+                        std::to_string(in_flight.size()) + " in flight, " +
+                        std::to_string(awaiting) + " awaiting injection";
+      std::size_t shown = 0;
+      for (std::size_t bi = 0; bi < n * slots && shown < 8; ++bi) {
+        if (size[bi] == 0) continue;
+        const std::size_t r = bi / slots;
+        const Flit& f = ring[bi * depth + head[bi]];
+        const Coord at = topo_.coord(r);
+        const Coord to = topo_.coord(f.dst);
+        const std::size_t out = route[r * n + f.dst];
+        const Coord hop = topo_.coord(nbr[r * kNumPorts + out]);
+        char line[192];
+        std::snprintf(line, sizeof(line),
+                      "; router (%zu,%zu) in %s vc %zu: %u flits (%u/%zu "
+                      "credits), head packet %u to (%zu,%zu) next %s (%zu,%zu)",
+                      at.x, at.y, kPortNames[bi % slots / vcs], bi % vcs,
+                      size[bi], occupancy[bi], depth, f.packet, to.x, to.y,
+                      out == kLocal ? "ejects at" : kPortNames[out], hop.x,
+                      hop.y);
+        msg += line;
+        ++shown;
+      }
+      throw std::runtime_error(msg);
     }
 
-    // 1. Land in-flight flits whose arrival time is now.
+    // 1. Land in-flight flits whose arrival time is now (occupancy was
+    // already incremented at send time).
     while (!in_flight.empty() && in_flight.top().arrival <= cycle) {
-      const InFlight f = in_flight.top();
+      const InFlight& f = in_flight.top();
+      push(f.router, f.slot, f.flit);
       in_flight.pop();
-      fifo[buf_idx(f.router, f.port, f.vc)].push_back(f.flit);
-      // occupancy was already incremented at send time
     }
 
-    // 2. Injection: move pending flits into the local input port.
-    for (std::size_t src = 0; src < n; ++src) {
-      std::size_t injected = 0;
-      while (!inject_q[src].empty() && injected < cfg_.phys_channels) {
-        const PendingFlit& pf = inject_q[src].front();
-        if (pf.ready > cycle) break;
-        const std::size_t bi = buf_idx(src, kLocal, pf.vc);
-        if (occupancy[bi] >= cfg_.vc_depth) break;
-        ++occupancy[bi];
-        fifo[bi].push_back(pf.flit);
-        inject_q[src].pop_front();
-        ++injected;
+    // 2. Injection: packetize each source's front flits into its local
+    // input port.
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t injected = 0;
+           injected < cfg_.phys_channels && cursor[s] < queue[s].size();
+           ++injected) {
+        const Burst& b = bursts[queue[s][cursor[s]]];
+        if (b.inject > cycle) break;
+        const std::uint64_t k = sent[s];
+        Flit flit;
+        flit.packet = static_cast<std::uint32_t>(b.first_packet + k / mpf);
+        flit.dst = b.dst;
+        flit.tail = (k + 1) % mpf == 0 || k + 1 == b.flits;
+        const std::size_t vc = flit.packet % vcs;
+        if (occupancy[s * slots + vc] >= depth) break;
+        ++occupancy[s * slots + vc];
+        push(s, vc, flit);
+        --awaiting;
+        if (++sent[s] == b.flits) {
+          sent[s] = 0;
+          ++cursor[s];
+        }
       }
     }
 
     // 3. Switch allocation: per router, per output direction, grant up to
-    // phys_channels head flits (round-robin over input port x vc).
+    // phys_channels head flits, round-robin over input port x vc from
+    // cycle % slots. FIFOs only pop during allocation, so each slot's
+    // requested output is computed once per router turn.
+    const std::size_t ptr = cycle % slots;
     for (std::size_t r = 0; r < n; ++r) {
-      // Track single-dequeue-per-cycle per input (port,vc).
-      bool popped[kNumPorts][8] = {};
+      if (nonempty[r] == 0) continue;
+      const std::size_t base = r * slots;
+      std::uint64_t want[kNumPorts] = {};
+      for (std::uint64_t m = nonempty[r]; m != 0; m &= m - 1) {
+        const std::size_t s = std::countr_zero(m);
+        const Flit& f = ring[(base + s) * depth + head[base + s]];
+        want[route[r * n + f.dst]] |= std::uint64_t{1} << s;
+      }
       for (std::size_t out = 0; out < kNumPorts; ++out) {
-        const auto dir = static_cast<Port>(out);
+        if (want[out] == 0) continue;
+        const std::uint32_t next_r = nbr[r * kNumPorts + out];
+        const std::size_t next_port = kOpposite[out] * vcs;
+        std::uint64_t rot =
+            (want[out] >> ptr | want[out] << (slots - ptr)) & all_slots;
         std::size_t granted = 0;
-        const std::size_t slots = kNumPorts * vcs;
-        std::size_t& ptr = rr[r * kNumPorts + out];
-        for (std::size_t step = 0; step < slots && granted < cfg_.phys_channels;
-             ++step) {
-          const std::size_t slot = (ptr + step) % slots;
-          const std::size_t in_port = slot / vcs;
-          const std::size_t vc = slot % vcs;
-          if (popped[in_port][vc]) continue;
-          auto& q = fifo[buf_idx(r, in_port, vc)];
-          if (q.empty()) continue;
-          const Flit& head = q.front();
-          if (route_dir(r, head.dst) != dir) continue;
-
-          if (dir == kLocal) {
+        for (; rot != 0 && granted < cfg_.phys_channels; rot &= rot - 1) {
+          std::size_t s = ptr + std::countr_zero(rot);
+          if (s >= slots) s -= slots;
+          const std::size_t bi = base + s;
+          const Flit flit = ring[bi * depth + head[bi]];
+          if (out == kLocal) {
             // Ejection.
-            PacketInfo& pkt = packets[head.packet];
-            if (head.tail) {
-              pkt.delivered = cycle;
-              pkt.done = true;
-              const std::uint64_t lat = cycle - pkt.inject;
+            if (flit.tail) {
+              packet_done[flit.packet] = true;
+              const std::uint64_t lat = cycle - packet_inject[flit.packet];
               total_pkt_latency += lat;
               stats.max_packet_latency =
                   std::max(stats.max_packet_latency, lat);
             }
-            ++stats.router_traversals;
             ++delivered_flits;
-            --occupancy[buf_idx(r, in_port, vc)];
-            q.pop_front();
-            popped[in_port][vc] = true;
-            ++granted;
-            continue;
+          } else {
+            const auto next_s =
+                static_cast<std::uint32_t>(next_port + s % vcs);
+            std::uint32_t& credit = occupancy[next_r * slots + next_s];
+            if (credit >= depth) continue;  // no credit
+            ++credit;
+            in_flight.push({cycle + cfg_.router_latency + 1, flit, next_r,
+                            next_s});
+            ++link_flits[r * kNumPorts + out];
+            ++stats.flit_hops;
           }
-
-          const std::size_t next_r = neighbor(r, dir);
-          const std::size_t next_bi = buf_idx(next_r, opposite(dir), vc);
-          if (occupancy[next_bi] >= cfg_.vc_depth) continue;  // no credit
-          ++occupancy[next_bi];
-          --occupancy[buf_idx(r, in_port, vc)];
-          InFlight fl;
-          fl.arrival = cycle + cfg_.router_latency + 1;
-          fl.flit = head;
-          fl.router = next_r;
-          fl.port = opposite(dir);
-          fl.vc = vc;
-          in_flight.push(fl);
-          ++link_flits[r * kNumPorts + out];
-          ++stats.flit_hops;
           ++stats.router_traversals;
-          q.pop_front();
-          popped[in_port][vc] = true;
+          --occupancy[bi];
+          if (++head[bi] == depth) head[bi] = 0;
+          if (--size[bi] == 0) nonempty[r] &= ~(std::uint64_t{1} << s);
+          --buffered;
           ++granted;
         }
-        ptr = (ptr + 1) % slots;
       }
     }
   }
@@ -313,26 +360,25 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
   phase_span.end();
 
   // Conservation invariants (checked builds): every flit the packetizer
-  // injected must have drained — nothing left in source queues, router
-  // buffers, or on a link — credits must be fully returned, every packet
+  // injected must have drained — nothing left at a source, in a router
+  // buffer, or on a link — credits must be fully returned, every packet
   // delivered, and the per-link counters must sum to exactly the hop count.
   // These are the conserved quantities the paper's communication metrics
   // (and the ls::obs heatmap) are built on.
   if constexpr (check::kEnabled) {
-    std::size_t undrained = in_flight.size();
-    for (const auto& q : inject_q) undrained += q.size();
-    for (const auto& q : fifo) undrained += q.size();
+    const std::uint64_t undrained = in_flight.size() + buffered + awaiting;
     LS_CHECK_MSG(undrained == 0,
                  "noc flit conservation: %llu flits injected, %llu "
-                 "delivered, %zu left undrained",
+                 "delivered, %llu left undrained",
                  static_cast<unsigned long long>(stats.total_flits),
-                 static_cast<unsigned long long>(delivered_flits), undrained);
+                 static_cast<unsigned long long>(delivered_flits),
+                 static_cast<unsigned long long>(undrained));
     LS_CHECK_MSG(delivered_flits == stats.total_flits,
                  "noc flit conservation: delivered %llu != injected %llu",
                  static_cast<unsigned long long>(delivered_flits),
                  static_cast<unsigned long long>(stats.total_flits));
     std::size_t credits_out = 0;
-    for (const std::size_t occ : occupancy) credits_out += occ;
+    for (const std::uint32_t occ : occupancy) credits_out += occ;
     LS_CHECK_MSG(credits_out == 0,
                  "noc flit conservation: %zu buffer credits unreturned",
                  credits_out);
@@ -350,8 +396,8 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
         static_cast<unsigned long long>(stats.router_traversals),
         static_cast<unsigned long long>(stats.flit_hops),
         static_cast<unsigned long long>(delivered_flits));
-    for (std::size_t p = 0; p < packets.size(); ++p) {
-      LS_CHECK_MSG(packets[p].done,
+    for (std::size_t p = 0; p < packet_done.size(); ++p) {
+      LS_CHECK_MSG(packet_done[p],
                    "noc flit conservation: packet %zu never delivered", p);
     }
   }

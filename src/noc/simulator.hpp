@@ -7,7 +7,11 @@
 // link direction. The layer-transition synchronization traffic of a
 // partitioned inference is injected as a burst of messages and simulated
 // until delivery; the completion cycle is the "computation-blocking
-// communication" time the paper's speedup metric is built on.
+// communication" time the paper's speedup metric is built on. The drain
+// loop's shortcuts (route tables, per-output request masks, ring-buffer
+// VCs, lazy packetization, idle skipping) are exact (DESIGN.md §4b);
+// tests/noc/simulator_reference_test.cpp checks them against the
+// straightforward loop.
 
 #include <cstdint>
 #include <vector>
@@ -21,6 +25,8 @@ namespace ls::noc {
 /// deadlock-free on a mesh.
 enum class Routing { kXY, kYX };
 
+/// `vcs` is at most 8, so a router's 5*vcs input slots fit the simulator's
+/// 64-bit per-output request masks.
 struct NocConfig {
   std::size_t flit_bytes = 64;       ///< 512-bit flit (TABLE II)
   std::size_t max_packet_flits = 20; ///< packet size cap (TABLE II)
@@ -78,9 +84,13 @@ class MeshNocSimulator {
  public:
   MeshNocSimulator(MeshTopology topo, NocConfig cfg);
 
-  /// Simulates the message set to completion. Throws if the network fails
-  /// to drain within `max_cycles` (indicates a configuration/logic error —
-  /// XY routing with credits cannot deadlock).
+  /// Simulates the message set to completion. Throws std::runtime_error
+  /// ("NoC simulation exceeded max_cycles ...", listing delivered/in-flight/
+  /// pending flits and up to 8 occupied buffers) if the network fails to
+  /// drain within `max_cycles` — XY routing with credits cannot deadlock,
+  /// so this flags a configuration/logic error. Throws std::invalid_argument
+  /// for meshes over 65536 cores or bursts of 2^32+ packets (flit
+  /// destinations are 16-bit, packet ids 32-bit).
   NocStats run(const std::vector<Message>& messages,
                std::uint64_t max_cycles = 200'000'000ull) const;
 

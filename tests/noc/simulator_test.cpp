@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "util/rng.hpp"
 
 namespace ls::noc {
@@ -183,6 +186,84 @@ TEST(MeshNocSimulator, RejectsDegenerateConfig) {
   cfg.flit_bytes = 0;
   EXPECT_THROW(MeshNocSimulator(MeshTopology(2, 2), cfg),
                std::invalid_argument);
+}
+
+TEST(MeshNocSimulator, StuckNetworkReportNamesBuffers) {
+  const MeshNocSimulator sim(MeshTopology(4, 4), small_config());
+  // Fifteen sources converge on core 0: after 40 cycles the ejection port
+  // is still backed up.
+  std::vector<Message> burst;
+  for (std::size_t s = 1; s < 16; ++s) burst.push_back({s, 0, 4096, 0});
+  try {
+    (void)sim.run(burst, 40);
+    FAIL() << "expected max_cycles to be exceeded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("NoC simulation exceeded max_cycles", 0), 0u);
+    EXPECT_NE(what.find("at cycle 41"), std::string::npos) << what;
+    EXPECT_NE(what.find("/960 flits delivered"), std::string::npos) << what;
+    EXPECT_NE(what.find("in flight"), std::string::npos) << what;
+    EXPECT_NE(what.find("awaiting injection"), std::string::npos) << what;
+    EXPECT_NE(what.find("router (0,0) in east vc"), std::string::npos) << what;
+    EXPECT_NE(what.find("to (0,0) next ejects at (0,0)"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("router (1,0) in local vc"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("to (0,0) next west (0,0)"), std::string::npos)
+        << what;
+    // At most 8 buffers are listed.
+    std::size_t listed = 0;
+    for (std::size_t at = what.find("; router ("); at != std::string::npos;
+         at = what.find("; router (", at + 1)) {
+      ++listed;
+    }
+    EXPECT_EQ(listed, 8u) << what;
+  }
+}
+
+TEST(MeshNocSimulator, InjectionBeyondMaxCyclesThrowsAtOnce) {
+  const MeshNocSimulator sim(MeshTopology(4, 4), small_config());
+  // An idle network jumps straight to the first injection, so this fails
+  // without stepping through 2e8 empty cycles.
+  try {
+    (void)sim.run({{0, 5, 64, 300'000'000ull}});
+    FAIL() << "expected max_cycles to be exceeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("0/1 flits delivered"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sim.run({{0, 5, 64, 300'000'000ull}}, 400'000'000ull)
+                .completion_cycle,
+            sim.run({{0, 5, 64, 0}}).completion_cycle + 300'000'000ull);
+}
+
+TEST(MeshNocSimulator, RejectsMeshWiderThanFlitDestination) {
+  // Flit destinations are 16-bit: 257 x 256 = 65792 cores cannot be named.
+  const MeshNocSimulator sim(MeshTopology(257, 256), small_config());
+  try {
+    (void)sim.run({{0, 1, 64, 0}});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("65792"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MeshNocSimulator, RejectsBurstBeyondPacketIdRange) {
+  // One-byte flits and one-flit packets: a 4 GiB message is 2^32 packets.
+  // Rejected while counting, before any per-flit or per-packet state.
+  NocConfig cfg = small_config();
+  cfg.flit_bytes = 1;
+  cfg.max_packet_flits = 1;
+  const MeshNocSimulator sim(MeshTopology(2, 2), cfg);
+  try {
+    (void)sim.run({{0, 1, std::size_t{1} << 32, 0}});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("4294967296"), std::string::npos)
+        << e.what();
+  }
 }
 
 // Property sweep: conservation (every injected flit ejects exactly once)
