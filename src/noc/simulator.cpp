@@ -81,8 +81,13 @@ std::size_t MeshNocSimulator::flits_for_bytes(std::size_t bytes) const {
 }
 
 std::uint64_t MeshNocSimulator::zero_load_latency(const Message& m) const {
-  const std::size_t flits = std::max<std::size_t>(1, flits_for_bytes(m.bytes));
-  const std::size_t hops = topo_.hops(m.src, m.dst);
+  return zero_load_latency(topo_.hops(m.src, m.dst),
+                           flits_for_bytes(m.bytes));
+}
+
+std::uint64_t MeshNocSimulator::zero_load_latency(std::size_t hops,
+                                                  std::size_t flits) const {
+  flits = std::max<std::size_t>(1, flits);
   // Head flit pays (router_latency + 1 link cycle) per hop plus the final
   // router; body flits stream behind at the link rate.
   const std::uint64_t head =

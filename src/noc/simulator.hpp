@@ -97,6 +97,9 @@ class MeshNocSimulator {
   /// Closed-form zero-load check value: serialization + per-hop pipeline
   /// latency of a single message, ignoring contention. Used by tests.
   std::uint64_t zero_load_latency(const Message& m) const;
+  /// The same for a message of `flits` flits over `hops` mesh hops (the
+  /// analytic cost model's per-message latency term).
+  std::uint64_t zero_load_latency(std::size_t hops, std::size_t flits) const;
 
   const MeshTopology& topology() const { return topo_; }
   const NocConfig& config() const { return cfg_; }

@@ -1,7 +1,7 @@
 #include "sched/builders.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <utility>
 
 #include "check/check.hpp"
 #include "core/partition.hpp"
@@ -78,97 +78,118 @@ void map_axis(std::size_t lo, std::size_t hi, std::size_t from,
   *out_hi = std::min(to, (hi * to + from - 1) / from);
 }
 
-/// Partition j's owned box of `a`'s output volume under dim `d`. kChannel
-/// owns the kernel-wise layout: its reduce-scatter (emitted onto the next
-/// transition) lands the reduced slices exactly where kernel-wise
+/// The input rows (or cols) [*lo, *hi) of an axis of `in_axis` that a
+/// conv needs to produce outputs `r` of the matching output axis: the
+/// stride/kernel/pad halo, clipped at the edges.
+void halo(const core::UnitRange& r, const nn::LayerSpec& spec,
+          std::size_t in_axis, std::size_t* lo, std::size_t* hi) {
+  const std::size_t s = spec.stride;
+  const std::size_t pad = spec.pad;
+  *lo = r.begin * s > pad ? r.begin * s - pad : 0;
+  const std::size_t hi_raw = (r.end - 1) * s + spec.kernel;
+  *hi = hi_raw > pad ? std::min(in_axis, hi_raw - pad) : 0;
+}
+
+/// Every partition's owned box of `a`'s output volume under dim `d`.
+/// kChannel owns the kernel-wise layout: its reduce-scatter (emitted onto
+/// the next transition) lands the reduced slices exactly where kernel-wise
 /// partitioning would put them.
-Box owned_box(const nn::LayerAnalysis& a, PartitionDim d, std::size_t j,
-              std::size_t P) {
+std::vector<Box> owned_boxes(const nn::LayerAnalysis& a, PartitionDim d,
+                             std::size_t P) {
   const OutGeom g = out_geom(a);
-  Box box{0, g.c, 0, g.h, 0, g.w};
+  std::vector<Box> boxes(P, Box{0, g.c, 0, g.h, 0, g.w});
   switch (d) {
     case PartitionDim::kKernel:
     case PartitionDim::kChannel: {
-      const auto r = core::balanced_ranges(out_units(a), P)[j];
       // FC feature axis == channel axis (OutGeom), conv likewise.
-      box.c0 = r.begin;
-      box.c1 = r.end;
+      const auto ranges = core::balanced_ranges(out_units(a), P);
+      for (std::size_t j = 0; j < P; ++j) {
+        boxes[j].c0 = ranges[j].begin;
+        boxes[j].c1 = ranges[j].end;
+      }
       break;
     }
     case PartitionDim::kBatch:
-      if (j != 0) box = Box{};
+      for (std::size_t j = 1; j < P; ++j) boxes[j] = Box{};
       break;
     case PartitionDim::kHeight: {
-      const auto r = core::balanced_ranges(g.h, P)[j];
-      box.h0 = r.begin;
-      box.h1 = r.end;
+      const auto ranges = core::balanced_ranges(g.h, P);
+      for (std::size_t j = 0; j < P; ++j) {
+        boxes[j].h0 = ranges[j].begin;
+        boxes[j].h1 = ranges[j].end;
+      }
       break;
     }
     case PartitionDim::kWidth: {
-      const auto r = core::balanced_ranges(g.w, P)[j];
-      box.w0 = r.begin;
-      box.w1 = r.end;
+      const auto ranges = core::balanced_ranges(g.w, P);
+      for (std::size_t j = 0; j < P; ++j) {
+        boxes[j].w0 = ranges[j].begin;
+        boxes[j].w1 = ranges[j].end;
+      }
       break;
     }
   }
-  return box;
+  return boxes;
 }
 
-/// Partition j's needed box of `a`'s *input* volume under consumer dim `d`,
-/// expressed in the producer's output geometry `prev` (axes mapped
-/// proportionally; conv halo rows/cols from kernel/stride/pad).
-Box needed_box(const nn::LayerAnalysis& a, PartitionDim d, std::size_t j,
-               std::size_t P, const OutGeom& prev) {
+/// Every partition's needed box of `a`'s *input* volume under consumer dim
+/// `d`, expressed in the producer's output geometry `prev` (axes mapped
+/// proportionally; conv halo rows/cols from kernel/stride/pad). A
+/// partition with no share of the split axis needs nothing.
+std::vector<Box> needed_boxes(const nn::LayerAnalysis& a, PartitionDim d,
+                              std::size_t P, const OutGeom& prev) {
   const Box full{0, prev.c, 0, prev.h, 0, prev.w};
-  const std::size_t Hi = a.in.h;
-  const std::size_t Wi = a.in.w;
+  std::vector<Box> boxes(P, full);
   switch (d) {
-    case PartitionDim::kKernel:
-      // A partition with no output units computes nothing and gathers
-      // nothing (out_units < P leaves trailing partitions empty).
-      return core::balanced_ranges(out_units(a), P)[j].count() > 0 ? full
-                                                                   : Box{};
-    case PartitionDim::kBatch:
-      return j == 0 ? full : Box{};
-    case PartitionDim::kHeight: {
-      const auto r = core::balanced_ranges(a.out.h, P)[j];
-      if (r.count() == 0) return Box{};
-      const std::size_t s = a.spec.stride;
-      const std::size_t k = a.spec.kernel;
-      const std::size_t pad = a.spec.pad;
-      const std::size_t lo = r.begin * s > pad ? r.begin * s - pad : 0;
-      const std::size_t hi_raw = (r.end - 1) * s + k;
-      const std::size_t hi = hi_raw > pad ? std::min(Hi, hi_raw - pad) : 0;
-      Box box = full;
-      map_axis(lo, hi, Hi, prev.h, &box.h0, &box.h1);
-      return box;
+    case PartitionDim::kKernel: {
+      // out_units < P leaves trailing partitions computing nothing.
+      const auto ranges = core::balanced_ranges(out_units(a), P);
+      for (std::size_t j = 0; j < P; ++j) {
+        if (ranges[j].count() == 0) boxes[j] = Box{};
+      }
+      break;
     }
+    case PartitionDim::kBatch:
+      for (std::size_t j = 1; j < P; ++j) boxes[j] = Box{};
+      break;
+    case PartitionDim::kHeight:
     case PartitionDim::kWidth: {
-      const auto r = core::balanced_ranges(a.out.w, P)[j];
-      if (r.count() == 0) return Box{};
-      const std::size_t s = a.spec.stride;
-      const std::size_t k = a.spec.kernel;
-      const std::size_t pad = a.spec.pad;
-      const std::size_t lo = r.begin * s > pad ? r.begin * s - pad : 0;
-      const std::size_t hi_raw = (r.end - 1) * s + k;
-      const std::size_t hi = hi_raw > pad ? std::min(Wi, hi_raw - pad) : 0;
-      Box box = full;
-      map_axis(lo, hi, Wi, prev.w, &box.w0, &box.w1);
-      return box;
+      const bool rows = d == PartitionDim::kHeight;
+      const std::size_t in_axis = rows ? a.in.h : a.in.w;
+      const std::size_t prev_axis = rows ? prev.h : prev.w;
+      const auto ranges =
+          core::balanced_ranges(rows ? a.out.h : a.out.w, P);
+      for (std::size_t j = 0; j < P; ++j) {
+        if (ranges[j].count() == 0) {
+          boxes[j] = Box{};
+          continue;
+        }
+        std::size_t lo = 0, hi = 0;
+        halo(ranges[j], a.spec, in_axis, &lo, &hi);
+        map_axis(lo, hi, in_axis, prev_axis,
+                 rows ? &boxes[j].h0 : &boxes[j].w0,
+                 rows ? &boxes[j].h1 : &boxes[j].w1);
+      }
+      break;
     }
     case PartitionDim::kChannel: {
-      const auto r = core::balanced_ranges(in_units(a), P)[j];
-      if (r.count() == 0) return Box{};
-      Box box = full;
-      map_axis(r.begin, r.end, in_units(a), prev.c, &box.c0, &box.c1);
-      return box;
+      const auto ranges = core::balanced_ranges(in_units(a), P);
+      for (std::size_t j = 0; j < P; ++j) {
+        if (ranges[j].count() == 0) {
+          boxes[j] = Box{};
+          continue;
+        }
+        map_axis(ranges[j].begin, ranges[j].end, in_units(a), prev.c,
+                 &boxes[j].c0, &boxes[j].c1);
+      }
+      break;
     }
   }
-  return full;
+  return boxes;
 }
 
-/// Byte matrix accumulator emitting placement-mapped messages in
-/// deterministic partition (p, c) order.
+/// Byte matrix accumulator emitting partition-space messages in
+/// deterministic (p, c) order.
 class TransitionAccum {
  public:
   explicit TransitionAccum(std::size_t P) : P_(P), bytes_(P * P, 0) {}
@@ -178,13 +199,13 @@ class TransitionAccum {
     bytes_[p * P_ + c] += bytes;
   }
 
-  void emit(const std::vector<std::size_t>& place, Event* comm) const {
+  void emit(TransitionBurst* burst) const {
     for (std::size_t p = 0; p < P_; ++p) {
       for (std::size_t c = 0; c < P_; ++c) {
         const std::size_t b = bytes_[p * P_ + c];
         if (b == 0) continue;
-        comm->messages.push_back({place[p], place[c], b, 0});
-        comm->traffic_bytes += b;
+        burst->messages.push_back({p, c, b, 0});
+        burst->traffic_bytes += b;
       }
     }
   }
@@ -201,16 +222,7 @@ bool identity_placement(const std::vector<std::size_t>& place) {
   return true;
 }
 
-}  // namespace
-
-bool dim_compatible(const nn::NetSpec& spec, std::size_t layer_index,
-                    PartitionDim dim) {
-  std::vector<nn::LayerAnalysis> computes;
-  for (const nn::LayerAnalysis& a : nn::analyze(spec)) {
-    if (a.is_compute()) computes.push_back(a);
-  }
-  if (layer_index >= computes.size()) return false;
-  const nn::LayerAnalysis& a = computes[layer_index];
+bool dim_compatible(const nn::LayerAnalysis& a, bool last, PartitionDim dim) {
   const bool conv = a.spec.kind == nn::LayerKind::kConv;
   const bool grouped = conv && a.spec.groups > 1;
   switch (dim) {
@@ -225,29 +237,33 @@ bool dim_compatible(const nn::NetSpec& spec, std::size_t layer_index,
     case PartitionDim::kChannel:
       // The reduce-scatter rides on the *next* layer transition, so the
       // last compute layer cannot be channel-split.
-      return !grouped && in_units(a) >= 2 &&
-             layer_index + 1 < computes.size();
+      return !grouped && in_units(a) >= 2 && !last;
   }
   return false;
 }
 
-Schedule lower(const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
-               const BuildOptions& opts,
-               const core::SparsityProfile* sparsity, Strategy strategy) {
-  const auto analysis = nn::analyze(spec);
-  const std::size_t P = opts.cores;
+PartitionDim dim_of(const BuildOptions& opts, std::size_t li) {
+  return opts.layer_dims.empty() ? PartitionDim::kKernel
+                                 : opts.layer_dims[li];
+}
 
-  std::vector<const nn::LayerAnalysis*> computes;
-  for (const nn::LayerAnalysis& a : analysis) {
-    if (a.is_compute()) computes.push_back(&a);
-  }
+/// Places and chains the context's per-layer pieces into a schedule:
+/// compute layer li runs on chip stages[li]'s chip-major core range, and a
+/// transition between stages becomes one gateway-to-gateway inter-chip
+/// transfer of the consumer's input. One chip (all stages 0) is the flat
+/// single-mesh lowering.
+Schedule assemble(const nn::NetSpec& spec, const LoweringContext& ctx,
+                  const BuildOptions& opts,
+                  const core::SparsityProfile* sparsity, Strategy strategy,
+                  const std::vector<std::size_t>& stages, std::size_t chips) {
+  const std::size_t P = ctx.cores();
 
   // --- Tuning knobs: per-layer dims and the placement permutation ---------
   // (invariant class 9: malformed choices abort in checked builds).
   LS_CHECK_MSG(opts.layer_dims.empty() ||
-                   opts.layer_dims.size() == computes.size(),
+                   opts.layer_dims.size() == ctx.layers(),
                "lower('%s'): %zu layer dims for %zu compute layers",
-               spec.name.c_str(), opts.layer_dims.size(), computes.size());
+               spec.name.c_str(), opts.layer_dims.size(), ctx.layers());
   std::vector<std::size_t> place = opts.placement;
   if (place.empty()) {
     place.resize(P);
@@ -267,42 +283,33 @@ Schedule lower(const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
       seen[core] = true;
     }
   }
-  const auto dim_of = [&](std::size_t li) {
-    return opts.layer_dims.empty() ? PartitionDim::kKernel
-                                   : opts.layer_dims[li];
-  };
   bool any_non_kernel = false;
-  for (std::size_t li = 0; li < computes.size(); ++li) {
-    if (dim_of(li) == PartitionDim::kKernel) continue;
+  for (std::size_t li = 0; li < ctx.layers(); ++li) {
+    if (dim_of(opts, li) == PartitionDim::kKernel) continue;
     any_non_kernel = true;
-    LS_CHECK_MSG(dim_compatible(spec, li, dim_of(li)),
+    LS_CHECK_MSG(ctx.compatible(li, dim_of(opts, li)),
                  "lower('%s'): dim '%s' is incompatible with compute layer "
                  "%zu ('%s')",
-                 spec.name.c_str(), to_string(dim_of(li)), li,
-                 computes[li]->spec.name.c_str());
+                 spec.name.c_str(), to_string(dim_of(opts, li)), li,
+                 ctx.layer(li).spec.name.c_str());
   }
   LS_CHECK_MSG(!any_non_kernel || sparsity == nullptr,
                "lower('%s'): sparsity discounts are defined on the kernel "
                "split; clear layer_dims or drop the profile",
                spec.name.c_str());
 
-  std::unordered_map<std::string, const core::TransitionTraffic*> by_layer;
-  for (const auto& t : traffic.transitions) {
-    by_layer.emplace(t.layer_name, &t);
-  }
-
   Schedule schedule;
   schedule.net_name = spec.name;
   schedule.strategy = strategy;
-  schedule.cores = P;
+  schedule.cores = P * chips;
+  schedule.chips = chips;
   if (!identity_placement(place)) schedule.placement = place;
 
-  const nn::LayerAnalysis* prev_a = nullptr;
-  std::size_t li = 0;
-  for (const nn::LayerAnalysis* ap : computes) {
-    const nn::LayerAnalysis& a = *ap;
-    const PartitionDim dim = dim_of(li);
-    const PartitionDim prev_dim = li > 0 ? dim_of(li - 1) : PartitionDim::kKernel;
+  for (std::size_t li = 0; li < ctx.layers(); ++li) {
+    const nn::LayerAnalysis& a = ctx.layer(li);
+    const PartitionDim dim = dim_of(opts, li);
+    const std::size_t s = stages[li];
+    const std::size_t core_base = s * P;
 
     // The id of the previous layer's compute event (if any) — both the
     // burst and this layer's compute hang off it.
@@ -314,63 +321,25 @@ Schedule lower(const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
     comm.kind = EventKind::kComm;
     comm.layer_name = a.spec.name;
     comm.overlap_with_prev_compute = opts.overlap_comm;
-    if (prev_a != nullptr && dim == PartitionDim::kKernel &&
-        prev_dim == PartitionDim::kKernel) {
-      // Kernel-wise transition: reuse the caller's traffic analysis (it
-      // carries grouped-conv connectivity and weight liveness the
-      // geometric model does not), remapped through the placement.
-      const auto it = by_layer.find(a.spec.name);
-      if (it != by_layer.end() && !it->second->messages.empty()) {
-        comm.messages.reserve(it->second->messages.size());
-        for (const noc::Message& m : it->second->messages) {
-          comm.messages.push_back({place[m.src], place[m.dst], m.bytes, 0});
-        }
-        comm.traffic_bytes = it->second->total_bytes;
+    comm.chip = s;
+    if (li > 0 && stages[li - 1] != s) {
+      // Stage boundary: the whole consumer input crosses the package once,
+      // gateway to gateway (the serial link carries each byte once — no
+      // per-core fan-out off-die).
+      comm.inter_chip = true;
+      const std::size_t bytes = ctx.input_bytes(li);
+      comm.messages.push_back({(s - 1) * P, s * P, bytes, 0});
+      comm.traffic_bytes = bytes;
+    } else {
+      const PartitionDim prev_dim =
+          li > 0 ? dim_of(opts, li - 1) : PartitionDim::kKernel;
+      TransitionBurst burst = ctx.transition(li, prev_dim, dim);
+      for (noc::Message& m : burst.messages) {
+        m.src = core_base + place[m.src];
+        m.dst = core_base + place[m.dst];
       }
-    } else if (prev_a != nullptr) {
-      // A tuned dimension on either side: geometric ownership model. Boxes
-      // intersect in the producer's output geometry; the bytes that
-      // actually cross the NoC are the consumer's *input* activations
-      // (post-pool/relu/flatten), so the intersected volume is rescaled by
-      // the consumer-input : producer-output element ratio — which makes
-      // the kernel->kernel degenerate case of this model agree with the
-      // unit-based TransitionBuilder arithmetic exactly.
-      const OutGeom prev_geom = out_geom(*prev_a);
-      const double consumer_scale =
-          static_cast<double>(a.in.numel()) /
-          static_cast<double>(prev_geom.c * prev_geom.h * prev_geom.w);
-      TransitionAccum accum(P);
-      for (std::size_t c = 0; c < P; ++c) {
-        const Box need = needed_box(a, dim, c, P, prev_geom);
-        if (need.volume() == 0) continue;
-        for (std::size_t p = 0; p < P; ++p) {
-          if (p == c) continue;
-          const std::size_t vol =
-              intersect(owned_box(*prev_a, prev_dim, p, P), need).volume();
-          accum.add(p, c,
-                    static_cast<std::size_t>(
-                        static_cast<double>(vol) * consumer_scale *
-                            static_cast<double>(opts.bytes_per_value) +
-                        0.5));
-        }
-      }
-      if (prev_dim == PartitionDim::kChannel) {
-        // Reduce-scatter of the producer's partial sums back to the
-        // kernel-wise layout: partition p sends its partials of q's
-        // output slice to q.
-        const auto kernel_ranges =
-            core::balanced_ranges(out_units(*prev_a), P);
-        const std::size_t spatial = prev_geom.h * prev_geom.w;
-        for (std::size_t p = 0; p < P; ++p) {
-          for (std::size_t q = 0; q < P; ++q) {
-            if (p == q) continue;
-            accum.add(p, q,
-                      kernel_ranges[q].count() * spatial *
-                          opts.bytes_per_value);
-          }
-        }
-      }
-      accum.emit(place, &comm);
+      comm.messages = std::move(burst.messages);
+      comm.traffic_bytes = burst.traffic_bytes;
     }
     const bool have_comm = !comm.messages.empty();
     if (have_comm) {
@@ -378,125 +347,244 @@ Schedule lower(const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
       schedule.events.push_back(std::move(comm));
     }
 
-    // --- Compute event: the layer's per-core kernel partitions ------------
+    // --- Compute event: the layer's per-core partitions -------------------
+    const core::LayerSparsity* layer_sparsity =
+        opts.sparse_cycle_model && sparsity != nullptr
+            ? sparsity->find(a.spec.name)
+            : nullptr;
+    const LayerWork work = ctx.work(li, dim, layer_sparsity);
     Event compute;
     compute.kind = EventKind::kCompute;
     compute.layer_name = a.spec.name;
     compute.partition_dim = dim;
+    compute.macs_discounted = work.macs_discounted;
+    compute.chip = s;
     if (have_comm) compute.deps.push_back(schedule.events.size() - 1);
     if (have_prev) compute.deps.push_back(prev_compute);
-    compute.per_core_work.assign(P, accel::LayerPartitionWork{});
-
-    const std::size_t units = out_units(a);
-    const std::size_t weight_bytes_total =
-        a.weight_count * opts.bytes_per_value;
-    const std::size_t in_bytes = a.in.numel() * opts.bytes_per_value;
-    const std::size_t out_bytes_total =
-        a.out.numel() * opts.bytes_per_value;
-
-    switch (dim) {
-      case PartitionDim::kKernel: {
-        // Work splitting reproduces the pre-IR executor loop bit-for-bit:
-        // same share/live expressions, same +0.5 roundings.
-        const auto out_ranges = core::balanced_ranges(units, P);
-        const core::LayerSparsity* layer_sparsity = nullptr;
-        if (opts.sparse_cycle_model && sparsity != nullptr) {
-          layer_sparsity = sparsity->find(a.spec.name);
-        }
-        for (std::size_t c = 0; c < P; ++c) {
-          const double share =
-              units ? static_cast<double>(out_ranges[c].count()) /
-                          static_cast<double>(units)
-                    : 0.0;
-          if (share == 0.0) continue;
-          const double live = layer_sparsity != nullptr &&
-                                      c < layer_sparsity->live_fraction.size()
-                                  ? layer_sparsity->live_fraction[c]
-                                  : 1.0;
-          accel::LayerPartitionWork& work = compute.per_core_work[place[c]];
-          const auto dense_macs = static_cast<std::uint64_t>(
-              static_cast<double>(a.macs) * share + 0.5);
-          work.macs = static_cast<std::uint64_t>(
-              static_cast<double>(a.macs) * share * live + 0.5);
-          compute.macs_discounted += dense_macs - work.macs;
-          work.weight_bytes = static_cast<std::uint64_t>(
-              static_cast<double>(weight_bytes_total) * share * live + 0.5);
-          work.input_bytes = in_bytes;  // every core reads the full input
-          work.output_bytes = static_cast<std::uint64_t>(
-              static_cast<double>(out_bytes_total) * share + 0.5);
-        }
-        break;
-      }
-      case PartitionDim::kBatch: {
-        // Batch of one: partition 0 executes the whole layer.
-        accel::LayerPartitionWork& work = compute.per_core_work[place[0]];
-        work.macs = a.macs;
-        work.weight_bytes = weight_bytes_total;
-        work.input_bytes = in_bytes;
-        work.output_bytes = out_bytes_total;
-        break;
-      }
-      case PartitionDim::kHeight:
-      case PartitionDim::kWidth: {
-        // Spatial split: MACs and outputs scale with the slice, every core
-        // holds the full kernel set, and inputs are the halo-extended
-        // slice of the input volume.
-        const std::size_t axis =
-            dim == PartitionDim::kHeight ? a.out.h : a.out.w;
-        const std::size_t in_axis =
-            dim == PartitionDim::kHeight ? a.in.h : a.in.w;
-        const auto ranges = core::balanced_ranges(axis, P);
-        const std::size_t s = a.spec.stride;
-        const std::size_t k = a.spec.kernel;
-        const std::size_t pad = a.spec.pad;
-        for (std::size_t c = 0; c < P; ++c) {
-          const auto r = ranges[c];
-          if (r.count() == 0) continue;
-          const double share = static_cast<double>(r.count()) /
-                               static_cast<double>(axis);
-          accel::LayerPartitionWork& work = compute.per_core_work[place[c]];
-          work.macs = static_cast<std::uint64_t>(
-              static_cast<double>(a.macs) * share + 0.5);
-          work.weight_bytes = weight_bytes_total;
-          const std::size_t lo = r.begin * s > pad ? r.begin * s - pad : 0;
-          const std::size_t hi_raw = (r.end - 1) * s + k;
-          const std::size_t hi =
-              hi_raw > pad ? std::min(in_axis, hi_raw - pad) : 0;
-          const std::size_t halo_rows = hi > lo ? hi - lo : 0;
-          work.input_bytes = in_bytes / in_axis * halo_rows;
-          work.output_bytes = static_cast<std::uint64_t>(
-              static_cast<double>(out_bytes_total) * share + 0.5);
-        }
-        break;
-      }
-      case PartitionDim::kChannel: {
-        // Input-channel split: each core computes partial sums for the
-        // whole output volume over its channel slice.
-        const std::size_t in_u = in_units(a);
-        const auto ranges = core::balanced_ranges(in_u, P);
-        for (std::size_t c = 0; c < P; ++c) {
-          const auto r = ranges[c];
-          if (r.count() == 0) continue;
-          const double share = static_cast<double>(r.count()) /
-                               static_cast<double>(in_u);
-          accel::LayerPartitionWork& work = compute.per_core_work[place[c]];
-          work.macs = static_cast<std::uint64_t>(
-              static_cast<double>(a.macs) * share + 0.5);
-          work.weight_bytes = static_cast<std::uint64_t>(
-              static_cast<double>(weight_bytes_total) * share + 0.5);
-          work.input_bytes = in_bytes / in_u * r.count();
-          work.output_bytes = out_bytes_total;  // full partial-sum volume
-        }
-        break;
-      }
+    compute.per_core_work.assign(schedule.cores, accel::LayerPartitionWork{});
+    for (std::size_t c = 0; c < P; ++c) {
+      compute.per_core_work[core_base + place[c]] = work.per_partition[c];
     }
     schedule.events.push_back(std::move(compute));
-    prev_a = &a;
-    ++li;
   }
 
   validate_against(schedule, spec);
   return schedule;
+}
+
+}  // namespace
+
+bool dim_compatible(const nn::NetSpec& spec, std::size_t layer_index,
+                    PartitionDim dim) {
+  std::vector<nn::LayerAnalysis> computes;
+  for (const nn::LayerAnalysis& a : nn::analyze(spec)) {
+    if (a.is_compute()) computes.push_back(a);
+  }
+  return layer_index < computes.size() &&
+         dim_compatible(computes[layer_index],
+                        layer_index + 1 == computes.size(), dim);
+}
+
+LoweringContext::LoweringContext(const nn::NetSpec& spec,
+                                 const core::InferenceTraffic& traffic,
+                                 std::size_t cores,
+                                 std::size_t bytes_per_value)
+    : P_(cores), bytes_per_value_(bytes_per_value) {
+  for (nn::LayerAnalysis& a : nn::analyze(spec)) {
+    if (a.is_compute()) computes_.push_back(std::move(a));
+  }
+  // First transition per consumer name wins (names are unique in the zoo).
+  traffic_.assign(computes_.size(), nullptr);
+  for (std::size_t li = 0; li < computes_.size(); ++li) {
+    for (const core::TransitionTraffic& t : traffic.transitions) {
+      if (t.layer_name == computes_[li].spec.name) {
+        traffic_[li] = &t;
+        break;
+      }
+    }
+  }
+}
+
+bool LoweringContext::compatible(std::size_t li, PartitionDim dim) const {
+  return li < layers() && dim_compatible(computes_[li], li + 1 == layers(),
+                                         dim);
+}
+
+std::size_t LoweringContext::input_bytes(std::size_t li) const {
+  return computes_[li].in.numel() * bytes_per_value_;
+}
+
+TransitionBurst LoweringContext::transition(std::size_t li,
+                                            PartitionDim prev_dim,
+                                            PartitionDim dim) const {
+  TransitionBurst burst;
+  if (li == 0) return burst;
+  const nn::LayerAnalysis& a = computes_[li];
+  const nn::LayerAnalysis& prev = computes_[li - 1];
+  if (dim == PartitionDim::kKernel && prev_dim == PartitionDim::kKernel) {
+    // Kernel-wise transition: reuse the caller's traffic analysis (it
+    // carries grouped-conv connectivity and weight liveness the geometric
+    // model does not).
+    const core::TransitionTraffic* t = traffic_[li];
+    if (t != nullptr && !t->messages.empty()) {
+      burst.messages.reserve(t->messages.size());
+      for (const noc::Message& m : t->messages) {
+        burst.messages.push_back({m.src, m.dst, m.bytes, 0});
+      }
+      burst.traffic_bytes = t->total_bytes;
+    }
+    return burst;
+  }
+  // A tuned dimension on either side: geometric ownership model. Boxes
+  // intersect in the producer's output geometry; the bytes that actually
+  // cross the NoC are the consumer's *input* activations (post-pool/relu/
+  // flatten), so the intersected volume is rescaled by the consumer-input :
+  // producer-output element ratio — which makes the kernel->kernel
+  // degenerate case of this model agree with the unit-based
+  // TransitionBuilder arithmetic exactly.
+  const OutGeom prev_geom = out_geom(prev);
+  const double consumer_scale =
+      static_cast<double>(a.in.numel()) /
+      static_cast<double>(prev_geom.c * prev_geom.h * prev_geom.w);
+  const std::vector<Box> owned = owned_boxes(prev, prev_dim, P_);
+  const std::vector<Box> needed = needed_boxes(a, dim, P_, prev_geom);
+  TransitionAccum accum(P_);
+  for (std::size_t c = 0; c < P_; ++c) {
+    if (needed[c].volume() == 0) continue;
+    for (std::size_t p = 0; p < P_; ++p) {
+      if (p == c) continue;
+      const std::size_t vol = intersect(owned[p], needed[c]).volume();
+      accum.add(p, c,
+                static_cast<std::size_t>(
+                    static_cast<double>(vol) * consumer_scale *
+                        static_cast<double>(bytes_per_value_) +
+                    0.5));
+    }
+  }
+  if (prev_dim == PartitionDim::kChannel) {
+    // Reduce-scatter of the producer's partial sums back to the
+    // kernel-wise layout: partition p sends its partials of q's output
+    // slice to q.
+    const auto kernel_ranges = core::balanced_ranges(out_units(prev), P_);
+    const std::size_t spatial = prev_geom.h * prev_geom.w;
+    for (std::size_t p = 0; p < P_; ++p) {
+      for (std::size_t q = 0; q < P_; ++q) {
+        if (p == q) continue;
+        accum.add(p, q,
+                  kernel_ranges[q].count() * spatial * bytes_per_value_);
+      }
+    }
+  }
+  accum.emit(&burst);
+  return burst;
+}
+
+LayerWork LoweringContext::work(std::size_t li, PartitionDim dim,
+                                const core::LayerSparsity* sparsity) const {
+  const nn::LayerAnalysis& a = computes_[li];
+  LayerWork out;
+  out.per_partition.assign(P_, accel::LayerPartitionWork{});
+  const std::size_t units = out_units(a);
+  const std::size_t weight_bytes_total = a.weight_count * bytes_per_value_;
+  const std::size_t in_bytes = a.in.numel() * bytes_per_value_;
+  const std::size_t out_bytes_total = a.out.numel() * bytes_per_value_;
+
+  switch (dim) {
+    case PartitionDim::kKernel: {
+      // Work splitting reproduces the pre-IR executor loop bit-for-bit:
+      // same share/live expressions, same +0.5 roundings.
+      const auto out_ranges = core::balanced_ranges(units, P_);
+      for (std::size_t c = 0; c < P_; ++c) {
+        const double share =
+            units ? static_cast<double>(out_ranges[c].count()) /
+                        static_cast<double>(units)
+                  : 0.0;
+        if (share == 0.0) continue;
+        const double live =
+            sparsity != nullptr && c < sparsity->live_fraction.size()
+                ? sparsity->live_fraction[c]
+                : 1.0;
+        accel::LayerPartitionWork& w = out.per_partition[c];
+        const auto dense_macs = static_cast<std::uint64_t>(
+            static_cast<double>(a.macs) * share + 0.5);
+        w.macs = static_cast<std::uint64_t>(
+            static_cast<double>(a.macs) * share * live + 0.5);
+        out.macs_discounted += dense_macs - w.macs;
+        w.weight_bytes = static_cast<std::uint64_t>(
+            static_cast<double>(weight_bytes_total) * share * live + 0.5);
+        w.input_bytes = in_bytes;  // every core reads the full input
+        w.output_bytes = static_cast<std::uint64_t>(
+            static_cast<double>(out_bytes_total) * share + 0.5);
+      }
+      break;
+    }
+    case PartitionDim::kBatch: {
+      // Batch of one: partition 0 executes the whole layer.
+      accel::LayerPartitionWork& w = out.per_partition[0];
+      w.macs = a.macs;
+      w.weight_bytes = weight_bytes_total;
+      w.input_bytes = in_bytes;
+      w.output_bytes = out_bytes_total;
+      break;
+    }
+    case PartitionDim::kHeight:
+    case PartitionDim::kWidth: {
+      // Spatial split: MACs and outputs scale with the slice, every core
+      // holds the full kernel set, and inputs are the halo-extended slice
+      // of the input volume.
+      const std::size_t axis =
+          dim == PartitionDim::kHeight ? a.out.h : a.out.w;
+      const std::size_t in_axis =
+          dim == PartitionDim::kHeight ? a.in.h : a.in.w;
+      const auto ranges = core::balanced_ranges(axis, P_);
+      for (std::size_t c = 0; c < P_; ++c) {
+        const auto r = ranges[c];
+        if (r.count() == 0) continue;
+        const double share =
+            static_cast<double>(r.count()) / static_cast<double>(axis);
+        accel::LayerPartitionWork& w = out.per_partition[c];
+        w.macs = static_cast<std::uint64_t>(
+            static_cast<double>(a.macs) * share + 0.5);
+        w.weight_bytes = weight_bytes_total;
+        std::size_t lo = 0, hi = 0;
+        halo(r, a.spec, in_axis, &lo, &hi);
+        const std::size_t halo_rows = hi > lo ? hi - lo : 0;
+        w.input_bytes = in_bytes / in_axis * halo_rows;
+        w.output_bytes = static_cast<std::uint64_t>(
+            static_cast<double>(out_bytes_total) * share + 0.5);
+      }
+      break;
+    }
+    case PartitionDim::kChannel: {
+      // Input-channel split: each core computes partial sums for the
+      // whole output volume over its channel slice.
+      const std::size_t in_u = in_units(a);
+      const auto ranges = core::balanced_ranges(in_u, P_);
+      for (std::size_t c = 0; c < P_; ++c) {
+        const auto r = ranges[c];
+        if (r.count() == 0) continue;
+        const double share =
+            static_cast<double>(r.count()) / static_cast<double>(in_u);
+        accel::LayerPartitionWork& w = out.per_partition[c];
+        w.macs = static_cast<std::uint64_t>(
+            static_cast<double>(a.macs) * share + 0.5);
+        w.weight_bytes = static_cast<std::uint64_t>(
+            static_cast<double>(weight_bytes_total) * share + 0.5);
+        w.input_bytes = in_bytes / in_u * r.count();
+        w.output_bytes = out_bytes_total;  // full partial-sum volume
+      }
+      break;
+    }
+  }
+  return out;
+}
+
+Schedule lower(const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
+               const BuildOptions& opts,
+               const core::SparsityProfile* sparsity, Strategy strategy) {
+  const LoweringContext ctx(spec, traffic, opts.cores, opts.bytes_per_value);
+  return assemble(spec, ctx, opts, sparsity, strategy,
+                  std::vector<std::size_t>(ctx.layers(), 0), 1);
 }
 
 std::vector<std::size_t> partition_stages(const nn::NetSpec& spec,
@@ -548,7 +636,6 @@ Schedule lower_pipelined(const nn::NetSpec& spec,
                spec.name.c_str());
 
   const std::vector<std::size_t> stages = partition_stages(spec, chips);
-  const std::size_t Pc = opts.cores;  // cores per chip
 
   // Channel splits reduce-scatter on the *next* transition; a gateway
   // link cannot carry that collective, so the last layer of every stage
@@ -563,88 +650,8 @@ Schedule lower_pipelined(const nn::NetSpec& spec,
     }
   }
 
-  // One per-chip lowering of the whole net, then stage-by-stage relocation
-  // onto the chip-major global core ranges.
-  const Schedule base = lower(spec, traffic, opts, sparsity, strategy);
-
-  std::vector<std::size_t> in_bytes_by_layer;
-  for (const nn::LayerAnalysis& a : nn::analyze(spec)) {
-    if (a.is_compute()) {
-      in_bytes_by_layer.push_back(a.in.numel() * opts.bytes_per_value);
-    }
-  }
-
-  Schedule out;
-  out.net_name = base.net_name;
-  out.strategy = base.strategy;
-  out.cores = Pc * chips;
-  out.chips = chips;
-
-  // Rebuild the linear event chain: every compute layer contributes an
-  // optional comm event plus its compute event, with the same dependency
-  // shape lower() emits (comm <- prev compute, compute <- comm + prev
-  // compute).
-  std::size_t li = 0;
-  const Event* pending_comm = nullptr;
-  for (const Event& e : base.events) {
-    if (e.kind == EventKind::kComm) {
-      pending_comm = &e;
-      continue;
-    }
-    const std::size_t s = stages[li];
-    const std::size_t core_base = s * Pc;
-    const bool have_prev = !out.events.empty();
-    const EventId prev_compute = have_prev ? out.events.size() - 1 : 0;
-    const bool boundary = li > 0 && stages[li - 1] != s;
-
-    Event comm;
-    comm.kind = EventKind::kComm;
-    comm.layer_name = e.layer_name;
-    comm.overlap_with_prev_compute = opts.overlap_comm;
-    comm.chip = s;
-    if (boundary) {
-      // Stage boundary: the whole consumer input crosses the package once,
-      // gateway to gateway, whatever burst the per-chip lowering had here.
-      comm.inter_chip = true;
-      const std::size_t bytes = in_bytes_by_layer[li];
-      comm.messages.push_back({(s - 1) * Pc, s * Pc, bytes, 0});
-      comm.traffic_bytes = bytes;
-    } else if (pending_comm != nullptr) {
-      // Intra-stage transition: the per-chip mesh burst, relocated onto
-      // this stage's chip.
-      comm.messages.reserve(pending_comm->messages.size());
-      for (const noc::Message& m : pending_comm->messages) {
-        comm.messages.push_back(
-            {core_base + m.src, core_base + m.dst, m.bytes, 0});
-      }
-      comm.traffic_bytes = pending_comm->traffic_bytes;
-    }
-    const bool have_comm = !comm.messages.empty();
-    if (have_comm) {
-      if (have_prev) comm.deps.push_back(prev_compute);
-      out.events.push_back(std::move(comm));
-    }
-
-    Event compute;
-    compute.kind = EventKind::kCompute;
-    compute.layer_name = e.layer_name;
-    compute.partition_dim = e.partition_dim;
-    compute.macs_discounted = e.macs_discounted;
-    compute.chip = s;
-    if (have_comm) compute.deps.push_back(out.events.size() - 1);
-    if (have_prev) compute.deps.push_back(prev_compute);
-    compute.per_core_work.assign(out.cores, accel::LayerPartitionWork{});
-    for (std::size_t c = 0; c < Pc; ++c) {
-      compute.per_core_work[core_base + c] = e.per_core_work[c];
-    }
-    out.events.push_back(std::move(compute));
-
-    pending_comm = nullptr;
-    ++li;
-  }
-
-  validate_against(out, spec);
-  return out;
+  const LoweringContext ctx(spec, traffic, opts.cores, opts.bytes_per_value);
+  return assemble(spec, ctx, opts, sparsity, strategy, stages, chips);
 }
 
 Schedule build_traditional(const nn::NetSpec& spec,

@@ -23,6 +23,8 @@
 // suite (`ctest -L sched`) pins this.
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "core/sparsity_profile.hpp"
 #include "core/traffic.hpp"
@@ -63,6 +65,63 @@ struct BuildOptions {
 /// the lowering's invariant-class-9 precondition.
 bool dim_compatible(const nn::NetSpec& spec, std::size_t layer_index,
                     PartitionDim dim);
+
+/// One layer transition's burst in partition space: message endpoints are
+/// logical partitions, before any placement or chip relocation.
+struct TransitionBurst {
+  std::vector<noc::Message> messages;
+  std::size_t traffic_bytes = 0;
+};
+
+/// One compute layer's work in partition space (index = partition).
+struct LayerWork {
+  std::vector<accel::LayerPartitionWork> per_partition;
+  std::uint64_t macs_discounted = 0;
+};
+
+/// What lowering derives from a net once: its compute-layer analyses and
+/// the caller's kernel-wise traffic indexed by compute layer, at one mesh
+/// size. Its two per-layer pieces — a transition's burst and a layer's
+/// work — are all a schedule is made of: lower() and lower_pipelined()
+/// place and chain them, and the autotuner's memoized scorer prices them
+/// without building a Schedule. `traffic` must outlive the context.
+class LoweringContext {
+ public:
+  LoweringContext(const nn::NetSpec& spec,
+                  const core::InferenceTraffic& traffic, std::size_t cores,
+                  std::size_t bytes_per_value);
+
+  std::size_t layers() const { return computes_.size(); }
+  std::size_t cores() const { return P_; }
+  const nn::LayerAnalysis& layer(std::size_t li) const {
+    return computes_[li];
+  }
+  /// dim_compatible() over this context's layers.
+  bool compatible(std::size_t li, PartitionDim dim) const;
+  /// Bytes of compute layer `li`'s input activations (what a stage
+  /// boundary ships across the package).
+  std::size_t input_bytes(std::size_t li) const;
+
+  /// The burst into compute layer `li` when layer li-1 is split on
+  /// `prev_dim` and `li` on `dim` (empty for li == 0). Kernel-to-kernel
+  /// transitions are the caller's traffic verbatim; any other pair comes
+  /// from the geometric ownership model.
+  TransitionBurst transition(std::size_t li, PartitionDim prev_dim,
+                             PartitionDim dim) const;
+
+  /// Compute layer `li`'s per-partition work under `dim`, discounted by
+  /// `sparsity` (kernel split only) when non-null.
+  LayerWork work(std::size_t li, PartitionDim dim,
+                 const core::LayerSparsity* sparsity = nullptr) const;
+
+ private:
+  std::vector<nn::LayerAnalysis> computes_;
+  /// Per compute layer: its kernel-wise transition, or null when the
+  /// traffic has none.
+  std::vector<const core::TransitionTraffic*> traffic_;
+  std::size_t P_;
+  std::size_t bytes_per_value_;
+};
 
 /// The shared lowering: one compute event per compute layer of `spec`
 /// (per-core work split by core::balanced_ranges, discounted by `sparsity`
@@ -111,11 +170,12 @@ Schedule build_hybrid(const nn::NetSpec& grouped_spec,
 std::vector<std::size_t> partition_stages(const nn::NetSpec& spec,
                                           std::size_t chips);
 
-/// Multi-chip lowering: runs the shared `lower()` at the per-chip core
-/// count (opts.cores = cores per chip; `traffic` must be the per-chip-mesh
-/// analysis at that count), then maps each pipeline stage onto its chip's
-/// chip-major core range. Intra-stage transitions keep their mesh bursts,
-/// localized to the owning chip; stage-boundary transitions are replaced
+/// Multi-chip lowering: assembles the shared per-layer pieces
+/// (LoweringContext) at the per-chip core count (opts.cores = cores per
+/// chip; `traffic` must be the per-chip-mesh analysis at that count) and
+/// maps each pipeline stage onto its chip's chip-major core range.
+/// Intra-stage transitions keep their mesh bursts, localized to the
+/// owning chip; stage-boundary transitions are replaced
 /// by a single gateway-to-gateway inter-chip transfer of the consumer
 /// layer's unique input activations (the serial link carries each byte
 /// once — no per-core fan-out off-die). The result spans

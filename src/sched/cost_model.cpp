@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "check/check.hpp"
 #include "noc/topology.hpp"
@@ -10,78 +11,136 @@ namespace ls::sched {
 
 namespace {
 
-// Directed-link load accumulator for one burst. Links are indexed as
-// (router, direction) with 4 mesh directions per router; the local
-// injection/ejection ports are tracked separately per core (they are
-// single-channel — phys_channels multiplies mesh links only).
-class LinkLoads {
- public:
-  explicit LinkLoads(std::size_t cores)
-      : link_(cores * 4, 0), inject_(cores, 0), eject_(cores, 0) {}
+accel::AccelConfig per_core_accel(const CostModelConfig& cfg,
+                                  std::size_t cores_per_chip) {
+  // Same per-core DRAM-share construction as CmpSystem: the compute half
+  // of the estimate is bit-identical to the executor's numbers. Every chip
+  // has its own DRAM channel, shared by its cores.
+  accel::AccelConfig per_core = cfg.accel;
+  per_core.dram_bytes_per_cycle =
+      cfg.chip_dram_bytes_per_cycle / static_cast<double>(cores_per_chip);
+  return per_core;
+}
 
-  void route(const noc::MeshTopology& topo, const noc::NocConfig& cfg,
-             std::size_t src, std::size_t dst, std::uint64_t flits) {
-    inject_[src] += flits;
-    eject_[dst] += flits;
-    noc::Coord at = topo.coord(src);
-    const noc::Coord to = topo.coord(dst);
-    const bool x_first = cfg.routing == noc::Routing::kXY;
-    for (int phase = 0; phase < 2; ++phase) {
-      const bool x_phase = (phase == 0) == x_first;
-      while (x_phase ? at.x != to.x : at.y != to.y) {
-        std::size_t dir;  // 0=east 1=west 2=south 3=north
-        noc::Coord next = at;
-        if (x_phase) {
-          dir = to.x > at.x ? 0 : 1;
-          next.x = to.x > at.x ? at.x + 1 : at.x - 1;
-        } else {
-          dir = to.y > at.y ? 2 : 3;
-          next.y = to.y > at.y ? at.y + 1 : at.y - 1;
-        }
-        link_[topo.core_at(at) * 4 + dir] += flits;
-        at = next;
-      }
+/// Adds `flits` to the links [lo, hi) of one row or column difference array.
+void add_span(std::uint64_t* diff, std::size_t lo, std::size_t hi,
+              std::uint64_t flits) {
+  diff[lo] += flits;
+  diff[hi] -= flits;  // wraps while negative; the prefix sums stay exact
+}
+
+/// Largest prefix sum of each `len`-entry segment of `diff`: the most
+/// loaded link on any row (or column).
+std::uint64_t max_prefix(const std::vector<std::uint64_t>& diff,
+                         std::size_t len) {
+  std::uint64_t worst = 0;
+  for (std::size_t seg = 0; seg < diff.size(); seg += len) {
+    std::uint64_t load = 0;
+    for (std::size_t i = seg; i < seg + len; ++i) {
+      load += diff[i];
+      worst = std::max(worst, load);
     }
   }
-
-  /// Cycles the most contended resource needs to pass its flits.
-  std::uint64_t bottleneck_cycles(std::size_t phys_channels) const {
-    std::uint64_t worst = 0;
-    for (const std::uint64_t load : link_) {
-      worst = std::max(worst, (load + phys_channels - 1) / phys_channels);
-    }
-    for (const std::uint64_t load : inject_) worst = std::max(worst, load);
-    for (const std::uint64_t load : eject_) worst = std::max(worst, load);
-    return worst;
-  }
-
- private:
-  std::vector<std::uint64_t> link_;
-  std::vector<std::uint64_t> inject_;
-  std::vector<std::uint64_t> eject_;
-};
-
-std::uint64_t estimate_burst(const noc::MeshNocSimulator& sim,
-                             const std::vector<noc::Message>& messages) {
-  const noc::MeshTopology& topo = sim.topology();
-  const noc::NocConfig& cfg = sim.config();
-  LinkLoads loads(topo.num_cores());
-  std::uint64_t max_zero_load = 0;
-  for (const noc::Message& m : messages) {
-    if (m.src == m.dst || m.bytes == 0) continue;
-    loads.route(topo, cfg, m.src, m.dst,
-                static_cast<std::uint64_t>(sim.flits_for_bytes(m.bytes)));
-    max_zero_load = std::max(max_zero_load, sim.zero_load_latency(m));
-  }
-  // Serialization-bound bursts drain at the bottleneck resource's rate
-  // (plus the head-flit pipeline of the last packet through it);
-  // latency-bound bursts finish with their slowest lone message.
-  return std::max(max_zero_load,
-                  loads.bottleneck_cycles(cfg.phys_channels) +
-                      cfg.router_latency);
+  return worst;
 }
 
 }  // namespace
+
+EventPricer::EventPricer(const CostModelConfig& cfg,
+                         const noc::MeshTopology& mesh)
+    : sim_(mesh, cfg.noc),
+      core_model_(per_core_accel(cfg, mesh.num_cores())),
+      noc_clock_divider_(cfg.noc_clock_divider),
+      inter_chip_(cfg.inter_chip),
+      cols_(sim_.topology().cols()),
+      rows_(sim_.topology().rows()),
+      east_(rows_ * (cols_ + 1)),
+      west_(rows_ * (cols_ + 1)),
+      south_(cols_ * (rows_ + 1)),
+      north_(cols_ * (rows_ + 1)),
+      inject_(mesh.num_cores()),
+      eject_(mesh.num_cores()) {
+  x_.resize(mesh.num_cores());
+  y_.resize(mesh.num_cores());
+  for (std::size_t c = 0; c < mesh.num_cores(); ++c) {
+    const noc::Coord at = mesh.coord(c);
+    x_[c] = static_cast<std::uint32_t>(at.x);
+    y_[c] = static_cast<std::uint32_t>(at.y);
+  }
+}
+
+std::uint64_t EventPricer::compute_cycles(
+    std::span<const accel::LayerPartitionWork> per_core_work) const {
+  return core_model_.partition_cost(per_core_work).worst_cycles;
+}
+
+std::size_t EventPricer::mesh_core(std::size_t endpoint,
+                                   std::span<const std::size_t> place,
+                                   std::size_t base) const {
+  std::size_t core = endpoint - base;  // wraps off the mesh below base
+  if (!place.empty()) {
+    if (core >= place.size()) throw std::out_of_range("core id");
+    core = place[core];
+  }
+  if (core >= x_.size()) throw std::out_of_range("core id");
+  return core;
+}
+
+std::uint64_t EventPricer::burst_cycles(
+    std::span<const noc::Message> messages,
+    std::span<const std::size_t> place, std::size_t base) {
+  // Every message is routed along its dimension-ordered path: an X leg on
+  // one row and a Y leg on one column, each a contiguous run of same-
+  // direction links, so a leg is two difference-array updates and the
+  // burst's link loads fall out of one prefix sum per row and column.
+  for (auto* v : {&east_, &west_, &south_, &north_, &inject_, &eject_}) {
+    std::fill(v->begin(), v->end(), 0);
+  }
+  const bool x_first = sim_.config().routing == noc::Routing::kXY;
+  const std::size_t row_len = cols_ + 1;
+  const std::size_t col_len = rows_ + 1;
+  std::uint64_t max_zero_load = 0;
+  for (const noc::Message& m : messages) {
+    if (m.src == m.dst || m.bytes == 0) continue;
+    const std::size_t s = mesh_core(m.src, place, base);
+    const std::size_t d = mesh_core(m.dst, place, base);
+    const std::uint64_t flits = sim_.flits_for_bytes(m.bytes);
+    inject_[s] += flits;
+    eject_[d] += flits;
+    const std::size_t sx = x_[s], sy = y_[s], dx = x_[d], dy = y_[d];
+    // XY turns at (dx, sy); YX turns at (sx, dy).
+    const std::size_t row = x_first ? sy : dy;
+    const std::size_t col = x_first ? dx : sx;
+    if (dx > sx) add_span(&east_[row * row_len], sx, dx, flits);
+    if (dx < sx) add_span(&west_[row * row_len], dx + 1, sx + 1, flits);
+    if (dy > sy) add_span(&south_[col * col_len], sy, dy, flits);
+    if (dy < sy) add_span(&north_[col * col_len], dy + 1, sy + 1, flits);
+    const std::size_t hops = (dx > sx ? dx - sx : sx - dx) +
+                             (dy > sy ? dy - sy : sy - dy);
+    max_zero_load =
+        std::max(max_zero_load, sim_.zero_load_latency(hops, flits));
+  }
+  // Serialization-bound bursts drain at the bottleneck resource's rate —
+  // a directed link (shared by the physical channels) or a single-channel
+  // injection/ejection port — plus the head-flit pipeline of the last
+  // packet through it; latency-bound bursts finish with their slowest lone
+  // message.
+  const std::uint64_t link = std::max(
+      std::max(max_prefix(east_, row_len), max_prefix(west_, row_len)),
+      std::max(max_prefix(south_, col_len), max_prefix(north_, col_len)));
+  const std::uint64_t phys = sim_.config().phys_channels;
+  std::uint64_t bottleneck = (link + phys - 1) / phys;
+  for (const std::uint64_t load : inject_) {
+    bottleneck = std::max(bottleneck, load);
+  }
+  for (const std::uint64_t load : eject_) {
+    bottleneck = std::max(bottleneck, load);
+  }
+  const std::uint64_t noc_cycles =
+      std::max(max_zero_load, bottleneck + sim_.config().router_latency);
+  return static_cast<std::uint64_t>(static_cast<double>(noc_cycles) *
+                                    noc_clock_divider_);
+}
 
 std::uint64_t inter_chip_transfer_cycles(const noc::InterChipLinkClass& link,
                                          std::uint64_t bytes) {
@@ -103,59 +162,35 @@ CycleEstimate estimate_cycles(const Schedule& schedule,
   // Bursts ride each chip's own mesh; on a single-chip schedule this is
   // exactly the historical whole-machine mesh.
   const std::size_t cores_per_chip = schedule.cores / schedule.chips;
-  const noc::MeshTopology topo = noc::MeshTopology::for_cores(cores_per_chip);
-  const noc::MeshNocSimulator sim(topo, cfg.noc);
-  // Same per-core DRAM-share construction as CmpSystem: the compute half
-  // of the estimate is bit-identical to the executor's numbers. Every chip
-  // has its own DRAM channel, shared by its cores.
-  accel::AccelConfig per_core = cfg.accel;
-  per_core.dram_bytes_per_cycle =
-      cfg.chip_dram_bytes_per_cycle / static_cast<double>(cores_per_chip);
-  const accel::CoreModel core_model(per_core);
+  EventPricer pricer(cfg, noc::MeshTopology::for_cores(cores_per_chip));
 
   CycleEstimate est;
   est.events.resize(schedule.events.size());
   std::uint64_t prev_compute = 0;
-  std::vector<noc::Message> local;
   for (std::size_t i = 0; i < schedule.events.size(); ++i) {
     const Event& e = schedule.events[i];
     if (e.kind == EventKind::kComm) {
       // prev_compute still holds the *previous* layer's compute here — the
       // consumer compute event that follows is what updates it — so the
-      // overlap arithmetic matches CmpSystem::execute exactly.
-      std::uint64_t raw = 0;
-      if (e.inter_chip) {
-        raw = inter_chip_transfer_cycles(cfg.inter_chip, e.traffic_bytes);
-      } else if (schedule.chips > 1) {
-        // Localize the burst onto its owning chip's mesh coordinates.
-        const std::size_t base = e.chip * cores_per_chip;
-        local.clear();
-        local.reserve(e.messages.size());
-        for (const noc::Message& m : e.messages) {
-          local.push_back({m.src - base, m.dst - base, m.bytes, 0});
-        }
-        raw = static_cast<std::uint64_t>(
-            static_cast<double>(estimate_burst(sim, local)) *
-            cfg.noc_clock_divider);
-      } else {
-        raw = static_cast<std::uint64_t>(
-            static_cast<double>(estimate_burst(sim, e.messages)) *
-            cfg.noc_clock_divider);
-      }
-      std::uint64_t blocking = raw;
-      if (e.overlap_with_prev_compute) {
-        blocking = raw > prev_compute ? raw - prev_compute : 0;
-      }
+      // overlap arithmetic matches CmpSystem::execute exactly. On-chip
+      // bursts are localized onto their owning chip's mesh coordinates.
+      const std::uint64_t raw =
+          e.inter_chip
+              ? pricer.inter_chip_cycles(e.traffic_bytes)
+              : pricer.burst_cycles(
+                    e.messages, {},
+                    schedule.chips > 1 ? e.chip * cores_per_chip : 0);
+      const std::uint64_t blocking =
+          blocking_comm_cycles(raw, prev_compute, e.overlap_with_prev_compute);
       est.events[i].raw_comm_cycles = raw;
       est.events[i].cycles = blocking;
       est.comm_cycles += blocking;
       continue;
     }
-    const accel::PartitionCost cost =
-        core_model.partition_cost(e.per_core_work);
-    est.events[i].cycles = cost.worst_cycles;
-    est.compute_cycles += cost.worst_cycles;
-    prev_compute = cost.worst_cycles;
+    const std::uint64_t worst = pricer.compute_cycles(e.per_core_work);
+    est.events[i].cycles = worst;
+    est.compute_cycles += worst;
+    prev_compute = worst;
   }
   est.total_cycles = est.compute_cycles + est.comm_cycles;
   return est;

@@ -21,7 +21,9 @@
 // Events combine exactly like CmpSystem::execute: overlap-tagged comm
 // events charge only the drain time exceeding the previous layer's compute.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "accel/core_model.hpp"
@@ -55,6 +57,59 @@ struct CostModelConfig {
 /// views of an inter-chip event always agree.
 std::uint64_t inter_chip_transfer_cycles(const noc::InterChipLinkClass& link,
                                          std::uint64_t bytes);
+
+/// Prices single events of a schedule whose chips each carry `mesh`: one
+/// on-chip burst, one inter-chip transfer, one compute event (the chip's
+/// DRAM channel shared by the mesh's cores). estimate_cycles and the
+/// autotuner's memoized scorer both price through it, so an event costs
+/// the same whichever one asks.
+class EventPricer {
+ public:
+  EventPricer(const CostModelConfig& cfg, const noc::MeshTopology& mesh);
+
+  /// Compute event: the slowest core of `per_core_work` — exactly the
+  /// executor's CoreModel::partition_cost worst_cycles.
+  std::uint64_t compute_cycles(
+      std::span<const accel::LayerPartitionWork> per_core_work) const;
+
+  /// Raw (pre-overlap) core cycles of one on-chip burst, NoC divider
+  /// applied. A message endpoint e rides mesh core place[e - base] (core
+  /// e - base when `place` is empty); an endpoint off the mesh throws
+  /// std::out_of_range. Self and zero-byte messages load nothing.
+  std::uint64_t burst_cycles(std::span<const noc::Message> messages,
+                             std::span<const std::size_t> place = {},
+                             std::size_t base = 0);
+
+  /// One gateway-to-gateway transfer (no NoC divider: own clock domain).
+  std::uint64_t inter_chip_cycles(std::uint64_t bytes) const {
+    return inter_chip_transfer_cycles(inter_chip_, bytes);
+  }
+
+ private:
+  std::size_t mesh_core(std::size_t endpoint,
+                        std::span<const std::size_t> place,
+                        std::size_t base) const;
+
+  noc::MeshNocSimulator sim_;
+  accel::CoreModel core_model_;
+  double noc_clock_divider_;
+  noc::InterChipLinkClass inter_chip_;
+  std::size_t cols_, rows_;
+  std::vector<std::uint32_t> x_, y_;  ///< per-core mesh coordinates
+  // Per-burst scratch: directed-link loads as difference arrays along each
+  // row (east/west, cols+1 entries) and column (south/north, rows+1), plus
+  // per-core injection/ejection flits.
+  std::vector<std::uint64_t> east_, west_, south_, north_, inject_, eject_;
+};
+
+/// A comm event's share of the serial timeline: its raw drain, or under
+/// overlap only the part exceeding the previous layer's compute.
+inline std::uint64_t blocking_comm_cycles(std::uint64_t raw,
+                                          std::uint64_t prev_compute,
+                                          bool overlap) {
+  if (!overlap) return raw;
+  return raw > prev_compute ? raw - prev_compute : 0;
+}
 
 /// Per-event view of the estimate, parallel to Schedule::events.
 struct EventEstimate {

@@ -1,6 +1,8 @@
 #include "tune/tuner.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
 #include <utility>
 
 #include "check/check.hpp"
@@ -18,6 +20,10 @@ constexpr sched::PartitionDim kAllDims[] = {
     sched::PartitionDim::kKernel, sched::PartitionDim::kBatch,
     sched::PartitionDim::kHeight, sched::PartitionDim::kWidth,
     sched::PartitionDim::kChannel};
+constexpr std::size_t kDimCount = std::size(kAllDims);
+// The scorer's memo tables index by the dim's enumerator value.
+static_assert(static_cast<std::size_t>(sched::PartitionDim::kChannel) + 1 ==
+              kDimCount);
 
 std::vector<std::size_t> identity(std::size_t n) {
   std::vector<std::size_t> p(n);
@@ -25,39 +31,33 @@ std::vector<std::size_t> identity(std::size_t n) {
   return p;
 }
 
+std::size_t cores_per_chip(const sim::SystemConfig& system) {
+  LS_CHECK_MSG(system.chips > 0 && system.cores % system.chips == 0,
+               "tune: %zu chips cannot tile %zu cores", system.chips,
+               system.cores);
+  return system.cores / system.chips;
+}
+
 /// Search state shared by the restarts: the scorer, the per-layer legal
 /// moves, and the budget ledger.
 class Search {
  public:
-  Search(const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
-         const sim::SystemConfig& system, const TunerConfig& cfg,
-         sched::Strategy strategy)
-      : spec_(spec),
-        traffic_(traffic),
-        system_(system),
-        cfg_(cfg),
-        strategy_(strategy),
-        cost_(cost_model_for(system)),
-        rng_(cfg.seed) {
-    std::size_t layers = 0;
-    for (const nn::LayerAnalysis& a : nn::analyze(spec)) {
-      layers += a.is_compute() ? 1 : 0;
-    }
+  Search(Scorer& scorer, const sim::SystemConfig& system,
+         const TunerConfig& cfg)
+      : scorer_(scorer), system_(system), cfg_(cfg), rng_(cfg.seed) {
+    const std::size_t layers = scorer.layers();
+    const std::vector<std::size_t>& stages = scorer.stages();
     legal_dims_.resize(layers);
     // Multi-chip: a channel split's reduce-scatter rides on the next layer
     // transition, which does not exist across a stage boundary — exclude
     // kChannel on stage-ending layers so every candidate stays lowerable.
-    std::vector<std::size_t> stages;
-    if (system.chips > 1) {
-      stages = sched::partition_stages(spec, system.chips);
-    }
     for (std::size_t li = 0; li < layers; ++li) {
       const bool stage_end =
-          !stages.empty() &&
+          system.chips > 1 &&
           (li + 1 == layers || stages[li + 1] != stages[li]);
       for (const sched::PartitionDim d : kAllDims) {
         if (stage_end && d == sched::PartitionDim::kChannel) continue;
-        if (sched::dim_compatible(spec, li, d)) legal_dims_[li].push_back(d);
+        if (scorer.context().compatible(li, d)) legal_dims_[li].push_back(d);
       }
     }
   }
@@ -68,10 +68,9 @@ class Search {
 
   std::uint64_t score(const Candidate& c) {
     ++evals_;
-    return sched::estimate_cycles(
-               lower_candidate(spec_, traffic_, system_, c, strategy_), cost_)
-        .total_cycles;
+    return scorer_.score(c);
   }
+  void adopt(const Candidate& c) { scorer_.adopt(c); }
 
   Candidate baseline() const {
     Candidate c;
@@ -124,18 +123,103 @@ class Search {
   }
 
  private:
-  const nn::NetSpec& spec_;
-  const core::InferenceTraffic& traffic_;
+  Scorer& scorer_;
   const sim::SystemConfig& system_;
   const TunerConfig& cfg_;
-  sched::Strategy strategy_;
-  sched::CostModelConfig cost_;
   util::Rng rng_;
   std::vector<std::vector<sched::PartitionDim>> legal_dims_;
   std::uint64_t evals_ = 0;
 };
 
 }  // namespace
+
+Scorer::Scorer(const nn::NetSpec& spec,
+               const core::InferenceTraffic& traffic,
+               const sim::SystemConfig& system)
+    : ctx_(spec, traffic, cores_per_chip(system), system.bytes_per_value),
+      pricer_(cost_model_for(system),
+              noc::MeshTopology::for_cores(cores_per_chip(system))),
+      stages_(system.chips > 1
+                  ? sched::partition_stages(spec, system.chips)
+                  : std::vector<std::size_t>(ctx_.layers(), 0)),
+      compute_(ctx_.layers() * kDimCount),
+      bursts_(ctx_.layers() * kDimCount * kDimCount),
+      comm_(bursts_.size()) {}
+
+std::size_t Scorer::transition_index(std::size_t li, sched::PartitionDim prev,
+                                     sched::PartitionDim dim) const {
+  return (li * kDimCount + static_cast<std::size_t>(prev)) * kDimCount +
+         static_cast<std::size_t>(dim);
+}
+
+std::uint64_t Scorer::compute_cycles(std::size_t li,
+                                     sched::PartitionDim dim) {
+  std::optional<std::uint64_t>& memo =
+      compute_[li * kDimCount + static_cast<std::size_t>(dim)];
+  if (!memo) memo = pricer_.compute_cycles(ctx_.work(li, dim).per_partition);
+  return *memo;
+}
+
+std::optional<std::uint64_t> Scorer::comm_cycles(std::size_t li,
+                                                 sched::PartitionDim prev,
+                                                 sched::PartitionDim dim,
+                                                 const Candidate& c,
+                                                 bool incumbent_placement) {
+  if (stages_[li - 1] != stages_[li]) {
+    return pricer_.inter_chip_cycles(ctx_.input_bytes(li));
+  }
+  const std::size_t t = transition_index(li, prev, dim);
+  if (!bursts_[t]) bursts_[t] = ctx_.transition(li, prev, dim);
+  const std::vector<noc::Message>& messages = bursts_[t]->messages;
+  if (messages.empty()) return std::nullopt;
+  if (incumbent_placement && comm_[t]) return *comm_[t];
+  const std::uint64_t raw = pricer_.burst_cycles(messages, c.placement);
+  if (incumbent_placement) {
+    comm_[t] = raw;
+  } else {
+    pending_.emplace_back(t, raw);
+  }
+  return raw;
+}
+
+std::uint64_t Scorer::score(const Candidate& c) {
+  LS_CHECK_MSG(c.layer_dims.empty() || c.layer_dims.size() == layers(),
+               "Scorer: %zu layer dims for %zu compute layers",
+               c.layer_dims.size(), layers());
+  const auto dim_of = [&](std::size_t li) {
+    return c.layer_dims.empty() ? sched::PartitionDim::kKernel
+                                : c.layer_dims[li];
+  };
+  const bool incumbent_placement = c.placement == placement_;
+  if (!incumbent_placement) {
+    pending_.clear();
+    pending_placement_ = c.placement;
+  }
+  std::uint64_t total = 0;
+  std::uint64_t prev_compute = 0;
+  for (std::size_t li = 0; li < layers(); ++li) {
+    if (li > 0) {
+      if (const auto raw = comm_cycles(li, dim_of(li - 1), dim_of(li), c,
+                                       incumbent_placement)) {
+        total +=
+            sched::blocking_comm_cycles(*raw, prev_compute, c.overlap_comm);
+      }
+    }
+    prev_compute = compute_cycles(li, dim_of(li));
+    total += prev_compute;
+  }
+  return total;
+}
+
+void Scorer::adopt(const Candidate& c) {
+  if (c.placement == placement_) return;
+  placement_ = c.placement;
+  std::fill(comm_.begin(), comm_.end(), std::nullopt);
+  if (pending_placement_ == placement_) {
+    for (const auto& [t, raw] : pending_) comm_[t] = raw;
+  }
+  pending_.clear();
+}
 
 sched::CostModelConfig cost_model_for(const sim::SystemConfig& system) {
   sched::CostModelConfig cost;
@@ -173,8 +257,19 @@ TuneOutcome tune(const nn::NetSpec& spec,
                  const core::InferenceTraffic& traffic,
                  const sim::SystemConfig& system, const TunerConfig& cfg,
                  sched::Strategy strategy, TuneTelemetry* telemetry) {
+  return tune(spec, traffic, system, cfg, strategy, telemetry,
+              std::make_unique<Scorer>(spec, traffic, system));
+}
+
+TuneOutcome tune(const nn::NetSpec& spec,
+                 const core::InferenceTraffic& traffic,
+                 const sim::SystemConfig& system, const TunerConfig& cfg,
+                 sched::Strategy strategy, TuneTelemetry* telemetry,
+                 std::unique_ptr<Scorer> scorer) {
   LS_CHECK_MSG(cfg.budget > 0 && cfg.restarts > 0 && cfg.top_k > 0,
                "tune('%s'): budget, restarts and top_k must be positive",
+               spec.name.c_str());
+  LS_CHECK_MSG(scorer != nullptr, "tune('%s'): no scorer",
                spec.name.c_str());
   static obs::Counter& evals_ctr =
       obs::Registry::instance().counter("tune.evals");
@@ -188,18 +283,17 @@ TuneOutcome tune(const nn::NetSpec& spec,
       obs::Registry::instance().counter("tune.moves_rejected");
   if (telemetry != nullptr) *telemetry = TuneTelemetry{};
 
-  Search search(spec, traffic, system, cfg, strategy);
   TuneOutcome out;
-
-  // Baseline: what ls_experiment executes untuned. Scored outside the
-  // budget (it is the yardstick, not a candidate).
-  const Candidate base = search.baseline();
-
+  Candidate base;
   // Greedy hill-climbing with restarts; collect each restart's local
   // optimum as a validation candidate.
   std::vector<std::pair<std::uint64_t, Candidate>> optima;
   {
     obs::Span span("tune.search", "tune");
+    Search search(*scorer, system, cfg);
+    // Baseline: what ls_experiment executes untuned. Scored outside the
+    // budget (it is the yardstick, not a candidate).
+    base = search.baseline();
     const std::uint64_t per_restart =
         std::max<std::uint64_t>(1, cfg.budget / cfg.restarts);
     for (std::size_t r = 0;
@@ -211,6 +305,7 @@ TuneOutcome tune(const nn::NetSpec& spec,
       restarts_ctr.inc();
       Candidate cur = r == 0 ? base : search.random_start();
       std::uint64_t cur_cost = search.score(cur);
+      search.adopt(cur);
       TuneRestartTrace trace;
       trace.restart = r;
       trace.start_est_cycles = cur_cost;
@@ -228,6 +323,7 @@ TuneOutcome tune(const nn::NetSpec& spec,
         if (accepted) {
           cur = next;
           cur_cost = next_cost;
+          search.adopt(cur);
         }
       }
       if (telemetry != nullptr) {
@@ -236,8 +332,11 @@ TuneOutcome tune(const nn::NetSpec& spec,
       }
       optima.emplace_back(cur_cost, std::move(cur));
     }
+    out.evals = search.evals();
   }
-  out.evals = search.evals();
+  // The memo tables are dead weight from here on: free them before flit
+  // validation, which has its own peak.
+  scorer.reset();
   evals_ctr.inc(out.evals);
 
   // Deduplicate and keep the top-k analytic winners for flit validation.

@@ -6,15 +6,20 @@
 //   * partition -> physical-core placement permutation,
 //   * comm/compute overlap policy
 // for the schedule with the lowest end-to-end cycle count. Candidates are
-// scored with the analytic model (sched::estimate_cycles — thousands of
-// evaluations per search), and only the top-k analytic winners are
-// validated with the flit-level NoC simulation (CmpSystem::execute) before
-// one is declared best. The search is greedy hill-climbing with random
-// restarts over single-knob moves (one layer's dim, one placement swap,
-// the overlap flag), driven by a seeded util::Rng: the same seed and
-// budget always visit the same candidates and return the same winner.
+// scored with the analytic model (thousands of evaluations per search;
+// Scorer prices only the layers a move touches, bit-identical to
+// sched::estimate_cycles over the lowered candidate), and only the top-k
+// analytic winners are validated with the flit-level NoC simulation
+// (CmpSystem::execute) before one is declared best. The search is greedy
+// hill-climbing with random restarts over single-knob moves (one layer's
+// dim, one placement swap, the overlap flag), driven by a seeded
+// util::Rng: the same seed and budget always visit the same candidates and
+// return the same winner.
 
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/traffic.hpp"
@@ -67,6 +72,9 @@ struct TuneRestartTrace {
   std::uint64_t start_est_cycles = 0;
   std::uint64_t final_est_cycles = 0;
   std::vector<TuneMove> moves;
+
+  friend bool operator==(const TuneRestartTrace&,
+                         const TuneRestartTrace&) = default;
 };
 
 /// One finalist's estimated-vs-validated pair — the cost-model scatter the
@@ -88,6 +96,9 @@ struct TuneTelemetry {
   std::vector<TuneValidationPoint> validations;
   std::uint64_t moves_accepted = 0;
   std::uint64_t moves_rejected = 0;
+
+  friend bool operator==(const TuneTelemetry&,
+                         const TuneTelemetry&) = default;
 };
 
 struct TuneOutcome {
@@ -102,6 +113,8 @@ struct TuneOutcome {
   std::uint64_t baseline_sim_cycles = 0;
   std::uint64_t evals = 0;           ///< analytic evaluations spent
   std::size_t validated = 0;         ///< flit-level validations run
+
+  friend bool operator==(const TuneOutcome&, const TuneOutcome&) = default;
 
   double speedup_sim() const {
     return best_sim_cycles ? static_cast<double>(baseline_sim_cycles) /
@@ -124,6 +137,62 @@ sched::Schedule lower_candidate(const nn::NetSpec& spec,
                                 const Candidate& candidate,
                                 sched::Strategy strategy);
 
+/// The search's objective: estimate_cycles(lower_candidate(c)).total_cycles,
+/// bit for bit, without lowering a schedule per evaluation. Every memo is
+/// keyed on exactly what its value depends on:
+///   * a layer's compute cycles on (layer, dim) — placement permutes the
+///     per-core work, and the price is a max over cores;
+///   * a transition's partition-space burst on (layer, prev dim, dim);
+///   * a transition's raw comm cycles on (layer, prev dim, dim) under the
+///     incumbent placement (adopt()). A candidate with another placement
+///     re-prices its bursts through that placement; adopting it replaces
+///     the table.
+/// Totals combine with estimate_cycles' own overlap arithmetic, stage
+/// boundaries priced as inter-chip transfers, so multi-chip systems score
+/// through the same path.
+class Scorer {
+ public:
+  /// `traffic` must outlive the scorer.
+  Scorer(const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
+         const sim::SystemConfig& system);
+  virtual ~Scorer() = default;
+  Scorer(const Scorer&) = delete;
+  Scorer& operator=(const Scorer&) = delete;
+
+  virtual std::uint64_t score(const Candidate& c);
+  /// The search's incumbent is now `c` (a restart's start or an accepted
+  /// move).
+  virtual void adopt(const Candidate& c);
+
+  /// Compute layers; pipeline stage of each (all 0 on one chip).
+  std::size_t layers() const { return ctx_.layers(); }
+  const std::vector<std::size_t>& stages() const { return stages_; }
+  const sched::LoweringContext& context() const { return ctx_; }
+
+ private:
+  std::size_t transition_index(std::size_t li, sched::PartitionDim prev,
+                               sched::PartitionDim dim) const;
+  std::uint64_t compute_cycles(std::size_t li, sched::PartitionDim dim);
+  /// Raw cycles of the comm event into layer li, or nullopt when the
+  /// lowering emits none there.
+  std::optional<std::uint64_t> comm_cycles(std::size_t li,
+                                           sched::PartitionDim prev,
+                                           sched::PartitionDim dim,
+                                           const Candidate& c,
+                                           bool incumbent_placement);
+
+  sched::LoweringContext ctx_;
+  sched::EventPricer pricer_;
+  std::vector<std::size_t> stages_;
+  std::vector<std::optional<std::uint64_t>> compute_;  ///< [li][dim]
+  std::vector<std::optional<sched::TransitionBurst>> bursts_;
+  std::vector<std::optional<std::uint64_t>> comm_;  ///< under placement_
+  std::vector<std::size_t> placement_;
+  /// Raw comm cycles of the last candidate scored off placement_.
+  std::vector<std::pair<std::size_t, std::uint64_t>> pending_;
+  std::vector<std::size_t> pending_placement_;
+};
+
 /// Runs the search (see file comment). `traffic` must be the transition
 /// traffic for `spec` on the system's core count. When `telemetry` is
 /// non-null the full search trace is written into it (cleared first).
@@ -132,5 +201,14 @@ TuneOutcome tune(const nn::NetSpec& spec,
                  const sim::SystemConfig& system, const TunerConfig& cfg,
                  sched::Strategy strategy = sched::Strategy::kTraditional,
                  TuneTelemetry* telemetry = nullptr);
+
+/// tune() ranking candidates with `scorer`, which must be built for the
+/// same spec, traffic and system (tests substitute a reference scorer).
+/// The scorer is destroyed once the search ends.
+TuneOutcome tune(const nn::NetSpec& spec,
+                 const core::InferenceTraffic& traffic,
+                 const sim::SystemConfig& system, const TunerConfig& cfg,
+                 sched::Strategy strategy, TuneTelemetry* telemetry,
+                 std::unique_ptr<Scorer> scorer);
 
 }  // namespace ls::tune

@@ -262,12 +262,13 @@ TEST(VerifyPositive, PermutedPlacementVerifiesClean) {
   EXPECT_TRUE(r.ok()) << r.to_string();
 }
 
-// The verifier gates the tuner's flit-level validation, so it must be
-// negligible next to the analytic model that runs ~budget times per
-// search: a full hill-climb spends `budget` (default 2000) calls on
-// estimate_cycles and at most top_k (3) on verify, so verify <=
-// estimate_cycles per call keeps the aggregate overhead under
-// 3/2000 x (verify/estimate) < 1%.
+// The verifier gates every schedule the tuner flit-validates (top_k
+// finalists) and every tuned schedule ls_experiment executes, so it must
+// stay cheaper than pricing the same schedule analytically with
+// estimate_cycles — the yardstick for "negligible next to the search": the
+// tuner's memoized scorer prices each move from the same per-event pricer,
+// a few layers at a time, and no longer calls estimate_cycles per
+// evaluation.
 TEST(VerifyPerf, CheaperThanAnalyticCostModel) {
   const Schedule s = lowered_convnet();
   const CostModelConfig cost;
