@@ -13,7 +13,6 @@
 
 #include <cstdio>
 
-#include "core/pipeline.hpp"
 #include "core/traffic.hpp"
 #include "nn/model_zoo.hpp"
 #include "sim/pipeline_model.hpp"
@@ -39,9 +38,7 @@ int main() {
         core::traffic_dense(spec, system.topology(), cfg.bytes_per_value);
     const auto intra = system.run_inference(spec, traffic);
 
-    const auto assignment =
-        core::assign_pipeline(spec, cfg.cores, cfg.bytes_per_value);
-    const auto pipe = sim::run_pipeline(spec, assignment, cfg);
+    const auto pipe = sim::run_pipeline(spec, cfg);
 
     t.add_row({spec.name, std::to_string(intra.total_cycles),
                std::to_string(pipe.single_pass_cycles),
@@ -51,7 +48,7 @@ int main() {
                    1),
                std::to_string(pipe.initiation_interval),
                util::fmt_double(pipe.load_imbalance, 2),
-               std::to_string(assignment.stages.size())});
+               std::to_string(pipe.stage_compute_cycles.size())});
   }
   t.print();
   std::puts(

@@ -1,6 +1,8 @@
 #include "sched/builders.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "check/check.hpp"
@@ -588,36 +590,60 @@ Schedule lower(const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
 }
 
 std::vector<std::size_t> partition_stages(const nn::NetSpec& spec,
-                                          std::size_t chips) {
+                                          std::size_t k) {
   std::vector<std::uint64_t> macs;
   for (const nn::LayerAnalysis& a : nn::analyze(spec)) {
     if (a.is_compute()) macs.push_back(a.macs);
   }
   const std::size_t n = macs.size();
-  LS_CHECK_MSG(chips >= 1, "partition_stages('%s'): zero chips",
-               spec.name.c_str());
-  LS_CHECK_MSG(n >= chips,
-               "partition_stages('%s'): %zu compute layers cannot fill %zu "
-               "pipeline stages",
-               spec.name.c_str(), n, chips);
-  std::uint64_t total = 0;
-  for (const std::uint64_t m : macs) total += m;
+  if (k == 0 || k > n) {
+    throw std::invalid_argument(
+        "partition_stages('" + spec.name + "'): " + std::to_string(n) +
+        " compute layers cannot fill " + std::to_string(k) +
+        " pipeline stages");
+  }
 
-  // Greedy prefix-sum cuts at total*(s+1)/chips, with a forced cut once
-  // the remaining layers only just cover the remaining stages — which
-  // guarantees every stage owns at least one layer.
+  // Greedy left-to-right packing under `cap`: a new stage opens before a
+  // layer that would push the current one past it.
+  const auto stages_needed = [&macs](std::uint64_t cap) {
+    std::size_t used = 1;
+    std::uint64_t acc = 0;
+    for (const std::uint64_t m : macs) {
+      if (acc + m > cap) {
+        ++used;
+        acc = 0;
+      }
+      acc += m;
+    }
+    return used;
+  };
+  // Binary-search the smallest cap (>= the largest layer, so every layer
+  // fits alone) that packs into at most k stages.
+  std::uint64_t lo = *std::max_element(macs.begin(), macs.end());
+  std::uint64_t hi = 0;
+  for (const std::uint64_t m : macs) hi += m;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (stages_needed(mid) <= k) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  const std::uint64_t cap = lo;
+
+  // Emit that packing, but open a stage early once the layers left only
+  // just cover the stages still to open, so exactly k stages come out.
   std::vector<std::size_t> stages(n, 0);
   std::size_t s = 0;
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && (acc + macs[i] > cap || n - i == k - 1 - s)) {
+      ++s;
+      acc = 0;
+    }
     stages[i] = s;
     acc += macs[i];
-    const std::size_t remaining_layers = n - 1 - i;
-    const std::size_t remaining_stages = chips - 1 - s;
-    if (s + 1 < chips && (remaining_layers == remaining_stages ||
-                          acc * chips >= total * (s + 1))) {
-      ++s;
-    }
   }
   return stages;
 }

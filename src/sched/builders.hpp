@@ -162,13 +162,18 @@ Schedule build_hybrid(const nn::NetSpec& grouped_spec,
 // ---------------------------------------------------------------------------
 // Multi-chip stage pipelining (DESIGN.md §4k).
 
-/// Stage-partitions the net's compute layers across `chips` pipeline
-/// stages: returns one stage id per compute layer (in layer order),
-/// contiguous and non-decreasing with every stage non-empty, balanced by
-/// MAC prefix sums so stages carry roughly equal compute. Requires at
-/// least `chips` compute layers (invariant class 9 in checked builds).
+/// Cuts the net's compute layers into exactly `k` contiguous pipeline
+/// stages minimizing the largest stage's MACs: returns one stage id per
+/// compute layer (in layer order), non-decreasing with every stage
+/// non-empty. The minimal cap is binary-searched; stages are then filled
+/// left to right, opening a new one before a layer that would exceed the
+/// cap or once the layers left only just cover the stages still to open
+/// (this tie-break picks one of the optimal partitions, and the cycle
+/// numbers of every multi-chip run depend on it). Stages never split a
+/// layer. Throws std::invalid_argument when k is zero or exceeds the
+/// compute-layer count.
 std::vector<std::size_t> partition_stages(const nn::NetSpec& spec,
-                                          std::size_t chips);
+                                          std::size_t k);
 
 /// Multi-chip lowering: assembles the shared per-layer pieces
 /// (LoweringContext) at the per-chip core count (opts.cores = cores per

@@ -1,59 +1,61 @@
 #include "sim/pipeline_model.hpp"
 
-#include <stdexcept>
+#include <algorithm>
+
+#include "sched/builders.hpp"
 
 namespace ls::sim {
 
-PipelineResult run_pipeline(const nn::NetSpec& spec,
-                            const core::PipelineAssignment& assignment,
-                            const SystemConfig& cfg) {
-  if (assignment.stages.empty()) {
-    throw std::invalid_argument("empty pipeline assignment");
+PipelineResult run_pipeline(const nn::NetSpec& spec, const SystemConfig& cfg) {
+  std::vector<nn::LayerAnalysis> layers;
+  for (const nn::LayerAnalysis& a : nn::analyze(spec)) {
+    if (a.is_compute()) layers.push_back(a);
   }
-  if (assignment.stages.size() > cfg.cores) {
-    throw std::invalid_argument("more stages than cores");
-  }
-  const auto analysis = nn::analyze(spec);
-  std::vector<nn::LayerAnalysis> compute_layers;
-  for (const auto& a : analysis) {
-    if (a.is_compute()) compute_layers.push_back(a);
-  }
+  PipelineResult result;
+  result.stages =
+      sched::partition_stages(spec, std::min(cfg.cores, layers.size()));
+  const std::size_t stage_count = result.stages.back() + 1;
 
   const accel::CoreModel core_model(cfg.accel);
   const noc::MeshTopology topo = noc::MeshTopology::for_cores(cfg.cores);
   const noc::MeshNocSimulator noc_sim(topo, cfg.noc);
 
-  PipelineResult result;
-  result.load_imbalance = assignment.imbalance();
-
-  for (std::size_t s = 0; s < assignment.stages.size(); ++s) {
-    const core::PipelineStage& stage = assignment.stages[s];
-    // The whole stage runs on one core: per-layer costs add up.
-    std::uint64_t compute = 0;
-    for (std::size_t li = stage.begin; li < stage.end; ++li) {
-      const nn::LayerAnalysis& a = compute_layers.at(li);
-      accel::LayerPartitionWork work;
-      work.macs = a.macs;
-      work.weight_bytes = a.weight_count * cfg.bytes_per_value;
-      work.input_bytes = a.in.numel() * cfg.bytes_per_value;
-      work.output_bytes = a.out.numel() * cfg.bytes_per_value;
-      compute += core_model.layer_cost(work).cycles();
-    }
-    result.stage_compute_cycles.push_back(compute);
-
-    std::uint64_t transfer = 0;
-    if (s + 1 < assignment.stages.size() && stage.boundary_bytes > 0) {
-      const noc::Message m{s, s + 1, stage.boundary_bytes, 0};
-      transfer = static_cast<std::uint64_t>(
+  // The whole stage runs on one core: per-layer costs add up.
+  std::vector<std::uint64_t> stage_macs(stage_count, 0);
+  result.stage_compute_cycles.assign(stage_count, 0);
+  result.stage_transfer_cycles.assign(stage_count, 0);
+  for (std::size_t li = 0; li < layers.size(); ++li) {
+    const nn::LayerAnalysis& a = layers[li];
+    const std::size_t s = result.stages[li];
+    accel::LayerPartitionWork work;
+    work.macs = a.macs;
+    work.weight_bytes = a.weight_count * cfg.bytes_per_value;
+    work.input_bytes = a.in.numel() * cfg.bytes_per_value;
+    work.output_bytes = a.out.numel() * cfg.bytes_per_value;
+    stage_macs[s] += a.macs;
+    result.stage_compute_cycles[s] += core_model.layer_cost(work).cycles();
+    if (li > 0 && result.stages[li - 1] != s) {
+      const noc::Message m{s - 1, s, a.in.numel() * cfg.bytes_per_value, 0};
+      result.stage_transfer_cycles[s - 1] = static_cast<std::uint64_t>(
           static_cast<double>(noc_sim.run({m}).completion_cycle) *
           cfg.noc_clock_divider);
     }
-    result.stage_transfer_cycles.push_back(transfer);
-
-    result.single_pass_cycles += compute + transfer;
-    result.initiation_interval =
-        std::max(result.initiation_interval, compute + transfer);
   }
+
+  std::uint64_t max_macs = 0;
+  std::uint64_t total_macs = 0;
+  for (std::size_t s = 0; s < stage_count; ++s) {
+    const std::uint64_t stage_cycles =
+        result.stage_compute_cycles[s] + result.stage_transfer_cycles[s];
+    result.single_pass_cycles += stage_cycles;
+    result.initiation_interval =
+        std::max(result.initiation_interval, stage_cycles);
+    max_macs = std::max(max_macs, stage_macs[s]);
+    total_macs += stage_macs[s];
+  }
+  result.load_imbalance =
+      static_cast<double>(max_macs) /
+      (static_cast<double>(total_macs) / static_cast<double>(stage_count));
   return result;
 }
 

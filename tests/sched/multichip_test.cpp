@@ -1,7 +1,8 @@
 // Multi-chip stage-pipelining suite (DESIGN.md §4k).
 //
-// Covers the whole chip-spanning stack: partition_stages structural
-// properties, lower_pipelined's chip-major schedule shape (verify-clean on
+// Covers the whole chip-spanning stack: partition_stages structure and
+// optimality (against an exhaustive search over every zoo net and stage
+// count), lower_pipelined's chip-major schedule shape (verify-clean on
 // every net x chip-count point), the single-chip degenerate case staying
 // bit-identical to the flat lowering (IR JSON, analytic estimate, and
 // executor results), CmpSystem's multi-chip front door (config validation,
@@ -10,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -26,12 +31,13 @@
 namespace ls::sched {
 namespace {
 
-std::size_t compute_layer_count(const nn::NetSpec& spec) {
-  std::size_t n = 0;
+/// Compute-layer MACs in layer order.
+std::vector<std::uint64_t> layer_macs(const nn::NetSpec& spec) {
+  std::vector<std::uint64_t> macs;
   for (const nn::LayerAnalysis& a : nn::analyze(spec)) {
-    n += a.is_compute() ? 1 : 0;
+    if (a.is_compute()) macs.push_back(a.macs);
   }
-  return n;
+  return macs;
 }
 
 core::InferenceTraffic chip_traffic(const nn::NetSpec& spec,
@@ -47,27 +53,147 @@ Schedule pipelined(const nn::NetSpec& spec, std::size_t chips,
   return lower_pipelined(spec, chip_traffic(spec, cores_per_chip), opts, chips);
 }
 
+std::vector<nn::NetSpec> zoo() {
+  return {nn::mlp_spec(), nn::lenet_spec(), nn::convnet_spec(),
+          nn::alexnet_spec(), nn::vgg19_spec()};
+}
+
+std::vector<std::uint64_t> stage_macs(const std::vector<std::uint64_t>& macs,
+                                      const std::vector<std::size_t>& stages) {
+  std::vector<std::uint64_t> out(stages.back() + 1, 0);
+  for (std::size_t i = 0; i < macs.size(); ++i) out[stages[i]] += macs[i];
+  return out;
+}
+
+std::uint64_t bottleneck(const std::vector<std::uint64_t>& macs,
+                         const std::vector<std::size_t>& stages) {
+  const std::vector<std::uint64_t> per = stage_macs(macs, stages);
+  return *std::max_element(per.begin(), per.end());
+}
+
+/// Smallest largest-stage MACs over every way to cut macs[begin..] into
+/// `parts` non-empty contiguous stages, by trying each first stage and
+/// recursing (visits all C(n-1, parts-1) cut sets).
+std::uint64_t exhaustive_min_max(const std::vector<std::uint64_t>& macs,
+                                 std::size_t begin, std::size_t parts) {
+  if (parts == 1) {
+    return std::accumulate(macs.begin() + static_cast<std::ptrdiff_t>(begin),
+                           macs.end(), std::uint64_t{0});
+  }
+  std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t head = 0;
+  for (std::size_t end = begin + 1; end + parts - 1 <= macs.size(); ++end) {
+    head += macs[end - 1];
+    best = std::min(best,
+                    std::max(head, exhaustive_min_max(macs, end, parts - 1)));
+  }
+  return best;
+}
+
 TEST(PartitionStages, ContiguousOntoAndMonotone) {
-  for (const nn::NetSpec& spec : {nn::convnet_spec(), nn::alexnet_spec()}) {
-    const std::size_t layers = compute_layer_count(spec);
-    for (std::size_t chips : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      const std::vector<std::size_t> stages = partition_stages(spec, chips);
-      ASSERT_EQ(stages.size(), layers);
-      EXPECT_EQ(stages.front(), 0u);
-      EXPECT_EQ(stages.back(), chips - 1);
+  for (const nn::NetSpec& spec : zoo()) {
+    const std::size_t layers = layer_macs(spec).size();
+    for (std::size_t k = 1; k <= layers; ++k) {
+      const std::vector<std::size_t> stages = partition_stages(spec, k);
+      ASSERT_EQ(stages.size(), layers) << spec.name << " k=" << k;
+      EXPECT_EQ(stages.front(), 0u) << spec.name << " k=" << k;
+      EXPECT_EQ(stages.back(), k - 1) << spec.name << " k=" << k;
       for (std::size_t i = 1; i < stages.size(); ++i) {
         // Non-decreasing in steps of at most one => contiguous and onto.
-        ASSERT_GE(stages[i], stages[i - 1]);
-        ASSERT_LE(stages[i] - stages[i - 1], 1u);
+        ASSERT_GE(stages[i], stages[i - 1]) << spec.name << " k=" << k;
+        ASSERT_LE(stages[i] - stages[i - 1], 1u) << spec.name << " k=" << k;
       }
     }
   }
+}
+
+TEST(PartitionStages, BottleneckIsExhaustiveMinimum) {
+  for (const nn::NetSpec& spec : zoo()) {
+    const std::vector<std::uint64_t> macs = layer_macs(spec);
+    for (std::size_t k = 1; k <= macs.size(); ++k) {
+      EXPECT_EQ(bottleneck(macs, partition_stages(spec, k)),
+                exhaustive_min_max(macs, 0, k))
+          << spec.name << " k=" << k;
+    }
+  }
+}
+
+TEST(PartitionStages, PinsAlexNetTieBreak) {
+  // Several cut sets can share the optimal bottleneck; every multi-chip
+  // cycle number depends on which one is emitted. Stages fill left to
+  // right under the optimal cap.
+  const nn::NetSpec spec = nn::alexnet_spec();
+  EXPECT_EQ(partition_stages(spec, 2),
+            (std::vector<std::size_t>{0, 0, 1, 1, 1, 1, 1, 1}));
+  EXPECT_EQ(partition_stages(spec, 4),
+            (std::vector<std::size_t>{0, 1, 2, 2, 3, 3, 3, 3}));
+}
+
+TEST(PartitionStages, RejectsZeroAndTooManyStages) {
+  for (const nn::NetSpec& spec : zoo()) {
+    const std::size_t layers = layer_macs(spec).size();
+    EXPECT_THROW(partition_stages(spec, 0), std::invalid_argument);
+    EXPECT_THROW(partition_stages(spec, layers + 1), std::invalid_argument);
+  }
+  try {
+    partition_stages(nn::mlp_spec(), 4);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "partition_stages('MLP'): 3 compute layers cannot fill 4 "
+                 "pipeline stages");
+  }
+  // The multi-chip front door rejects the same net before lowering.
+  sim::SystemConfig cfg;
+  cfg.cores = 64;
+  cfg.chips = 4;
+  const sim::CmpSystem system(cfg);
+  const nn::NetSpec mlp = nn::mlp_spec();
+  EXPECT_THROW(system.build_schedule(
+                   mlp, core::traffic_dense(mlp, system.topology(),
+                                            cfg.bytes_per_value)),
+               std::invalid_argument);
 }
 
 TEST(PartitionStages, SingleChipIsAllStageZero) {
   const std::vector<std::size_t> stages =
       partition_stages(nn::convnet_spec(), 1);
   for (const std::size_t s : stages) EXPECT_EQ(s, 0u);
+}
+
+TEST(Pipeline, StageMacsSumToNetwork) {
+  for (const nn::NetSpec& spec : zoo()) {
+    const std::vector<std::uint64_t> macs = layer_macs(spec);
+    for (std::size_t k = 1; k <= macs.size(); ++k) {
+      const std::vector<std::uint64_t> per =
+          stage_macs(macs, partition_stages(spec, k));
+      EXPECT_EQ(std::accumulate(per.begin(), per.end(), std::uint64_t{0}),
+                nn::total_macs(spec))
+          << spec.name << " k=" << k;
+    }
+  }
+}
+
+TEST(Pipeline, MaxStageIsAtLeastLargestLayer) {
+  for (const nn::NetSpec& spec : zoo()) {
+    const std::vector<std::uint64_t> macs = layer_macs(spec);
+    const std::uint64_t largest = *std::max_element(macs.begin(), macs.end());
+    for (std::size_t k = 1; k <= macs.size(); ++k) {
+      EXPECT_GE(bottleneck(macs, partition_stages(spec, k)), largest)
+          << spec.name << " k=" << k;
+    }
+  }
+}
+
+TEST(Pipeline, BottleneckShrinksWithMoreCores) {
+  for (const nn::NetSpec& spec : zoo()) {
+    const std::vector<std::uint64_t> macs = layer_macs(spec);
+    for (std::size_t k = 2; k <= macs.size(); ++k) {
+      EXPECT_LE(bottleneck(macs, partition_stages(spec, k)),
+                bottleneck(macs, partition_stages(spec, k - 1)))
+          << spec.name << " k=" << k;
+    }
+  }
 }
 
 TEST(LowerPipelined, ChipMajorStructureVerifiesClean) {

@@ -41,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/pipeline.hpp"
 #include "core/traffic.hpp"
 #include "nn/layer_spec.hpp"
 #include "nn/model_zoo.hpp"
@@ -200,18 +199,20 @@ int cmd_pipeline(const Args& args) {
   const nn::NetSpec spec = analytic_net(args.str("net", "alexnet"));
   sim::SystemConfig cfg;
   cfg.cores = static_cast<std::size_t>(args.num("cores", 16));
-  const auto assignment =
-      core::assign_pipeline(spec, cfg.cores, cfg.bytes_per_value);
-  const auto r = sim::run_pipeline(spec, assignment, cfg);
+  const auto r = sim::run_pipeline(spec, cfg);
   util::Table t(spec.name + " pipeline on " + std::to_string(cfg.cores) +
                 " cores");
   t.set_header({"stage", "layers", "compute-cyc", "transfer-cyc"});
-  for (std::size_t s = 0; s < assignment.stages.size(); ++s) {
+  // Stage s covers compute layers [begin, end).
+  std::size_t begin = 0;
+  for (std::size_t s = 0; s < r.stage_compute_cycles.size(); ++s) {
+    std::size_t end = begin;
+    while (end < r.stages.size() && r.stages[end] == s) ++end;
     t.add_row({std::to_string(s),
-               std::to_string(assignment.stages[s].begin) + ".." +
-                   std::to_string(assignment.stages[s].end),
+               std::to_string(begin) + ".." + std::to_string(end),
                std::to_string(r.stage_compute_cycles[s]),
                std::to_string(r.stage_transfer_cycles[s])});
+    begin = end;
   }
   t.print();
   std::printf("single-pass %llu cyc, interval %llu cyc, imbalance %.2f\n",

@@ -183,6 +183,15 @@ print("multichip gate OK: ConvNet 4x16 streaming %.2fx vs one 64-core mesh"
       % s)
 PYEOF
 fi
+# BENCH_multichip.json holds model cycles only (deterministic lowering,
+# flit-level bursts and streaming), so like BENCH_tune.json it is committed
+# and any byte of drift from the committed copy fails tier-1. A change that
+# means to move it (new stage cuts, a link or NoC model change)
+# re-baselines the committed file and says so in CHANGES.md.
+cmp "$baseline_dir/BENCH_multichip.json" "$repo_root/BENCH_multichip.json" || {
+  echo "multichip bench: BENCH_multichip.json drifted from the committed" \
+    "baseline" >&2
+  exit 1; }
 
 # Tune smoke: a bounded search on the small net must populate the schedule
 # cache, and a follow-up inference must pick the tuned schedule up.
