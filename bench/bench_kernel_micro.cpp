@@ -14,6 +14,9 @@
 // sparsity, for the scalar and (when available) simd backends
 // (`--sparse-json PATH` dumps it, tier-1 writes BENCH_sparse.json). The
 // 0 % rows double as the sparse-dispatch overhead probe.
+//
+// A third table times conv backward at the trainer's batch (32) on the
+// ConvNet-expt layers (json key "train_batch_bwd").
 
 #include <algorithm>
 #include <chrono>
@@ -72,12 +75,10 @@ struct BenchResult {
   double mm_simd_speedup() const { return mm_scalar_ms / mm_simd_ms; }
 };
 
-std::vector<BenchCase> cases_from_zoo() {
+std::vector<BenchCase> conv_cases(
+    const std::vector<ls::nn::NetSpec>& specs, std::size_t batch) {
   std::vector<BenchCase> cases;
-  const std::size_t batch = 8;
-  for (const ls::nn::NetSpec& spec :
-       {ls::nn::lenet_expt_spec(), ls::nn::convnet_expt_spec(),
-        ls::nn::caffenet_expt_spec()}) {
+  for (const ls::nn::NetSpec& spec : specs) {
     for (const ls::nn::LayerAnalysis& a : ls::nn::analyze(spec)) {
       if (a.spec.kind != ls::nn::LayerKind::kConv) continue;
       BenchCase c;
@@ -176,7 +177,38 @@ BenchResult run_case(const BenchCase& c) {
   return r;
 }
 
-void write_json(const std::string& path, const std::vector<BenchResult>& rs) {
+// Conv backward at the trainer's batch (TrainConfig::batch_size) on the
+// ConvNet-expt layers: the shape the TABLE IV training run spends its
+// backward time in.
+constexpr std::size_t kTrainBatch = 32;
+
+struct TrainBwdResult {
+  BenchCase c;
+  double gemm_bwd_ms = 0.0, simd_bwd_ms = 0.0;
+};
+
+TrainBwdResult run_train_bwd(const BenchCase& c) {
+  TrainBwdResult r;
+  r.c = c;
+  ls::util::Rng rng_in(5);
+  const Tensor in = Tensor::uniform(c.in_shape, -1.f, 1.f, rng_in);
+  for (const bool use_simd : {false, true}) {
+    if (use_simd && !ls::nn::simd::vectorized()) continue;
+    Conv2DConfig cfg = c.cfg;
+    cfg.impl = use_simd ? ConvImpl::kSimd : ConvImpl::kGemm;
+    ls::util::Rng rng_w(11), rng_go(3);
+    Conv2D conv("t", cfg, rng_w);
+    const Tensor grad = Tensor::uniform(conv.output_shape(c.in_shape), -1.f,
+                                        1.f, rng_go);
+    conv.forward(in, true);
+    (use_simd ? r.simd_bwd_ms : r.gemm_bwd_ms) =
+        time_ms([&] { conv.backward(grad); });
+  }
+  return r;
+}
+
+void write_json(const std::string& path, const std::vector<BenchResult>& rs,
+                const std::vector<TrainBwdResult>& train_rs) {
   ls::util::JsonWriter w;
   w.begin_object();
   w.key("bench").value("kernel_micro");
@@ -210,6 +242,19 @@ void write_json(const std::string& path, const std::vector<BenchResult>& rs) {
     w.end_object();
   }
   w.end_array();
+  w.key("train_batch_bwd").begin_object();
+  w.key("batch").value(static_cast<std::uint64_t>(kTrainBatch));
+  w.key("cases").begin_array();
+  for (const TrainBwdResult& r : train_rs) {
+    w.begin_object();
+    w.key("net").value(r.c.net);
+    w.key("layer").value(r.c.layer);
+    w.key("gemm_bwd_ms").value(r.gemm_bwd_ms);
+    w.key("simd_bwd_ms").value(r.simd_bwd_ms);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
   w.end_object();
   w.write_file(path);
 }
@@ -349,7 +394,10 @@ int main(int argc, char** argv) {
   ls::util::Table table("conv fwd/bwd wall-clock per call, batch 8");
   table.set_header({"net", "layer", "naive fwd", "gemm fwd", "fwd speedup",
                     "naive bwd", "gemm bwd", "bwd speedup"});
-  for (const BenchCase& c : cases_from_zoo()) {
+  for (const BenchCase& c :
+       conv_cases({ls::nn::lenet_expt_spec(), ls::nn::convnet_expt_spec(),
+                   ls::nn::caffenet_expt_spec()},
+                  8)) {
     const BenchResult r = run_case(c);
     table.add_row({r.c.net, r.c.layer,
                    ls::util::fmt_double(r.naive_fwd_ms, 2) + " ms",
@@ -382,8 +430,26 @@ int main(int argc, char** argv) {
   std::printf("\n");
   simd_table.print();
 
+  std::vector<TrainBwdResult> train_results;
+  ls::util::Table train_table("conv bwd wall-clock per call at the trainer's "
+                              "batch " +
+                              std::to_string(kTrainBatch));
+  train_table.set_header({"net", "layer", "gemm bwd", "simd bwd"});
+  for (const BenchCase& c :
+       conv_cases({ls::nn::convnet_expt_spec()}, kTrainBatch)) {
+    const TrainBwdResult r = run_train_bwd(c);
+    train_table.add_row(
+        {r.c.net, r.c.layer, ls::util::fmt_double(r.gemm_bwd_ms, 2) + " ms",
+         ls::nn::simd::vectorized()
+             ? ls::util::fmt_double(r.simd_bwd_ms, 2) + " ms"
+             : "-"});
+    train_results.push_back(r);
+  }
+  std::printf("\n");
+  train_table.print();
+
   if (!json_path.empty()) {
-    write_json(json_path, results);
+    write_json(json_path, results, train_results);
     std::printf("\nwrote %s\n", json_path.c_str());
   }
 

@@ -19,6 +19,17 @@ namespace ls::nn {
 
 namespace {
 
+// Weight-gradient fan-out in gemm_backward. A block of samples' im2row
+// packings shares one buffer, capped in bytes so it does not grow with the
+// batch. Tiles are >= 8 rows, never fewer than the untiled call: simd's
+// gemm_nn hands M < 8 to the scalar kernel, so a thinner tile would change
+// its bits. Columns split on 16-lane strip boundaries, in as few tiles as
+// still leave about kDwMinTiles tasks. None depends on the thread count.
+constexpr std::size_t kDwBlockBytes = std::size_t{1} << 20;
+constexpr std::size_t kDwTileRows = 8;
+constexpr std::size_t kDwStrip = 16;
+constexpr std::size_t kDwMinTiles = 16;
+
 // Kernel-span args: {"impl":...,"N":batch} — rendered only when tracing.
 std::string conv_span_args(const char* impl, std::size_t batch) {
   char buf[64];
@@ -123,9 +134,11 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
 // Forward parallelizes over (sample, group) tasks; each task packs its
 // group's input window into a thread-local im2col buffer and runs one
 // row-parallel GEMM (the GEMM's internal parallel_for runs inline when the
-// outer loop already fans out — see util::ThreadPool). Backward keeps the
-// sample loop serial so weight-gradient accumulation has a fixed order,
-// and parallelizes the two GEMMs inside each sample over rows instead.
+// outer loop already fans out — see util::ThreadPool). Backward runs in two
+// phases: the data gradient fans out over (sample, group) the same way,
+// then the weight gradient fans out over dW tiles, each tile summing its
+// samples in ascending order — the accumulation order of a serial sample
+// loop, so the result is bit-identical to it for any thread count.
 // ---------------------------------------------------------------------------
 
 Tensor Conv2D::gemm_forward(const Tensor& in, bool training) {
@@ -232,8 +245,9 @@ Tensor Conv2D::gemm_backward(const Tensor& grad_out) {
   const std::size_t C = cfg_.in_channels;
   const std::size_t H = in.shape()[2], W = in.shape()[3];
   const std::size_t OC = cfg_.out_channels;
-  const std::size_t cin_g = C / cfg_.groups;
-  const std::size_t cout_g = OC / cfg_.groups;
+  const std::size_t G = cfg_.groups;
+  const std::size_t cin_g = C / G;
+  const std::size_t cout_g = OC / G;
 
   gemm::PackShape ps;
   ps.channels = cin_g;
@@ -253,70 +267,106 @@ Tensor Conv2D::gemm_backward(const Tensor& grad_out) {
   float* wg_base = weight_.grad.data();
   float* gi_base = grad_in.data();
 
-  // Arena instead of per-call vectors: the serial sample loop below runs on
-  // this thread, so one warmup-sized buffer each serves every iteration (and
-  // every later call at this shape) without reallocating.
-  float* row = scratch::buffer(scratch::Slot::kIm2row, ohw * ck2);
-  float* drow = scratch::buffer(scratch::Slot::kBwdDrow, ohw * ck2);
-
   // Block sparsity in backward only accelerates the data-gradient GEMM.
   // The weight-gradient GEMM must stay dense: group-Lasso training needs
-  // gradients *into* currently-zero blocks so they can revive.
+  // gradients *into* currently-zero blocks so they can revive. Resolved
+  // once, outside the fan-out (the rescan is not thread-safe).
   const BlockMap* bm = sparse_map();
 
-  // Serial over (sample, group) so every weight-gradient element
-  // accumulates in a fixed order; the GEMMs inside parallelize over rows.
-  for (std::size_t n = 0; n < N; ++n) {
-    for (std::size_t g = 0; g < cfg_.groups; ++g) {
-      gemm::im2row(ps, in_base + (n * C + g * cin_g) * H * W, row);
-      const float* go_g = go_base + (n * OC + g * cout_g) * ohw;
-
-      // dW_g += dOut_g (cout_g x ohw) * row (ohw x ck2)
+  // Phase 1 — data gradient, one task per (sample, group); each writes only
+  // its own grad_in slice. dRow (ohw x ck2) = dOut_g^T * W_g. In the sparse
+  // variant the reduction dim (cout) is the consumer partition and the
+  // columns (ck2) are producer panels; pruned spans stay zero.
+  util::parallel_for(0, N * G, [&](std::size_t t) {
+    const std::size_t n = t / G, g = t % G;
+    float* drow = scratch::buffer(scratch::Slot::kBwdDrow, ohw * ck2);
+    const float* go_g = go_base + (n * OC + g * cout_g) * ohw;
+    const float* w_g = w_base + g * cout_g * ck2;
+    if (bm != nullptr) {
       if (use_simd) {
-        simd::gemm_nn(cout_g, ck2, ohw, go_g, ohw, row, ck2,
-                      wg_base + g * cout_g * ck2, ck2, /*accumulate=*/true,
-                      /*parallel=*/true);
+        simd::gemm_tn_sparse(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
+                             /*accumulate=*/false, /*parallel=*/true,
+                             bm->mask());
       } else {
-        gemm::gemm_nn(cout_g, ck2, ohw, go_g, ohw, row, ck2,
-                      wg_base + g * cout_g * ck2, ck2, /*accumulate=*/true,
-                      /*parallel=*/true);
+        gemm::gemm_tn_sparse(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
+                             /*accumulate=*/false, /*parallel=*/true,
+                             bm->mask());
       }
-
-      if (cfg_.bias) {
-        for (std::size_t ocg = 0; ocg < cout_g; ++ocg) {
-          const float* go_c = go_g + ocg * ohw;
-          float acc = 0.0f;
-          for (std::size_t s = 0; s < ohw; ++s) acc += go_c[s];
-          bias_.grad[g * cout_g + ocg] += acc;
-        }
-      }
-
-      // dRow (ohw x ck2) = dOut_g^T * W_g (cout_g x ck2). In the sparse
-      // variant the reduction dim (cout) is the consumer partition and the
-      // columns (ck2) are producer panels; pruned spans stay zero.
-      if (bm != nullptr) {
-        if (use_simd) {
-          simd::gemm_tn_sparse(ohw, ck2, cout_g, go_g, ohw,
-                               w_base + g * cout_g * ck2, ck2, drow, ck2,
-                               /*accumulate=*/false, /*parallel=*/true,
-                               bm->mask());
-        } else {
-          gemm::gemm_tn_sparse(ohw, ck2, cout_g, go_g, ohw,
-                               w_base + g * cout_g * ck2, ck2, drow, ck2,
-                               /*accumulate=*/false, /*parallel=*/true,
-                               bm->mask());
-        }
-      } else if (use_simd) {
-        simd::gemm_tn(ohw, ck2, cout_g, go_g, ohw, w_base + g * cout_g * ck2,
-                      ck2, drow, ck2, /*accumulate=*/false,
-                      /*parallel=*/true);
-      } else {
-        gemm::gemm_tn(ohw, ck2, cout_g, go_g, ohw, w_base + g * cout_g * ck2,
-                      ck2, drow, ck2, /*accumulate=*/false,
-                      /*parallel=*/true);
-      }
-      gemm::row2im_add(ps, drow, gi_base + (n * C + g * cin_g) * H * W);
+    } else if (use_simd) {
+      simd::gemm_tn(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
+                    /*accumulate=*/false, /*parallel=*/true);
+    } else {
+      gemm::gemm_tn(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
+                    /*accumulate=*/false, /*parallel=*/true);
     }
+    gemm::row2im_add(ps, drow, gi_base + (n * C + g * cin_g) * H * W);
+  });
+
+  // Phase 2 — weight and bias gradients over blocks of samples. The
+  // block's im2row packings share one caller-acquired buffer, each packing
+  // task writing its own slice; then one task per dW tile runs the same
+  // per-sample GEMM on its sub-range, samples ascending. Every dW element
+  // therefore still reduces over n ascending, then k ascending in the same
+  // absolute 4-aligned groups — bit-identical to a serial sample loop.
+  const std::size_t pack = ohw * ck2;
+  const std::size_t block = std::min(
+      N, std::max<std::size_t>(1, kDwBlockBytes / (G * pack * sizeof(float))));
+  float* rows = scratch::buffer(scratch::Slot::kIm2row, block * G * pack);
+  const std::size_t row_tiles = std::max<std::size_t>(1, cout_g / kDwTileRows);
+  const std::size_t strips = (ck2 + kDwStrip - 1) / kDwStrip;
+  const std::size_t tile_cols =
+      kDwStrip * std::max<std::size_t>(1, strips * G * row_tiles / kDwMinTiles);
+  const std::size_t col_tiles = (ck2 + tile_cols - 1) / tile_cols;
+  for (std::size_t n0 = 0; n0 < N; n0 += block) {
+    const std::size_t nb = std::min(block, N - n0);
+    util::parallel_for(0, nb * G, [&](std::size_t t) {
+      const std::size_t n = n0 + t / G, g = t % G;
+      gemm::im2row(ps, in_base + (n * C + g * cin_g) * H * W,
+                   rows + t * pack);
+    });
+    util::parallel_for(0, G * row_tiles * col_tiles, [&](std::size_t t) {
+      const std::size_t g = t / (row_tiles * col_tiles);
+      const std::size_t rt = t / col_tiles % row_tiles;
+      const std::size_t ct = t % col_tiles;
+      const std::size_t i0 = g * cout_g + rt * kDwTileRows;
+      const std::size_t i1 =
+          rt + 1 == row_tiles ? (g + 1) * cout_g : i0 + kDwTileRows;
+      const std::size_t j0 = ct * tile_cols;
+      const std::size_t cols = std::min(ck2, j0 + tile_cols) - j0;
+      // The tile accumulates in this thread's staging buffer: neighbouring
+      // tiles share cache lines of dW, and the scalar GEMM rewrites C once
+      // per k group. Copying in and out moves the same bits.
+      float* wg = wg_base + i0 * ck2 + j0;
+      float* acc = scratch::buffer(scratch::Slot::kBwdDrow, (i1 - i0) * cols);
+      for (std::size_t r = 0; r < i1 - i0; ++r) {
+        std::memcpy(acc + r * cols, wg + r * ck2, cols * sizeof(float));
+      }
+      for (std::size_t s = 0; s < nb; ++s) {
+        const float* go = go_base + ((n0 + s) * OC + i0) * ohw;
+        const float* row = rows + (s * G + g) * pack + j0;
+        // acc += dOut_tile (rows x ohw) * row_tile (ohw x cols)
+        if (use_simd) {
+          simd::gemm_nn(i1 - i0, cols, ohw, go, ohw, row, ck2, acc, cols,
+                        /*accumulate=*/true);
+        } else {
+          gemm::gemm_nn(i1 - i0, cols, ohw, go, ohw, row, ck2, acc, cols,
+                        /*accumulate=*/true);
+        }
+      }
+      for (std::size_t r = 0; r < i1 - i0; ++r) {
+        std::memcpy(wg + r * ck2, acc + r * cols, cols * sizeof(float));
+      }
+      if (cfg_.bias && ct == 0) {
+        for (std::size_t oc = i0; oc < i1; ++oc) {
+          for (std::size_t s = 0; s < nb; ++s) {
+            const float* go_c = go_base + ((n0 + s) * OC + oc) * ohw;
+            float sum = 0.0f;
+            for (std::size_t k = 0; k < ohw; ++k) sum += go_c[k];
+            bias_.grad[oc] += sum;
+          }
+        }
+      }
+    });
   }
   return grad_in;
 }

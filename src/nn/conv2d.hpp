@@ -9,8 +9,9 @@
 //
 // Three compute kernels (DESIGN.md "Performance architecture" and §4i
 // "Vectorized kernels"):
-//   * kGemm  — im2col packing + cache-blocked scalar GEMM, parallelized over
-//     the (batch, group) and output-channel dimensions on the shared pool.
+//   * kGemm  — im2col packing + cache-blocked scalar GEMM on the shared
+//     pool: forward and the data gradient fan out over (batch, group), the
+//     weight gradient over dW tiles that each sum samples in ascending order.
 //     Default; used by every trainer/bench path.
 //   * kSimd  — same im2col structure, but the GEMMs run on the packed
 //     register-tiled backend in nn::simd (LS_CONV_IMPL=simd). Falls back to

@@ -9,6 +9,8 @@
 //     dispatch + burst cache + obs counters all exercised at once);
 //   * concurrent block-sparse forwards on per-thread layers over the shared
 //     pool;
+//   * sample-parallel conv backward (caller-acquired packing block filled
+//     by workers) racing an external thread's inline backward;
 //   * concurrent data-parallel training runs (replica fan-out + serial
 //     reduction) contending for the shared pool;
 //   * concurrent streamed executions each accumulating a private
@@ -19,13 +21,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <iterator>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/traffic.hpp"
 #include "data/dataset.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/fc.hpp"
 #include "nn/model_zoo.hpp"
 #include "noc/sim_cache.hpp"
@@ -198,6 +204,92 @@ TEST(TsanStress, ConcurrentSparseForwards) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(ok[t]) << "thread " << t << " sparse forward diverged";
   }
+}
+
+TEST(TsanStress, SampleParallelConvBackward) {
+  // Conv backward fans out per (sample, group) for the data gradient, then
+  // per sample block: packing tasks fill disjoint slices of the caller's
+  // im2row buffer and dW tile tasks read it. Dense, grouped and sparse-armed
+  // layers run on the 4-thread pool while a second external thread runs
+  // another layer's backward, which takes the inline path whenever the pool
+  // is busy. Every result must match a 1-thread run byte for byte.
+  struct ConvCase {
+    std::size_t cin, cout, groups, parts;
+  };
+  const ConvCase cases[] = {
+      {4, 16, 1, 0},   // dense: two dW row tiles
+      {8, 16, 2, 0},   // grouped
+      {16, 16, 1, 4},  // sparse-armed, block (p=0, c=0) pruned
+      {6, 12, 1, 0},   // the external thread's layer
+  };
+  constexpr std::size_t kLayers = std::size(cases);
+  std::vector<std::unique_ptr<nn::Conv2D>> layers;
+  std::vector<Tensor> ins, grads;
+  for (std::size_t l = 0; l < kLayers; ++l) {
+    const ConvCase& c = cases[l];
+    nn::Conv2DConfig cfg;
+    cfg.in_channels = c.cin;
+    cfg.out_channels = c.cout;
+    cfg.kernel = 3;
+    cfg.pad = 1;
+    cfg.groups = c.groups;
+    util::Rng rng(300 + l);
+    auto conv = std::make_unique<nn::Conv2D>("conv_stress", cfg, rng);
+    if (c.parts > 0) {
+      conv->set_sparsity_partition(c.parts);
+      // Panels are 4 channels wide: zero out-channels 0..3 x in-channels
+      // 0..3 of the {cout, cin, 3, 3} weight.
+      for (std::size_t oc = 0; oc < 4; ++oc) {
+        float* row = conv->weight().value.data() + oc * c.cin * 9;
+        std::fill(row, row + 4 * 9, 0.0f);
+      }
+      conv->weight().bump();
+    }
+    ins.push_back(Tensor::uniform(Shape{6, c.cin, 9, 9}, -1.f, 1.f, rng));
+    grads.push_back(Tensor::uniform(conv->output_shape(ins.back().shape()),
+                                    -1.f, 1.f, rng));
+    layers.push_back(std::move(conv));
+  }
+  // grad_in, weight.grad and bias.grad of one backward from zero gradients.
+  auto backward_bytes = [&](std::size_t l) {
+    nn::Conv2D& conv = *layers[l];
+    conv.weight().grad = Tensor(conv.weight().value.shape(), 0.0f);
+    conv.bias().grad = Tensor(conv.bias().value.shape(), 0.0f);
+    conv.forward(ins[l], /*training=*/true);
+    const Tensor gi = conv.backward(grads[l]);
+    std::vector<float> out(gi.data(), gi.data() + gi.numel());
+    for (const Tensor* t : {&conv.weight().grad, &conv.bias().grad}) {
+      out.insert(out.end(), t->data(), t->data() + t->numel());
+    }
+    return out;
+  };
+
+  util::ThreadPool::set_num_threads(1);
+  std::vector<std::vector<float>> expected;
+  for (std::size_t l = 0; l < kLayers; ++l) {
+    expected.push_back(backward_bytes(l));
+  }
+  util::ThreadPool::set_num_threads(4);
+
+  constexpr std::size_t kRounds = 6;
+  int external_ok = 0;
+  std::thread external([&] {
+    bool all_match = true;
+    for (std::size_t round = 0; round < 2 * kRounds; ++round) {
+      all_match = all_match && backward_bytes(kLayers - 1) == expected.back();
+    }
+    external_ok = all_match;
+  });
+  bool main_ok = true;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (std::size_t l = 0; l + 1 < kLayers; ++l) {
+      main_ok = main_ok && backward_bytes(l) == expected[l];
+    }
+  }
+  external.join();
+  util::ThreadPool::set_num_threads(0);
+  EXPECT_TRUE(main_ok) << "pooled conv backward diverged from serial";
+  EXPECT_TRUE(external_ok) << "external conv backward diverged from serial";
 }
 
 TEST(TsanStress, ConcurrentDataParallelTraining) {

@@ -3,13 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/weight_groups.hpp"
 #include "data/dataset.hpp"
+#include "nn/block_sparsity.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/network.hpp"
+#include "noc/topology.hpp"
+#include "train/group_lasso.hpp"
+#include "train/masks.hpp"
 #include "train/trainer.hpp"
 #include "util/rng.hpp"
 
@@ -84,6 +91,15 @@ TEST(ParallelFor, RespectsExplicitThreadCount) {
 // The determinism policy in action: a full seeded training run (GEMM conv +
 // FC kernels, all parallelized through this pool) must produce bit-identical
 // weights for 1 worker and for many.
+std::vector<float> dump_weights(nn::Network& net) {
+  std::vector<float> weights;
+  for (const nn::Param* p : net.params()) {
+    weights.insert(weights.end(), p->value.data(),
+                   p->value.data() + p->value.numel());
+  }
+  return weights;
+}
+
 std::vector<float> train_lenet_and_dump_weights() {
   util::Rng rng(21);
   nn::NetSpec spec = nn::lenet_expt_spec();
@@ -95,26 +111,64 @@ std::vector<float> train_lenet_and_dump_weights() {
   cfg.batch_size = 16;
   cfg.seed = 11;
   train::train_classifier(net, train_set, test_set, cfg);
-  std::vector<float> weights;
-  for (const nn::Param* p : net.params()) {
-    weights.insert(weights.end(), p->value.data(),
-                   p->value.data() + p->value.numel());
+  return dump_weights(net);
+}
+
+// The TABLE IV SS_Mask recipe at the trainer's batch size: ConvNet-expt
+// armed with block sparsity and trained under the distance-aware
+// group-Lasso regularizer. The strength is ten times TABLE IV's 0.4 so one
+// batch-32 step already kills blocks (reported through `pruned`); the two
+// steps after it then run the sparse data-gradient path.
+std::vector<float> train_convnet_ss_mask_and_dump_weights(bool* pruned) {
+  constexpr std::size_t kCores = 16;
+  util::Rng rng(21);
+  const nn::NetSpec spec = nn::convnet_expt_spec();
+  nn::Network net = nn::build_network(spec, rng);
+  nn::enable_block_sparsity(net, spec, kCores);
+  train::GroupLassoRegularizer reg(
+      core::build_group_sets(net, spec, kCores),
+      train::distance_mask(noc::MeshTopology::for_cores(kCores)),
+      /*lambda_g=*/4.0);
+  const data::Dataset train_set = data::cifar_like(96, /*sample_seed=*/3);
+  const data::Dataset test_set = data::cifar_like(32, /*sample_seed=*/4);
+  train::TrainConfig cfg;
+  cfg.epochs = 1;
+  cfg.batch_size = 32;
+  cfg.seed = 11;
+  train::train_classifier(net, train_set.slice(0, 32), test_set, cfg, &reg);
+  *pruned = false;
+  for (const core::LayerGroupSet& set : reg.groups()) {
+    *pruned = *pruned || set.off_diagonal_dead_fraction() > 0.0;
   }
-  return weights;
+  train::train_classifier(net, train_set.slice(32, 96), test_set, cfg, &reg);
+  return dump_weights(net);
 }
 
 TEST(ParallelFor, TrainerIsThreadCountInvariant) {
   ThreadPool::set_num_threads(1);
   const std::vector<float> serial = train_lenet_and_dump_weights();
-  ThreadPool::set_num_threads(4);
-  const std::vector<float> parallel = train_lenet_and_dump_weights();
-  ThreadPool::set_num_threads(0);
-  ASSERT_EQ(serial.size(), parallel.size());
-  // Bit-identical, not approximately equal: the fast path may only change
-  // *which thread* computes a value, never the arithmetic.
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i], parallel[i]) << "weight " << i;
+  bool pruned = false;
+  const std::vector<float> ss_mask_serial =
+      train_convnet_ss_mask_and_dump_weights(&pruned);
+  EXPECT_TRUE(pruned) << "no block died: the sparse path went untested";
+  for (const std::size_t threads : {3u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadPool::set_num_threads(threads);
+    const std::vector<float> parallel = train_lenet_and_dump_weights();
+    const std::vector<float> ss_mask =
+        train_convnet_ss_mask_and_dump_weights(&pruned);
+    ASSERT_EQ(serial.size(), parallel.size());
+    ASSERT_EQ(ss_mask_serial.size(), ss_mask.size());
+    // Bit-identical, not approximately equal: the fast path may only change
+    // *which thread* computes a value, never the arithmetic.
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(serial[i], parallel[i]) << "lenet weight " << i;
+    }
+    EXPECT_EQ(0, std::memcmp(ss_mask_serial.data(), ss_mask.data(),
+                             ss_mask.size() * sizeof(float)))
+        << "ConvNet SS_Mask weights differ";
   }
+  ThreadPool::set_num_threads(0);
 }
 
 }  // namespace
