@@ -15,8 +15,10 @@
 // (`--sparse-json PATH` dumps it, tier-1 writes BENCH_sparse.json). The
 // 0 % rows double as the sparse-dispatch overhead probe.
 //
-// A third table times conv backward at the trainer's batch (32) on the
-// ConvNet-expt layers (json key "train_batch_bwd").
+// A third table times the training step's kernels at the trainer's batch
+// (32) on ConvNet-expt (json key "train_batch_bwd"): every conv backward,
+// conv1's input-gradient-free backward (what Network::backward runs on the
+// first layer), and relu1/pool1 forward and backward.
 
 #include <algorithm>
 #include <chrono>
@@ -25,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/activations.hpp"
 #include "nn/block_sparsity.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/fc.hpp"
@@ -32,6 +35,7 @@
 #include "nn/gemm_simd.hpp"
 #include "nn/layer_spec.hpp"
 #include "nn/model_zoo.hpp"
+#include "nn/pool.hpp"
 #include "tensor/tensor.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
@@ -177,19 +181,19 @@ BenchResult run_case(const BenchCase& c) {
   return r;
 }
 
-// Conv backward at the trainer's batch (TrainConfig::batch_size) on the
-// ConvNet-expt layers: the shape the TABLE IV training run spends its
-// backward time in.
+// Training-step kernels at the trainer's batch (TrainConfig::batch_size) on
+// the ConvNet-expt layers: the shapes the TABLE IV training run spends its
+// time in.
 constexpr std::size_t kTrainBatch = 32;
 
 struct TrainBwdResult {
-  BenchCase c;
-  double gemm_bwd_ms = 0.0, simd_bwd_ms = 0.0;
+  std::string net, layer, pass;
+  double gemm_ms = 0.0, simd_ms = 0.0;  ///< 0 when not measured
 };
 
-TrainBwdResult run_train_bwd(const BenchCase& c) {
-  TrainBwdResult r;
-  r.c = c;
+/// Conv backward per backend; `params_only` times backward_params().
+TrainBwdResult run_train_bwd(const BenchCase& c, bool params_only) {
+  TrainBwdResult r{c.net, c.layer, params_only ? "bwd (no dX)" : "bwd"};
   ls::util::Rng rng_in(5);
   const Tensor in = Tensor::uniform(c.in_shape, -1.f, 1.f, rng_in);
   for (const bool use_simd : {false, true}) {
@@ -201,10 +205,51 @@ TrainBwdResult run_train_bwd(const BenchCase& c) {
     const Tensor grad = Tensor::uniform(conv.output_shape(c.in_shape), -1.f,
                                         1.f, rng_go);
     conv.forward(in, true);
-    (use_simd ? r.simd_bwd_ms : r.gemm_bwd_ms) =
-        time_ms([&] { conv.backward(grad); });
+    (use_simd ? r.simd_ms : r.gemm_ms) = time_ms([&] {
+      if (params_only) {
+        conv.backward_params(grad);
+      } else {
+        conv.backward(grad);
+      }
+    });
   }
   return r;
+}
+
+/// Appends forward and backward rows for a backend-free layer (ReLU,
+/// pooling) on `in`; the times go in the gemm column.
+void add_train_layer(std::vector<TrainBwdResult>& rs, ls::nn::Layer& layer,
+                     const Tensor& in) {
+  ls::util::Rng rng_go(3);
+  const Tensor grad =
+      Tensor::uniform(layer.output_shape(in.shape()), -1.f, 1.f, rng_go);
+  TrainBwdResult fwd{"ConvNet", layer.name(), "fwd"};
+  TrainBwdResult bwd{"ConvNet", layer.name(), "bwd"};
+  fwd.gemm_ms = time_ms([&] { layer.forward(in, true); });
+  bwd.gemm_ms = time_ms([&] { layer.backward(grad); });
+  rs.push_back(fwd);
+  rs.push_back(bwd);
+}
+
+std::vector<TrainBwdResult> run_train_step_kernels() {
+  const std::vector<BenchCase> convs =
+      conv_cases({ls::nn::convnet_expt_spec()}, kTrainBatch);
+  std::vector<TrainBwdResult> rs;
+  for (const BenchCase& c : convs) {
+    rs.push_back(run_train_bwd(c, /*params_only=*/false));
+  }
+  rs.push_back(run_train_bwd(convs.front(), /*params_only=*/true));
+  // relu1 and pool1 both see conv1's output.
+  ls::util::Rng rng_act(7);
+  const Tensor act = Tensor::uniform(
+      Conv2D("shape", convs.front().cfg, rng_act)
+          .output_shape(convs.front().in_shape),
+      -1.f, 1.f, rng_act);
+  ls::nn::ReLU relu("relu1");
+  ls::nn::Pool2D pool("pool1", ls::nn::PoolKind::kMax, 2, 2);
+  add_train_layer(rs, relu, act);
+  add_train_layer(rs, pool, act);
+  return rs;
 }
 
 void write_json(const std::string& path, const std::vector<BenchResult>& rs,
@@ -247,10 +292,11 @@ void write_json(const std::string& path, const std::vector<BenchResult>& rs,
   w.key("cases").begin_array();
   for (const TrainBwdResult& r : train_rs) {
     w.begin_object();
-    w.key("net").value(r.c.net);
-    w.key("layer").value(r.c.layer);
-    w.key("gemm_bwd_ms").value(r.gemm_bwd_ms);
-    w.key("simd_bwd_ms").value(r.simd_bwd_ms);
+    w.key("net").value(r.net);
+    w.key("layer").value(r.layer);
+    w.key("pass").value(r.pass);
+    w.key("gemm_ms").value(r.gemm_ms);
+    w.key("simd_ms").value(r.simd_ms);
     w.end_object();
   }
   w.end_array();
@@ -430,20 +476,15 @@ int main(int argc, char** argv) {
   std::printf("\n");
   simd_table.print();
 
-  std::vector<TrainBwdResult> train_results;
-  ls::util::Table train_table("conv bwd wall-clock per call at the trainer's "
-                              "batch " +
-                              std::to_string(kTrainBatch));
-  train_table.set_header({"net", "layer", "gemm bwd", "simd bwd"});
-  for (const BenchCase& c :
-       conv_cases({ls::nn::convnet_expt_spec()}, kTrainBatch)) {
-    const TrainBwdResult r = run_train_bwd(c);
+  const std::vector<TrainBwdResult> train_results = run_train_step_kernels();
+  ls::util::Table train_table(
+      "training-step kernels per call at the trainer's batch " +
+      std::to_string(kTrainBatch) + " (relu/pool have one kernel: gemm column)");
+  train_table.set_header({"net", "layer", "pass", "gemm", "simd"});
+  for (const TrainBwdResult& r : train_results) {
     train_table.add_row(
-        {r.c.net, r.c.layer, ls::util::fmt_double(r.gemm_bwd_ms, 2) + " ms",
-         ls::nn::simd::vectorized()
-             ? ls::util::fmt_double(r.simd_bwd_ms, 2) + " ms"
-             : "-"});
-    train_results.push_back(r);
+        {r.net, r.layer, r.pass, ls::util::fmt_double(r.gemm_ms, 2) + " ms",
+         r.simd_ms > 0.0 ? ls::util::fmt_double(r.simd_ms, 2) + " ms" : "-"});
   }
   std::printf("\n");
   train_table.print();

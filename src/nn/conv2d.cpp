@@ -19,16 +19,19 @@ namespace ls::nn {
 
 namespace {
 
-// Weight-gradient fan-out in gemm_backward. A block of samples' im2row
-// packings shares one buffer, capped in bytes so it does not grow with the
-// batch. Tiles are >= 8 rows, never fewer than the untiled call: simd's
-// gemm_nn hands M < 8 to the scalar kernel, so a thinner tile would change
-// its bits. Columns split on 16-lane strip boundaries, in as few tiles as
-// still leave about kDwMinTiles tasks. None depends on the thread count.
-constexpr std::size_t kDwBlockBytes = std::size_t{1} << 20;
+// Weight-gradient fan-out in gemm_backward: one task per dW tile. Tiles
+// are >= 8 rows, never fewer than the untiled call: simd's gemm_nn hands
+// M < 8 to the scalar kernel, so a thinner tile would change its bits.
+// Columns split into runs of whole 16-lane strips. Each tile repacks its
+// columns of every sample, and the scalar GEMM's per-row overhead shrinks
+// as tiles widen, so tiles stay as large as still leaves kDwMinTiles tasks:
+// rows split only when there are too few strips, and strips spread evenly
+// over the column tiles. Five was at or near the fastest dW on every
+// ConvNet-expt layer on a 4-vCPU host (measured against 4, 6, 8, 9 and 18
+// tiles). None depends on the thread count.
 constexpr std::size_t kDwTileRows = 8;
 constexpr std::size_t kDwStrip = 16;
-constexpr std::size_t kDwMinTiles = 16;
+constexpr std::size_t kDwMinTiles = 5;
 
 // Kernel-span args: {"impl":...,"N":batch} — rendered only when tracing.
 std::string conv_span_args(const char* impl, std::size_t batch) {
@@ -124,8 +127,17 @@ Tensor Conv2D::forward(const Tensor& in, bool training) {
 }
 
 Tensor Conv2D::backward(const Tensor& grad_out) {
-  return resolved_impl() == ConvImpl::kNaive ? naive_backward(grad_out)
-                                             : gemm_backward(grad_out);
+  return resolved_impl() == ConvImpl::kNaive
+             ? naive_backward(grad_out)
+             : gemm_backward(grad_out, /*input_grad=*/true);
+}
+
+void Conv2D::backward_params(const Tensor& grad_out) {
+  if (resolved_impl() == ConvImpl::kNaive) {
+    naive_backward(grad_out);
+  } else {
+    gemm_backward(grad_out, /*input_grad=*/false);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -135,10 +147,12 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
 // group's input window into a thread-local im2col buffer and runs one
 // row-parallel GEMM (the GEMM's internal parallel_for runs inline when the
 // outer loop already fans out — see util::ThreadPool). Backward runs in two
-// phases: the data gradient fans out over (sample, group) the same way,
-// then the weight gradient fans out over dW tiles, each tile summing its
-// samples in ascending order — the accumulation order of a serial sample
-// loop, so the result is bit-identical to it for any thread count.
+// phases: the data gradient fans out over (sample, group) the same way
+// (skipped when the caller needs no input gradient), then the weight
+// gradient fans out over dW tiles, each tile packing its own im2row columns
+// and summing its samples in ascending order — the accumulation order of a
+// serial sample loop, so the result is bit-identical to it for any thread
+// count.
 // ---------------------------------------------------------------------------
 
 Tensor Conv2D::gemm_forward(const Tensor& in, bool training) {
@@ -227,7 +241,7 @@ Tensor Conv2D::gemm_forward(const Tensor& in, bool training) {
   return out;
 }
 
-Tensor Conv2D::gemm_backward(const Tensor& grad_out) {
+Tensor Conv2D::gemm_backward(const Tensor& grad_out, bool input_grad) {
   const bool use_simd = resolved_impl() == ConvImpl::kSimd;
   obs::Span span;
   if (obs::trace_enabled()) {
@@ -239,7 +253,6 @@ Tensor Conv2D::gemm_backward(const Tensor& grad_out) {
     throw std::logic_error("conv2d backward without training forward");
   }
   const Tensor& in = cached_input_;
-  Tensor grad_in(in.shape(), 0.0f);
   const Shape out_shape = grad_out.shape();
   const std::size_t N = in.shape()[0];
   const std::size_t C = cfg_.in_channels;
@@ -265,109 +278,90 @@ Tensor Conv2D::gemm_backward(const Tensor& grad_out) {
   const float* go_base = grad_out.data();
   const float* w_base = weight_.value.data();
   float* wg_base = weight_.grad.data();
-  float* gi_base = grad_in.data();
 
-  // Block sparsity in backward only accelerates the data-gradient GEMM.
-  // The weight-gradient GEMM must stay dense: group-Lasso training needs
-  // gradients *into* currently-zero blocks so they can revive. Resolved
-  // once, outside the fan-out (the rescan is not thread-safe).
-  const BlockMap* bm = sparse_map();
+  Tensor grad_in;
+  if (input_grad) {
+    grad_in = Tensor(in.shape(), 0.0f);
+    float* gi_base = grad_in.data();
+    // Block sparsity in backward only accelerates the data-gradient GEMM.
+    // The weight-gradient GEMM must stay dense: group-Lasso training needs
+    // gradients *into* currently-zero blocks so they can revive. Resolved
+    // once, outside the fan-out (the rescan is not thread-safe).
+    const BlockMap* bm = sparse_map();
 
-  // Phase 1 — data gradient, one task per (sample, group); each writes only
-  // its own grad_in slice. dRow (ohw x ck2) = dOut_g^T * W_g. In the sparse
-  // variant the reduction dim (cout) is the consumer partition and the
-  // columns (ck2) are producer panels; pruned spans stay zero.
-  util::parallel_for(0, N * G, [&](std::size_t t) {
-    const std::size_t n = t / G, g = t % G;
-    float* drow = scratch::buffer(scratch::Slot::kBwdDrow, ohw * ck2);
-    const float* go_g = go_base + (n * OC + g * cout_g) * ohw;
-    const float* w_g = w_base + g * cout_g * ck2;
-    if (bm != nullptr) {
-      if (use_simd) {
-        simd::gemm_tn_sparse(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
-                             /*accumulate=*/false, /*parallel=*/true,
-                             bm->mask());
+    // Phase 1 — data gradient, one task per (sample, group); each writes
+    // only its own grad_in slice. dRow (ohw x ck2) = dOut_g^T * W_g. In the
+    // sparse variant the reduction dim (cout) is the consumer partition and
+    // the columns (ck2) are producer panels; pruned spans stay zero.
+    util::parallel_for(0, N * G, [&](std::size_t t) {
+      const std::size_t n = t / G, g = t % G;
+      float* drow = scratch::buffer(scratch::Slot::kBwdDrow, ohw * ck2);
+      const float* go_g = go_base + (n * OC + g * cout_g) * ohw;
+      const float* w_g = w_base + g * cout_g * ck2;
+      if (bm != nullptr) {
+        (use_simd ? simd::gemm_tn_sparse : gemm::gemm_tn_sparse)(
+            ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
+            /*accumulate=*/false, /*parallel=*/true, bm->mask());
       } else {
-        gemm::gemm_tn_sparse(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
-                             /*accumulate=*/false, /*parallel=*/true,
-                             bm->mask());
+        (use_simd ? simd::gemm_tn : gemm::gemm_tn)(
+            ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
+            /*accumulate=*/false, /*parallel=*/true);
       }
-    } else if (use_simd) {
-      simd::gemm_tn(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
-                    /*accumulate=*/false, /*parallel=*/true);
-    } else {
-      gemm::gemm_tn(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
-                    /*accumulate=*/false, /*parallel=*/true);
-    }
-    gemm::row2im_add(ps, drow, gi_base + (n * C + g * cin_g) * H * W);
-  });
-
-  // Phase 2 — weight and bias gradients over blocks of samples. The
-  // block's im2row packings share one caller-acquired buffer, each packing
-  // task writing its own slice; then one task per dW tile runs the same
-  // per-sample GEMM on its sub-range, samples ascending. Every dW element
-  // therefore still reduces over n ascending, then k ascending in the same
-  // absolute 4-aligned groups — bit-identical to a serial sample loop.
-  const std::size_t pack = ohw * ck2;
-  const std::size_t block = std::min(
-      N, std::max<std::size_t>(1, kDwBlockBytes / (G * pack * sizeof(float))));
-  float* rows = scratch::buffer(scratch::Slot::kIm2row, block * G * pack);
-  const std::size_t row_tiles = std::max<std::size_t>(1, cout_g / kDwTileRows);
-  const std::size_t strips = (ck2 + kDwStrip - 1) / kDwStrip;
-  const std::size_t tile_cols =
-      kDwStrip * std::max<std::size_t>(1, strips * G * row_tiles / kDwMinTiles);
-  const std::size_t col_tiles = (ck2 + tile_cols - 1) / tile_cols;
-  for (std::size_t n0 = 0; n0 < N; n0 += block) {
-    const std::size_t nb = std::min(block, N - n0);
-    util::parallel_for(0, nb * G, [&](std::size_t t) {
-      const std::size_t n = n0 + t / G, g = t % G;
-      gemm::im2row(ps, in_base + (n * C + g * cin_g) * H * W,
-                   rows + t * pack);
-    });
-    util::parallel_for(0, G * row_tiles * col_tiles, [&](std::size_t t) {
-      const std::size_t g = t / (row_tiles * col_tiles);
-      const std::size_t rt = t / col_tiles % row_tiles;
-      const std::size_t ct = t % col_tiles;
-      const std::size_t i0 = g * cout_g + rt * kDwTileRows;
-      const std::size_t i1 =
-          rt + 1 == row_tiles ? (g + 1) * cout_g : i0 + kDwTileRows;
-      const std::size_t j0 = ct * tile_cols;
-      const std::size_t cols = std::min(ck2, j0 + tile_cols) - j0;
-      // The tile accumulates in this thread's staging buffer: neighbouring
-      // tiles share cache lines of dW, and the scalar GEMM rewrites C once
-      // per k group. Copying in and out moves the same bits.
-      float* wg = wg_base + i0 * ck2 + j0;
-      float* acc = scratch::buffer(scratch::Slot::kBwdDrow, (i1 - i0) * cols);
-      for (std::size_t r = 0; r < i1 - i0; ++r) {
-        std::memcpy(acc + r * cols, wg + r * ck2, cols * sizeof(float));
-      }
-      for (std::size_t s = 0; s < nb; ++s) {
-        const float* go = go_base + ((n0 + s) * OC + i0) * ohw;
-        const float* row = rows + (s * G + g) * pack + j0;
-        // acc += dOut_tile (rows x ohw) * row_tile (ohw x cols)
-        if (use_simd) {
-          simd::gemm_nn(i1 - i0, cols, ohw, go, ohw, row, ck2, acc, cols,
-                        /*accumulate=*/true);
-        } else {
-          gemm::gemm_nn(i1 - i0, cols, ohw, go, ohw, row, ck2, acc, cols,
-                        /*accumulate=*/true);
-        }
-      }
-      for (std::size_t r = 0; r < i1 - i0; ++r) {
-        std::memcpy(wg + r * ck2, acc + r * cols, cols * sizeof(float));
-      }
-      if (cfg_.bias && ct == 0) {
-        for (std::size_t oc = i0; oc < i1; ++oc) {
-          for (std::size_t s = 0; s < nb; ++s) {
-            const float* go_c = go_base + ((n0 + s) * OC + oc) * ohw;
-            float sum = 0.0f;
-            for (std::size_t k = 0; k < ohw; ++k) sum += go_c[k];
-            bias_.grad[oc] += sum;
-          }
-        }
-      }
+      gemm::row2im_add(ps, drow, gi_base + (n * C + g * cin_g) * H * W);
     });
   }
+
+  // Phase 2 — weight and bias gradients, one task per dW tile. A tile packs
+  // only its own im2row columns of each sample into this thread's buffer
+  // and runs the same per-sample GEMM on its sub-range, samples ascending.
+  // Every dW element therefore still reduces over n ascending, then k
+  // ascending in the same absolute groups — bit-identical to a serial
+  // sample loop. Bias sums ride along in each row range's first tile.
+  const std::size_t strips = (ck2 + kDwStrip - 1) / kDwStrip;
+  const std::size_t row_tiles =
+      std::min(std::max<std::size_t>(1, cout_g / kDwTileRows),
+               (kDwMinTiles + G * strips - 1) / (G * strips));
+  const std::size_t col_tiles =
+      std::min(strips, (kDwMinTiles + G * row_tiles - 1) / (G * row_tiles));
+  util::parallel_for(0, G * row_tiles * col_tiles, [&](std::size_t t) {
+    const std::size_t g = t / (row_tiles * col_tiles);
+    const std::size_t rt = t / col_tiles % row_tiles;
+    const std::size_t ct = t % col_tiles;
+    const std::size_t i0 = g * cout_g + cout_g * rt / row_tiles;
+    const std::size_t rows = g * cout_g + cout_g * (rt + 1) / row_tiles - i0;
+    const std::size_t j0 = kDwStrip * (strips * ct / col_tiles);
+    const std::size_t cols =
+        std::min(ck2, kDwStrip * (strips * (ct + 1) / col_tiles)) - j0;
+    const gemm::Im2rowCols packer(ps, j0, cols);
+    float* row = scratch::buffer(scratch::Slot::kIm2row, ohw * cols);
+    // The tile accumulates in this thread's staging buffer: neighbouring
+    // tiles share cache lines of dW, and the scalar GEMM rewrites C once
+    // per k group. Copying in and out moves the same bits.
+    float* wg = wg_base + i0 * ck2 + j0;
+    float* acc = scratch::buffer(scratch::Slot::kBwdDrow, rows * cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::memcpy(acc + r * cols, wg + r * ck2, cols * sizeof(float));
+    }
+    for (std::size_t n = 0; n < N; ++n) {
+      packer.pack(in_base + (n * C + g * cin_g) * H * W, row);
+      const float* go = go_base + (n * OC + i0) * ohw;
+      // acc += dOut_tile (rows x ohw) * row (ohw x cols)
+      (use_simd ? simd::gemm_nn : gemm::gemm_nn)(rows, cols, ohw, go, ohw, row,
+                                                 cols, acc, cols,
+                                                 /*accumulate=*/true,
+                                                 /*parallel=*/false);
+      if (cfg_.bias && ct == 0) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          float sum = 0.0f;
+          for (std::size_t k = 0; k < ohw; ++k) sum += go[r * ohw + k];
+          bias_.grad[i0 + r] += sum;
+        }
+      }
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::memcpy(wg + r * ck2, acc + r * cols, cols * sizeof(float));
+    }
+  });
   return grad_in;
 }
 

@@ -11,7 +11,8 @@
 // "Vectorized kernels"):
 //   * kGemm  — im2col packing + cache-blocked scalar GEMM on the shared
 //     pool: forward and the data gradient fan out over (batch, group), the
-//     weight gradient over dW tiles that each sum samples in ascending order.
+//     weight gradient over dW tiles that each pack their own im2row columns
+//     and sum samples in ascending order.
 //     Default; used by every trainer/bench path.
 //   * kSimd  — same im2col structure, but the GEMMs run on the packed
 //     register-tiled backend in nn::simd (LS_CONV_IMPL=simd). Falls back to
@@ -54,6 +55,8 @@ class Conv2D final : public Layer {
 
   Tensor forward(const Tensor& in, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
+  /// Skips the data gradient (the GEMM paths' whole first phase).
+  void backward_params(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   const std::string& name() const override { return name_; }
   Shape output_shape(const Shape& in) const override;
@@ -82,7 +85,8 @@ class Conv2D final : public Layer {
   Tensor naive_forward(const Tensor& in, bool training);
   Tensor naive_backward(const Tensor& grad_out);
   Tensor gemm_forward(const Tensor& in, bool training);
-  Tensor gemm_backward(const Tensor& grad_out);
+  /// Parameter gradients, plus dL/d-input when `input_grad` (else empty).
+  Tensor gemm_backward(const Tensor& grad_out, bool input_grad);
 
   /// Cached bitmap when armed and eligible, nullptr for the dense path.
   /// Rescans on weight-version change; cheap when nothing moved.

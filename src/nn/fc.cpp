@@ -112,42 +112,41 @@ Tensor FullyConnected::forward(const Tensor& in, bool training) {
 }
 
 Tensor FullyConnected::backward(const Tensor& grad_out) {
+  return gemm_backward(grad_out, /*input_grad=*/true);
+}
+
+void FullyConnected::backward_params(const Tensor& grad_out) {
+  gemm_backward(grad_out, /*input_grad=*/false);
+}
+
+Tensor FullyConnected::gemm_backward(const Tensor& grad_out,
+                                     bool input_grad) {
   obs::Span span;
   if (obs::trace_enabled()) span.begin(name_ + ".bwd", "kernel");
   if (cached_input_.empty()) {
     throw std::logic_error("fc backward without training forward");
   }
   const std::size_t N = cached_input_.shape()[0];
-  Tensor grad_flat(Shape{N, in_features_}, 0.0f);
   if (has_bias_) {
     for (std::size_t n = 0; n < N; ++n) {
       const float* go = grad_out.data() + n * out_features_;
       for (std::size_t o = 0; o < out_features_; ++o) bias_.grad[o] += go[o];
     }
   }
+  const bool use_simd = backend_ == simd::GemmBackend::kSimd;
   // dW (Out x In) += dOut^T (Out x N) * X (N x In); k = sample index runs
   // ascending, matching the reference accumulation order.
-  if (backend_ == simd::GemmBackend::kSimd) {
-    simd::gemm_tn(out_features_, in_features_, N, grad_out.data(),
-                  out_features_, cached_input_.data(), in_features_,
-                  weight_.grad.data(), in_features_, /*accumulate=*/true,
-                  /*parallel=*/true);
-    // dX (N x In) = dOut (N x Out) * W (Out x In)
-    simd::gemm_nn(N, in_features_, out_features_, grad_out.data(),
-                  out_features_, weight_.value.data(), in_features_,
-                  grad_flat.data(), in_features_, /*accumulate=*/false,
-                  /*parallel=*/true);
-  } else {
-    gemm::gemm_tn(out_features_, in_features_, N, grad_out.data(),
-                  out_features_, cached_input_.data(), in_features_,
-                  weight_.grad.data(), in_features_, /*accumulate=*/true,
-                  /*parallel=*/true);
-    // dX (N x In) = dOut (N x Out) * W (Out x In)
-    gemm::gemm_nn(N, in_features_, out_features_, grad_out.data(),
-                  out_features_, weight_.value.data(), in_features_,
-                  grad_flat.data(), in_features_, /*accumulate=*/false,
-                  /*parallel=*/true);
-  }
+  (use_simd ? simd::gemm_tn : gemm::gemm_tn)(
+      out_features_, in_features_, N, grad_out.data(), out_features_,
+      cached_input_.data(), in_features_, weight_.grad.data(), in_features_,
+      /*accumulate=*/true, /*parallel=*/true);
+  if (!input_grad) return Tensor();
+  // dX (N x In) = dOut (N x Out) * W (Out x In)
+  Tensor grad_flat(Shape{N, in_features_});
+  (use_simd ? simd::gemm_nn : gemm::gemm_nn)(
+      N, in_features_, out_features_, grad_out.data(), out_features_,
+      weight_.value.data(), in_features_, grad_flat.data(), in_features_,
+      /*accumulate=*/false, /*parallel=*/true);
   return grad_flat.reshaped(cached_input_shape_);
 }
 

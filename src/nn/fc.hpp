@@ -20,6 +20,8 @@ class FullyConnected final : public Layer {
 
   Tensor forward(const Tensor& in, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
+  /// Skips the dX GEMM.
+  void backward_params(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   const std::string& name() const override { return name_; }
   Shape output_shape(const Shape& in) const override;
@@ -47,6 +49,8 @@ class FullyConnected final : public Layer {
 
  private:
   const struct BlockMap* sparse_map();
+  /// Parameter gradients, plus dL/d-input when `input_grad` (else empty).
+  Tensor gemm_backward(const Tensor& grad_out, bool input_grad);
 
   std::string name_;
   std::size_t in_features_;

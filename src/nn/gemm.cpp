@@ -523,32 +523,43 @@ void im2col_masked(const PackShape& s, const float* in, float* col,
   }
 }
 
-void im2row(const PackShape& s, const float* in, float* row) {
-  const std::size_t patch = s.patch();
-  for (std::size_t oh = 0; oh < s.OH; ++oh) {
-    for (std::size_t ow = 0; ow < s.OW; ++ow) {
-      float* dst = row + (oh * s.OW + ow) * patch;
-      for (std::size_t c = 0; c < s.channels; ++c) {
-        const float* in_c = in + c * s.H * s.W;
-        for (std::size_t kh = 0; kh < s.K; ++kh) {
-          const std::ptrdiff_t ih =
-              static_cast<std::ptrdiff_t>(oh * s.stride + kh) -
-              static_cast<std::ptrdiff_t>(s.pad);
-          float* d = dst + (c * s.K + kh) * s.K;
-          if (ih < 0 || ih >= static_cast<std::ptrdiff_t>(s.H)) {
-            std::memset(d, 0, s.K * sizeof(float));
-            continue;
-          }
-          const float* in_row = in_c + static_cast<std::size_t>(ih) * s.W;
-          for (std::size_t kw = 0; kw < s.K; ++kw) {
-            const std::ptrdiff_t iw =
-                static_cast<std::ptrdiff_t>(ow * s.stride + kw) -
-                static_cast<std::ptrdiff_t>(s.pad);
-            d[kw] = (iw < 0 || iw >= static_cast<std::ptrdiff_t>(s.W))
-                        ? 0.0f
-                        : in_row[static_cast<std::size_t>(iw)];
-          }
-        }
+Im2rowCols::Im2rowCols(const PackShape& s, std::size_t j0, std::size_t n)
+    : s_(s), off_(n), kh_(n), kw_(n) {
+  const std::size_t k2 = s.K * s.K;
+  for (std::size_t t = 0; t < n; ++t) {
+    const std::size_t j = j0 + t;
+    kh_[t] = static_cast<std::uint32_t>(j % k2 / s.K);
+    kw_[t] = static_cast<std::uint32_t>(j % s.K);
+    off_[t] = static_cast<std::ptrdiff_t>(j / k2 * s.H * s.W +
+                                          kh_[t] * s.W + kw_[t]);
+  }
+}
+
+void Im2rowCols::pack(const float* in, float* row) const {
+  const std::size_t n = off_.size();
+  const std::ptrdiff_t H = static_cast<std::ptrdiff_t>(s_.H);
+  const std::ptrdiff_t W = static_cast<std::ptrdiff_t>(s_.W);
+  const std::ptrdiff_t K = static_cast<std::ptrdiff_t>(s_.K);
+  const std::ptrdiff_t* off = off_.data();
+  for (std::size_t oh = 0; oh < s_.OH; ++oh) {
+    const std::ptrdiff_t ih0 = static_cast<std::ptrdiff_t>(oh * s_.stride) -
+                               static_cast<std::ptrdiff_t>(s_.pad);
+    const bool rows_inside = ih0 >= 0 && ih0 + K <= H;
+    for (std::size_t ow = 0; ow < s_.OW; ++ow) {
+      const std::ptrdiff_t iw0 = static_cast<std::ptrdiff_t>(ow * s_.stride) -
+                                 static_cast<std::ptrdiff_t>(s_.pad);
+      float* dst = row + (oh * s_.OW + ow) * n;
+      const std::ptrdiff_t base = ih0 * W + iw0;
+      if (rows_inside && iw0 >= 0 && iw0 + K <= W) {
+        // Every tap of this window is inside the image.
+        const float* src = in + base;
+        for (std::size_t t = 0; t < n; ++t) dst[t] = src[off[t]];
+        continue;
+      }
+      for (std::size_t t = 0; t < n; ++t) {
+        const std::ptrdiff_t ih = ih0 + kh_[t], iw = iw0 + kw_[t];
+        dst[t] = (ih < 0 || ih >= H || iw < 0 || iw >= W) ? 0.0f
+                                                          : in[base + off[t]];
       }
     }
   }

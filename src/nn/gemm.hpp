@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace ls::nn::gemm {
 
@@ -123,12 +124,24 @@ void im2col(const PackShape& s, const float* in, float* col);
 void im2col_masked(const PackShape& s, const float* in, float* col,
                    const std::uint8_t* channel_skip);
 
-/// Transposed packing into `row` (cols() x patch()):
-/// row[oh*OW+ow][(c*K+kh)*K+kw]. Used by the backward pass so both GEMMs
-/// stream unit-stride.
-void im2row(const PackShape& s, const float* in, float* row);
+/// Transposed packing of a column range: the im2row matrix is
+/// (cols() x patch()), im2row[oh*OW+ow][(c*K+kh)*K+kw], zero in padding.
+/// Packs its columns [j0, j0 + n) into `row` (cols() x n, leading
+/// dimension n), one pixel's n values contiguous. The (c, kh, kw) offset
+/// table is built once per range; pack() then runs once per sample. Used
+/// by the conv weight gradient, where each dW tile packs only its columns.
+class Im2rowCols {
+ public:
+  Im2rowCols(const PackShape& s, std::size_t j0, std::size_t n);
+  void pack(const float* in, float* row) const;
 
-/// Scatter-adds `row` (cols() x patch(), the layout im2row produces) into
+ private:
+  PackShape s_;
+  std::vector<std::ptrdiff_t> off_;  ///< c*H*W + kh*W + kw per column
+  std::vector<std::uint32_t> kh_, kw_;
+};
+
+/// Scatter-adds `row` (the full im2row layout, cols() x patch()) into
 /// `in_grad` (channels*H*W floats). Inverse of im2row for gradients;
 /// padding cells are dropped.
 void row2im_add(const PackShape& s, const float* row, float* in_grad);

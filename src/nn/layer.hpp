@@ -51,6 +51,12 @@ class Layer {
   /// forward().
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  /// backward() for a caller that will not read dL/d-input, e.g. the
+  /// network's first layer: accumulates the same parameter gradients,
+  /// bit for bit. Layers whose input gradient costs real work override it
+  /// to skip that work.
+  virtual void backward_params(const Tensor& grad_out) { backward(grad_out); }
+
   /// Learnable parameters (empty for stateless layers). Pointers remain
   /// valid for the life of the layer.
   virtual std::vector<Param*> params() { return {}; }

@@ -41,12 +41,15 @@ Tensor Network::forward(const Tensor& in, bool training) {
   return x;
 }
 
-Tensor Network::backward(const Tensor& grad_logits) {
+void Network::backward(const Tensor& grad_logits) {
+  std::size_t first = 0;
+  while (first < layers_.size() && layers_[first]->params().empty()) ++first;
+  if (first == layers_.size()) return;
   Tensor g = grad_logits;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+  for (std::size_t i = layers_.size() - 1; i > first; --i) {
+    g = layers_[i]->backward(g);
   }
-  return g;
+  layers_[first]->backward_params(g);
 }
 
 void Network::zero_grad() {

@@ -33,8 +33,10 @@ class Network {
 
   Tensor forward(const Tensor& in, bool training = false);
 
-  /// Backward from dL/dlogits; returns dL/dinput.
-  Tensor backward(const Tensor& grad_logits);
+  /// Backward from dL/dlogits, accumulating every parameter gradient. No
+  /// input gradient is produced: the first layer with parameters runs
+  /// backward_params(), and the parameter-free layers before it are skipped.
+  void backward(const Tensor& grad_logits);
 
   /// Zeroes all parameter gradients.
   void zero_grad();

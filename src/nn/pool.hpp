@@ -9,6 +9,8 @@ namespace ls::nn {
 
 enum class PoolKind { kMax, kAvg };
 
+/// Both passes fan out over (sample, channel) planes; each plane keeps the
+/// serial scan order, and every read and write stays inside its plane.
 class Pool2D final : public Layer {
  public:
   Pool2D(std::string name, PoolKind kind, std::size_t window,

@@ -11,15 +11,13 @@
 //
 // Threading model: buffers are thread_local, and a buffer is only touched
 // by its owning thread or by the tasks of a parallel_for that thread runs
-// while holding it. The usual patterns: "acquire inside the parallel_for
-// body" (each worker gets its own buffer), or "acquire on the calling
-// thread, then fan out" — to readers (the SIMD GEMM packs B once on the
-// caller, then worker tasks read it) or to writers that each fill a
-// disjoint slice (conv backward packs a block of samples' im2row this way;
-// the next fan-out reads it, the join in between ordering the two). Two
-// live buffers on one thread must use different slots; each kernel stage
-// below owns a distinct slot so nesting (im2col -> packed GEMM) never
-// aliases.
+// while holding it. Two patterns: "acquire inside the parallel_for body"
+// (each worker gets its own buffer — the conv packings and dRow/dW staging
+// work this way), or "acquire on the calling thread, then fan out to
+// readers" (the SIMD GEMM packs B once on the caller, then worker tasks
+// read it). Two live buffers on one thread must use different slots; each
+// kernel stage below owns a distinct slot so nesting (im2col -> packed
+// GEMM, dW tile packing -> staging -> packed GEMM) never aliases.
 
 #include <cstddef>
 #include <cstdint>
@@ -29,7 +27,7 @@ namespace ls::nn::scratch {
 /// One slot per concurrently-live buffer a kernel stage needs.
 enum class Slot : std::size_t {
   kIm2col = 0,   ///< conv forward im2col packing
-  kIm2row,       ///< conv backward im2row block (caller, filled by workers)
+  kIm2row,       ///< conv backward: one dW tile's im2row columns (worker)
   kBwdDrow,      ///< conv backward dRow, then dW tile staging
   kPackB,        ///< SIMD GEMM packed B panels (caller, read by workers)
   kSlotCount,

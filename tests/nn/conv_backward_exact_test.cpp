@@ -4,8 +4,9 @@
 // and scatter it with row2im_add. The sample-parallel kernel must only
 // change which thread computes an element, never its arithmetic, so
 // grad_in, weight.grad and bias.grad are compared with memcmp — for both
-// GEMM backends and several pool sizes. Lives in test_simd so the
-// LS_CONV_IMPL=simd CI leg runs it.
+// GEMM backends and several pool sizes. backward_params(), the first
+// layer's input-gradient-free backward, must leave the same weight and bias
+// gradients. Lives in test_simd so the LS_CONV_IMPL=simd CI leg runs it.
 
 #include <gtest/gtest.h>
 
@@ -53,7 +54,7 @@ const std::vector<ExactCase> kCases = {
     {"ohw49_cout13", 6, 6, 9, 9, 13, 3, 1, 0, 1},
     // Grouped with >= 8 output channels per group (tiled rows per group).
     {"grouped_cout_g20", 4, 8, 10, 10, 40, 3, 1, 1, 2},
-    // One sample's packing exceeds the block budget: one sample per block.
+    // A large image: 4096 pixels per packed column.
     {"big_pack", 2, 3, 64, 64, 8, 5, 1, 2, 1},
     // Block-sparse armed with dead blocks (the data-gradient GEMM skips
     // them; the weight gradient stays dense).
@@ -98,6 +99,28 @@ struct Grads {
   Tensor bias_grad;
 };
 
+// One sample/group's im2row matrix (ohw x ck2), zero in padding.
+void im2row(const gemm::PackShape& s, const float* in, float* row) {
+  std::size_t i = 0;
+  for (std::size_t oh = 0; oh < s.OH; ++oh) {
+    for (std::size_t ow = 0; ow < s.OW; ++ow) {
+      for (std::size_t c = 0; c < s.channels; ++c) {
+        for (std::size_t kh = 0; kh < s.K; ++kh) {
+          for (std::size_t kw = 0; kw < s.K; ++kw, ++i) {
+            const std::size_t ih = oh * s.stride + kh;
+            const std::size_t iw = ow * s.stride + kw;
+            const bool inside = ih >= s.pad && ih < s.H + s.pad &&
+                                iw >= s.pad && iw < s.W + s.pad;
+            row[i] = inside
+                         ? in[(c * s.H + ih - s.pad) * s.W + iw - s.pad]
+                         : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
 // The serial per-sample backward the sample-parallel kernel replaced.
 Grads serial_reference(const Conv2DConfig& cfg, const Tensor& in,
                        const Tensor& grad_out, const Tensor& weight,
@@ -121,7 +144,7 @@ Grads serial_reference(const Conv2DConfig& cfg, const Tensor& in,
   float* wg_base = g0.weight_grad.data();
   for (std::size_t n = 0; n < N; ++n) {
     for (std::size_t g = 0; g < cfg.groups; ++g) {
-      gemm::im2row(ps, in.data() + (n * C + g * cin_g) * H * W, row.data());
+      im2row(ps, in.data() + (n * C + g * cin_g) * H * W, row.data());
       const float* go_g = grad_out.data() + (n * OC + g * cout_g) * ohw;
       float* wg_g = wg_base + g * cout_g * ck2;
       const float* w_g = w_base + g * cout_g * ck2;
@@ -225,6 +248,15 @@ TEST_F(ConvBackwardExact, MatchesSerialSampleLoopBitForBit) {
             << "weight.grad";
         EXPECT_TRUE(same_bits(conv.bias().grad, want.bias_grad))
             << "bias.grad";
+
+        conv.weight().grad = dw0;
+        conv.bias().grad = db0;
+        conv.forward(in, /*training=*/true);
+        conv.backward_params(grad_out);
+        EXPECT_TRUE(same_bits(conv.weight().grad, want.weight_grad))
+            << "weight.grad without input gradient";
+        EXPECT_TRUE(same_bits(conv.bias().grad, want.bias_grad))
+            << "bias.grad without input gradient";
       }
     }
   }

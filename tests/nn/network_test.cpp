@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "nn/activations.hpp"
 #include "nn/fc.hpp"
 #include "nn/loss.hpp"
+#include "nn/model_zoo.hpp"
 #include "util/rng.hpp"
 
 namespace ls::nn {
@@ -102,6 +105,55 @@ TEST(Network, SparsityCountsZeros) {
   EXPECT_NEAR(net.sparsity(), 9.0 / 51.0, 1e-9);
   for (Param* p : net.params()) p->value.zero();
   EXPECT_DOUBLE_EQ(net.sparsity(), 1.0);
+}
+
+// Network::backward skips the input gradient of its first parameterized
+// layer (and the parameter-free layers before it); every parameter gradient
+// must still equal the one a full backward() through every layer leaves.
+void expect_full_backward_param_grads(Network& net, Network& manual,
+                                      const Tensor& in) {
+  const Tensor out = net.forward(in, /*training=*/true);
+  manual.forward(in, /*training=*/true);
+  util::Rng rng_g(7);
+  const Tensor grad = Tensor::uniform(out.shape(), -1.f, 1.f, rng_g);
+
+  net.backward(grad);
+  Tensor g = grad;
+  for (std::size_t i = manual.num_layers(); i-- > 0;) {
+    g = manual.layer(i).backward(g);
+  }
+  EXPECT_EQ(g.shape(), in.shape());
+
+  const auto got = net.params();
+  const auto want = manual.params();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t p = 0; p < got.size(); ++p) {
+    ASSERT_EQ(got[p]->grad.shape(), want[p]->grad.shape());
+    EXPECT_EQ(std::memcmp(got[p]->grad.data(), want[p]->grad.data(),
+                          got[p]->grad.numel() * sizeof(float)),
+              0)
+        << got[p]->name;
+  }
+}
+
+TEST(Network, FirstLayerSkipsInputGradient) {
+  // ConvNet-expt (conv first) and the MLP (flatten, then fc).
+  for (const NetSpec& spec : {convnet_expt_spec(), mlp_expt_spec()}) {
+    SCOPED_TRACE(spec.name);
+    util::Rng rng_a(5), rng_b(5), rng_in(6);
+    Network net = build_network(spec, rng_a);
+    Network manual = build_network(spec, rng_b);
+    expect_full_backward_param_grads(
+        net, manual,
+        Tensor::uniform(Shape{3, spec.input.c, spec.input.h, spec.input.w},
+                        -1.f, 1.f, rng_in));
+  }
+  // An fc-first net.
+  util::Rng rng_a(5), rng_b(5), rng_in(6);
+  Network net = tiny_net(rng_a);
+  Network manual = tiny_net(rng_b);
+  expect_full_backward_param_grads(
+      net, manual, Tensor::uniform(Shape{5, 4}, -1.f, 1.f, rng_in));
 }
 
 }  // namespace

@@ -259,6 +259,13 @@ void expect_params_identical(Network& a, Network& b, const char* what) {
   }
 }
 
+// Every layer's full backward(), so the network's input gradient is
+// compared too (Network::backward skips it).
+Tensor full_backward(Network& net, Tensor g) {
+  for (std::size_t i = net.num_layers(); i-- > 0;) g = net.layer(i).backward(g);
+  return g;
+}
+
 // Dense reference and armed network share seeds and kill pattern; forward
 // and backward must agree bit for bit.
 void run_network_parity(const NetSpec& spec, std::size_t parts, double frac,
@@ -285,8 +292,8 @@ void run_network_parity(const NetSpec& spec, std::size_t parts, double frac,
 
   util::Rng rng_go(42);
   const Tensor grad = Tensor::uniform(out_d.shape(), -1.f, 1.f, rng_go);
-  const Tensor din_d = dense.backward(grad);
-  const Tensor din_s = sparse.backward(grad);
+  const Tensor din_d = full_backward(dense, grad);
+  const Tensor din_s = full_backward(sparse, grad);
   EXPECT_EQ(tensor::max_abs_diff(din_d, din_s), 0.0f) << "input gradient";
   expect_params_identical(dense, sparse, "gradients");
 }

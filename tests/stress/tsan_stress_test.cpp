@@ -9,8 +9,10 @@
 //     dispatch + burst cache + obs counters all exercised at once);
 //   * concurrent block-sparse forwards on per-thread layers over the shared
 //     pool;
-//   * sample-parallel conv backward (caller-acquired packing block filled
-//     by workers) racing an external thread's inline backward;
+//   * conv backward (sample-parallel data gradient, dW tiles packing their
+//     own columns) racing an external thread's inline backward;
+//   * plane-parallel pooling and chunk-parallel ReLU, forward and backward,
+//     racing an external thread's inline passes;
 //   * concurrent data-parallel training runs (replica fan-out + serial
 //     reduction) contending for the shared pool;
 //   * concurrent streamed executions each accumulating a private
@@ -31,9 +33,11 @@
 
 #include "core/traffic.hpp"
 #include "data/dataset.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/fc.hpp"
 #include "nn/model_zoo.hpp"
+#include "nn/pool.hpp"
 #include "noc/sim_cache.hpp"
 #include "noc/simulator.hpp"
 #include "noc/topology.hpp"
@@ -208,8 +212,8 @@ TEST(TsanStress, ConcurrentSparseForwards) {
 
 TEST(TsanStress, SampleParallelConvBackward) {
   // Conv backward fans out per (sample, group) for the data gradient, then
-  // per sample block: packing tasks fill disjoint slices of the caller's
-  // im2row buffer and dW tile tasks read it. Dense, grouped and sparse-armed
+  // per dW tile, each tile packing its own im2row columns into its thread's
+  // buffer for every sample. Dense, grouped and sparse-armed
   // layers run on the 4-thread pool while a second external thread runs
   // another layer's backward, which takes the inline path whenever the pool
   // is busy. Every result must match a 1-thread run byte for byte.
@@ -290,6 +294,68 @@ TEST(TsanStress, SampleParallelConvBackward) {
   util::ThreadPool::set_num_threads(0);
   EXPECT_TRUE(main_ok) << "pooled conv backward diverged from serial";
   EXPECT_TRUE(external_ok) << "external conv backward diverged from serial";
+}
+
+TEST(TsanStress, PoolAndReluFanOut) {
+  // Pool2D fans out over (n, c) planes and ReLU over element chunks, with
+  // overlapping max-pool windows so neighbouring outputs share inputs.
+  // The external thread's passes run inline while the main thread holds
+  // the pool; both must match a serial run bit for bit.
+  struct Pass {
+    nn::Pool2D max_pool{"pool_max", nn::PoolKind::kMax, 3, 2};
+    nn::Pool2D avg_pool{"pool_avg", nn::PoolKind::kAvg, 2, 2};
+    nn::ReLU relu{"relu"};
+    Tensor in, pool_grad, avg_grad;
+  };
+  auto make_pass = [](std::uint64_t seed) {
+    auto p = std::make_unique<Pass>();
+    util::Rng rng(seed);
+    p->in = Tensor::uniform(Shape{8, 8, 17, 17}, -1.f, 1.f, rng);
+    p->pool_grad = Tensor::uniform(p->max_pool.output_shape(p->in.shape()),
+                                   -1.f, 1.f, rng);
+    p->avg_grad = Tensor::uniform(p->avg_pool.output_shape(p->in.shape()),
+                                  -1.f, 1.f, rng);
+    return p;
+  };
+  // Every output and gradient of one round, concatenated.
+  auto run = [](Pass& p) {
+    std::vector<float> out;
+    auto append = [&](const Tensor& t) {
+      out.insert(out.end(), t.data(), t.data() + t.numel());
+    };
+    const Tensor act = p.relu.forward(p.in, /*training=*/true);
+    append(act);
+    append(p.max_pool.forward(act, /*training=*/true));
+    append(p.avg_pool.forward(act, /*training=*/true));
+    append(p.relu.backward(p.max_pool.backward(p.pool_grad)));
+    append(p.relu.backward(p.avg_pool.backward(p.avg_grad)));
+    return out;
+  };
+  auto main_pass = make_pass(400);
+  auto external_pass = make_pass(401);
+
+  util::ThreadPool::set_num_threads(1);
+  const std::vector<float> main_want = run(*main_pass);
+  const std::vector<float> external_want = run(*external_pass);
+  util::ThreadPool::set_num_threads(4);
+
+  constexpr std::size_t kRounds = 8;
+  int external_ok = 0;
+  std::thread external([&] {
+    bool all_match = true;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      all_match = all_match && run(*external_pass) == external_want;
+    }
+    external_ok = all_match;
+  });
+  bool main_ok = true;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    main_ok = main_ok && run(*main_pass) == main_want;
+  }
+  external.join();
+  util::ThreadPool::set_num_threads(0);
+  EXPECT_TRUE(main_ok) << "pooled relu/pool diverged from serial";
+  EXPECT_TRUE(external_ok) << "external relu/pool diverged from serial";
 }
 
 TEST(TsanStress, ConcurrentDataParallelTraining) {
