@@ -1,11 +1,12 @@
 #include "sched/builders.hpp"
 
 #include <algorithm>
+#include <cstdarg>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "check/check.hpp"
 #include "core/partition.hpp"
 
 namespace ls::sched {
@@ -224,24 +225,15 @@ bool identity_placement(const std::vector<std::size_t>& place) {
   return true;
 }
 
-bool dim_compatible(const nn::LayerAnalysis& a, bool last, PartitionDim dim) {
-  const bool conv = a.spec.kind == nn::LayerKind::kConv;
-  const bool grouped = conv && a.spec.groups > 1;
-  switch (dim) {
-    case PartitionDim::kKernel:
-      return true;
-    case PartitionDim::kBatch:
-      return !grouped;  // grouped connectivity is modeled kernel-wise only
-    case PartitionDim::kHeight:
-      return conv && !grouped && a.out.h >= 2;
-    case PartitionDim::kWidth:
-      return conv && !grouped && a.out.w >= 2;
-    case PartitionDim::kChannel:
-      // The reduce-scatter rides on the *next* layer transition, so the
-      // last compute layer cannot be channel-split.
-      return !grouped && in_units(a) >= 2 && !last;
-  }
-  return false;
+/// Throws std::invalid_argument with a printf-formatted message: lowering
+/// rejects bad tuning knobs in every build.
+[[noreturn, gnu::format(printf, 1, 2)]] void reject(const char* fmt, ...) {
+  char buf[256];
+  std::va_list ap;
+  va_start(ap, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_end(ap);
+  throw std::invalid_argument(buf);
 }
 
 PartitionDim dim_of(const BuildOptions& opts, std::size_t li) {
@@ -256,49 +248,55 @@ PartitionDim dim_of(const BuildOptions& opts, std::size_t li) {
 /// single-mesh lowering.
 Schedule assemble(const nn::NetSpec& spec, const LoweringContext& ctx,
                   const BuildOptions& opts,
-                  const core::SparsityProfile* sparsity, Strategy strategy,
-                  const std::vector<std::size_t>& stages, std::size_t chips) {
+                  const core::SparsityProfile* sparsity, Strategy strategy) {
   const std::size_t P = ctx.cores();
+  const std::size_t chips = ctx.chips();
+  const std::vector<std::size_t>& stages = ctx.stages();
 
   // --- Tuning knobs: per-layer dims and the placement permutation ---------
-  // (invariant class 9: malformed choices abort in checked builds).
-  LS_CHECK_MSG(opts.layer_dims.empty() ||
-                   opts.layer_dims.size() == ctx.layers(),
-               "lower('%s'): %zu layer dims for %zu compute layers",
-               spec.name.c_str(), opts.layer_dims.size(), ctx.layers());
+  if (!opts.layer_dims.empty() && opts.layer_dims.size() != ctx.layers()) {
+    reject("lower('%s'): %zu layer dims for %zu compute layers",
+           spec.name.c_str(), opts.layer_dims.size(), ctx.layers());
+  }
   std::vector<std::size_t> place = opts.placement;
   if (place.empty()) {
     place.resize(P);
     for (std::size_t i = 0; i < P; ++i) place[i] = i;
   }
-  LS_CHECK_MSG(place.size() == P,
-               "lower('%s'): placement maps %zu partitions on a %zu-core "
-               "machine",
-               spec.name.c_str(), place.size(), P);
-  if constexpr (check::kEnabled) {
-    std::vector<bool> seen(P, false);
-    for (const std::size_t core : place) {
-      LS_CHECK_MSG(core < P && !seen[core],
-                   "lower('%s'): placement is not a bijective permutation "
-                   "(core %zu out of range or repeated)",
-                   spec.name.c_str(), core);
-      seen[core] = true;
+  if (place.size() != P) {
+    reject("lower('%s'): placement maps %zu partitions on a %zu-core machine",
+           spec.name.c_str(), place.size(), P);
+  }
+  std::vector<bool> seen(P, false);
+  for (const std::size_t core : place) {
+    if (core >= P || seen[core]) {
+      reject("lower('%s'): placement is not a bijective permutation (core "
+             "%zu out of range or repeated)",
+             spec.name.c_str(), core);
     }
+    seen[core] = true;
+  }
+  if (chips > 1 && !identity_placement(place)) {
+    reject("lower_pipelined('%s'): placement permutations are per-chip "
+           "concepts; use the identity on multi-chip schedules",
+           spec.name.c_str());
   }
   bool any_non_kernel = false;
   for (std::size_t li = 0; li < ctx.layers(); ++li) {
     if (dim_of(opts, li) == PartitionDim::kKernel) continue;
     any_non_kernel = true;
-    LS_CHECK_MSG(ctx.compatible(li, dim_of(opts, li)),
-                 "lower('%s'): dim '%s' is incompatible with compute layer "
-                 "%zu ('%s')",
-                 spec.name.c_str(), to_string(dim_of(opts, li)), li,
-                 ctx.layer(li).spec.name.c_str());
+    if (!ctx.compatible(li, dim_of(opts, li))) {
+      reject("lower('%s'): dim '%s' is incompatible with compute layer %zu "
+             "('%s')",
+             spec.name.c_str(), to_string(dim_of(opts, li)), li,
+             ctx.layer(li).spec.name.c_str());
+    }
   }
-  LS_CHECK_MSG(!any_non_kernel || sparsity == nullptr,
-               "lower('%s'): sparsity discounts are defined on the kernel "
-               "split; clear layer_dims or drop the profile",
-               spec.name.c_str());
+  if (any_non_kernel && sparsity != nullptr) {
+    reject("lower('%s'): sparsity discounts are defined on the kernel split; "
+           "clear layer_dims or drop the profile",
+           spec.name.c_str());
+  }
 
   Schedule schedule;
   schedule.net_name = spec.name;
@@ -369,29 +367,17 @@ Schedule assemble(const nn::NetSpec& spec, const LoweringContext& ctx,
     }
     schedule.events.push_back(std::move(compute));
   }
-
-  validate_against(schedule, spec);
   return schedule;
 }
 
 }  // namespace
 
-bool dim_compatible(const nn::NetSpec& spec, std::size_t layer_index,
-                    PartitionDim dim) {
-  std::vector<nn::LayerAnalysis> computes;
-  for (const nn::LayerAnalysis& a : nn::analyze(spec)) {
-    if (a.is_compute()) computes.push_back(a);
-  }
-  return layer_index < computes.size() &&
-         dim_compatible(computes[layer_index],
-                        layer_index + 1 == computes.size(), dim);
-}
-
 LoweringContext::LoweringContext(const nn::NetSpec& spec,
                                  const core::InferenceTraffic& traffic,
                                  std::size_t cores,
-                                 std::size_t bytes_per_value)
-    : P_(cores), bytes_per_value_(bytes_per_value) {
+                                 std::size_t bytes_per_value,
+                                 std::size_t chips)
+    : P_(cores), bytes_per_value_(bytes_per_value), chips_(chips) {
   for (nn::LayerAnalysis& a : nn::analyze(spec)) {
     if (a.is_compute()) computes_.push_back(std::move(a));
   }
@@ -405,11 +391,33 @@ LoweringContext::LoweringContext(const nn::NetSpec& spec,
       }
     }
   }
+  stages_ = chips == 1 ? std::vector<std::size_t>(computes_.size(), 0)
+                       : partition_stages(spec, chips);
 }
 
 bool LoweringContext::compatible(std::size_t li, PartitionDim dim) const {
-  return li < layers() && dim_compatible(computes_[li], li + 1 == layers(),
-                                         dim);
+  if (li >= layers()) return false;
+  const nn::LayerAnalysis& a = computes_[li];
+  const bool conv = a.spec.kind == nn::LayerKind::kConv;
+  const bool grouped = conv && a.spec.groups > 1;
+  switch (dim) {
+    case PartitionDim::kKernel:
+      return true;
+    case PartitionDim::kBatch:
+      return !grouped;  // grouped connectivity is modeled kernel-wise only
+    case PartitionDim::kHeight:
+      return conv && !grouped && a.out.h >= 2;
+    case PartitionDim::kWidth:
+      return conv && !grouped && a.out.w >= 2;
+    case PartitionDim::kChannel: {
+      // The reduce-scatter rides on the next on-chip layer transition, so
+      // the last compute layer of every stage cannot be channel-split.
+      const bool stage_end =
+          li + 1 == layers() || stages_[li + 1] != stages_[li];
+      return !grouped && in_units(a) >= 2 && !stage_end;
+    }
+  }
+  return false;
 }
 
 std::size_t LoweringContext::input_bytes(std::size_t li) const {
@@ -584,9 +592,7 @@ LayerWork LoweringContext::work(std::size_t li, PartitionDim dim,
 Schedule lower(const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
                const BuildOptions& opts,
                const core::SparsityProfile* sparsity, Strategy strategy) {
-  const LoweringContext ctx(spec, traffic, opts.cores, opts.bytes_per_value);
-  return assemble(spec, ctx, opts, sparsity, strategy,
-                  std::vector<std::size_t>(ctx.layers(), 0), 1);
+  return lower_pipelined(spec, traffic, opts, 1, sparsity, strategy);
 }
 
 std::vector<std::size_t> partition_stages(const nn::NetSpec& spec,
@@ -653,31 +659,9 @@ Schedule lower_pipelined(const nn::NetSpec& spec,
                          const BuildOptions& opts, std::size_t chips,
                          const core::SparsityProfile* sparsity,
                          Strategy strategy) {
-  LS_CHECK_MSG(chips >= 1, "lower_pipelined('%s'): zero chips",
-               spec.name.c_str());
-  if (chips == 1) return lower(spec, traffic, opts, sparsity, strategy);
-  LS_CHECK_MSG(opts.placement.empty() || identity_placement(opts.placement),
-               "lower_pipelined('%s'): placement permutations are per-chip "
-               "concepts; use the identity on multi-chip schedules",
-               spec.name.c_str());
-
-  const std::vector<std::size_t> stages = partition_stages(spec, chips);
-
-  // Channel splits reduce-scatter on the *next* transition; a gateway
-  // link cannot carry that collective, so the last layer of every stage
-  // must not be channel-split.
-  if constexpr (check::kEnabled) {
-    for (std::size_t li = 0; li + 1 < stages.size(); ++li) {
-      LS_CHECK_MSG(stages[li] == stages[li + 1] || opts.layer_dims.empty() ||
-                       opts.layer_dims[li] != PartitionDim::kChannel,
-                   "lower_pipelined('%s'): compute layer %zu is "
-                   "channel-split but ends pipeline stage %zu",
-                   spec.name.c_str(), li, stages[li]);
-    }
-  }
-
-  const LoweringContext ctx(spec, traffic, opts.cores, opts.bytes_per_value);
-  return assemble(spec, ctx, opts, sparsity, strategy, stages, chips);
+  const LoweringContext ctx(spec, traffic, opts.cores, opts.bytes_per_value,
+                            chips);
+  return assemble(spec, ctx, opts, sparsity, strategy);
 }
 
 Schedule build_traditional(const nn::NetSpec& spec,

@@ -13,8 +13,13 @@
 //     matching SparsityProfile discounting per-core compute,
 //   * hybrid            — the grouped spec with live traffic + profile.
 // The thin strategy entry points below exist so call sites state intent
-// (and get strategy-appropriate invariant checks) while `lower()` stays the
-// single source of truth for what a layer transition costs.
+// while `lower()` stays the single source of truth for what a layer
+// transition costs.
+//
+// Lowering checks its tuning knobs (BuildOptions::layer_dims, placement,
+// the chip count) in every build and throws std::invalid_argument on a bad
+// one: tuned-schedule caches feed them from disk. The structure of a built
+// schedule is sched::verify's job (verify.hpp).
 //
 // Lowering is bit-exact with the pre-IR CmpSystem::run_inference loop: the
 // per-core share/live arithmetic (including its +0.5 roundings and
@@ -45,26 +50,18 @@ struct BuildOptions {
   bool sparse_cycle_model = true;
   /// Per-compute-layer parallelization dimension, in layer order (empty =
   /// kernel-wise everywhere, the historical default). The size must match
-  /// the spec's compute-layer count and every dim must be compatible with
-  /// its layer's shape (invariant class 9; see dim_compatible()):
-  /// height/width need an ungrouped conv with a splittable spatial axis,
-  /// channel needs >= 2 input units, is kernel-only on grouped convs, and
-  /// cannot sit on the last compute layer (its reduce-scatter rides on the
-  /// next layer transition). Non-kernel dims also require a null
+  /// the spec's compute-layer count and every dim must pass
+  /// LoweringContext::compatible; non-kernel dims also require a null
   /// SparsityProfile — liveness discounts are defined on the kernel split.
+  /// Lowering throws std::invalid_argument otherwise.
   std::vector<PartitionDim> layer_dims;
   /// Partition index -> physical mesh core permutation (empty = identity).
   /// Remaps every message endpoint and the per-core work vector; with
   /// kernel dims and an identity placement the lowering is bit-exact with
-  /// the historical path.
+  /// the historical path. Must be a bijection of 0..cores-1, and the
+  /// identity on multi-chip schedules; lowering throws otherwise.
   std::vector<std::size_t> placement;
 };
-
-/// Whether `dim` is a legal choice for compute layer `layer_index` (index
-/// into the spec's compute layers, in order) — the tuner's move filter and
-/// the lowering's invariant-class-9 precondition.
-bool dim_compatible(const nn::NetSpec& spec, std::size_t layer_index,
-                    PartitionDim dim);
 
 /// One layer transition's burst in partition space: message endpoints are
 /// logical partitions, before any placement or chip relocation.
@@ -79,24 +76,37 @@ struct LayerWork {
   std::uint64_t macs_discounted = 0;
 };
 
-/// What lowering derives from a net once: its compute-layer analyses and
-/// the caller's kernel-wise traffic indexed by compute layer, at one mesh
-/// size. Its two per-layer pieces — a transition's burst and a layer's
+/// What lowering derives from a net once: its compute-layer analyses, the
+/// caller's kernel-wise traffic indexed by compute layer at one mesh size
+/// (`cores` per chip), and the cut of those layers into one pipeline stage
+/// per chip. Its two per-layer pieces — a transition's burst and a layer's
 /// work — are all a schedule is made of: lower() and lower_pipelined()
 /// place and chain them, and the autotuner's memoized scorer prices them
-/// without building a Schedule. `traffic` must outlive the context.
+/// without building a Schedule. `traffic` must outlive the context. Throws
+/// std::invalid_argument when `chips` is zero or exceeds the compute-layer
+/// count (partition_stages).
 class LoweringContext {
  public:
   LoweringContext(const nn::NetSpec& spec,
                   const core::InferenceTraffic& traffic, std::size_t cores,
-                  std::size_t bytes_per_value);
+                  std::size_t bytes_per_value, std::size_t chips = 1);
 
   std::size_t layers() const { return computes_.size(); }
   std::size_t cores() const { return P_; }
+  std::size_t chips() const { return chips_; }
   const nn::LayerAnalysis& layer(std::size_t li) const {
     return computes_[li];
   }
-  /// dim_compatible() over this context's layers.
+  /// Pipeline stage (== chip) of each compute layer: partition_stages(spec,
+  /// chips), all 0 on one chip.
+  const std::vector<std::size_t>& stages() const { return stages_; }
+  /// Whether `dim` is a legal choice for compute layer `li` — the one rule
+  /// book for partition dims: the tuner's move filter and the lowering's
+  /// precondition. Height/width need an ungrouped conv with a splittable
+  /// spatial axis; batch is kernel-only on grouped convs; channel needs an
+  /// ungrouped layer with >= 2 input units and must not end a pipeline
+  /// stage (its reduce-scatter rides the next on-chip transition, and the
+  /// last layer of a stage has none). Out-of-range `li` is incompatible.
   bool compatible(std::size_t li, PartitionDim dim) const;
   /// Bytes of compute layer `li`'s input activations (what a stage
   /// boundary ships across the package).
@@ -119,8 +129,10 @@ class LoweringContext {
   /// Per compute layer: its kernel-wise transition, or null when the
   /// traffic has none.
   std::vector<const core::TransitionTraffic*> traffic_;
+  std::vector<std::size_t> stages_;
   std::size_t P_;
   std::size_t bytes_per_value_;
+  std::size_t chips_;
 };
 
 /// The shared lowering: one compute event per compute layer of `spec`
@@ -184,11 +196,9 @@ std::vector<std::size_t> partition_stages(const nn::NetSpec& spec,
 /// by a single gateway-to-gateway inter-chip transfer of the consumer
 /// layer's unique input activations (the serial link carries each byte
 /// once — no per-core fan-out off-die). The result spans
-/// chips * opts.cores cores with Schedule::chips = chips; chips == 1
-/// degenerates to `lower()` exactly. opts.placement must be empty or the
-/// identity (placement permutations are per-chip-mesh concepts), and a
-/// channel split may not sit on the last layer of any stage (its
-/// reduce-scatter cannot ride a gateway link).
+/// chips * opts.cores cores with Schedule::chips = chips; chips == 1 is
+/// `lower()` exactly. On more than one chip opts.placement must be empty
+/// or the identity (placement permutations are per-chip-mesh concepts).
 Schedule lower_pipelined(const nn::NetSpec& spec,
                          const core::InferenceTraffic& traffic,
                          const BuildOptions& opts, std::size_t chips,

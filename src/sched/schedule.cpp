@@ -1,6 +1,5 @@
 #include "sched/schedule.hpp"
 
-#include "check/check.hpp"
 #include "sched/cost_model.hpp"
 #include "util/json.hpp"
 
@@ -74,125 +73,6 @@ std::size_t Schedule::traffic_bytes() const {
   std::size_t n = 0;
   for (const Event& e : events) n += e.traffic_bytes;
   return n;
-}
-
-void validate(const Schedule& schedule) {
-  if constexpr (check::kEnabled) {
-    LS_CHECK_MSG(schedule.cores > 0, "schedule '%s' has zero cores",
-                 schedule.net_name.c_str());
-    LS_CHECK_MSG(schedule.chips > 0 && schedule.cores % schedule.chips == 0,
-                 "schedule '%s': %zu chips do not evenly divide %zu cores",
-                 schedule.net_name.c_str(), schedule.chips, schedule.cores);
-    if (!schedule.placement.empty()) {
-      // Invariant class 9: a recorded placement must be a bijection of
-      // 0..cores-1 — anything else silently drops or duplicates partitions.
-      LS_CHECK_MSG(schedule.placement.size() == schedule.cores,
-                   "schedule '%s': placement maps %zu partitions on a "
-                   "%zu-core machine",
-                   schedule.net_name.c_str(), schedule.placement.size(),
-                   schedule.cores);
-      std::vector<bool> seen(schedule.cores, false);
-      for (const std::size_t core : schedule.placement) {
-        LS_CHECK_MSG(core < schedule.cores && !seen[core],
-                     "schedule '%s': placement is not a bijective "
-                     "permutation (core %zu out of range or repeated)",
-                     schedule.net_name.c_str(), core);
-        seen[core] = true;
-      }
-    }
-    for (std::size_t id = 0; id < schedule.events.size(); ++id) {
-      const Event& e = schedule.events[id];
-      LS_CHECK_MSG(!e.layer_name.empty(),
-                   "schedule '%s': event %zu has no layer name",
-                   schedule.net_name.c_str(), id);
-      LS_CHECK_MSG(e.chip < schedule.chips,
-                   "schedule '%s': event %zu ('%s') claims chip %zu on a "
-                   "%zu-chip package",
-                   schedule.net_name.c_str(), id, e.layer_name.c_str(),
-                   e.chip, schedule.chips);
-      LS_CHECK_MSG(!e.inter_chip || e.kind == EventKind::kComm,
-                   "schedule '%s': event %zu ('%s') is inter-chip but not "
-                   "a comm event",
-                   schedule.net_name.c_str(), id, e.layer_name.c_str());
-      LS_CHECK_MSG(!e.inter_chip || e.chip > 0,
-                   "schedule '%s': inter-chip event %zu ('%s') enters chip "
-                   "0 — there is no boundary before the first chip",
-                   schedule.net_name.c_str(), id, e.layer_name.c_str());
-      for (const EventId dep : e.deps) {
-        LS_CHECK_MSG(dep < id,
-                     "schedule '%s': event %zu ('%s') depends on %zu — deps "
-                     "must point backwards (topological order / acyclicity)",
-                     schedule.net_name.c_str(), id, e.layer_name.c_str(), dep);
-      }
-      if (e.kind == EventKind::kComm) {
-        LS_CHECK_MSG(!e.messages.empty(),
-                     "schedule '%s': comm event %zu ('%s') carries no "
-                     "messages — empty bursts must be elided at build time",
-                     schedule.net_name.c_str(), id, e.layer_name.c_str());
-        std::size_t bytes = 0;
-        for (const noc::Message& m : e.messages) {
-          bytes += m.bytes;
-          LS_CHECK_MSG(m.src < schedule.cores && m.dst < schedule.cores,
-                       "schedule '%s': comm event %zu ('%s') message "
-                       "%zu->%zu is outside the %zu-core machine",
-                       schedule.net_name.c_str(), id, e.layer_name.c_str(),
-                       m.src, m.dst, schedule.cores);
-        }
-        LS_CHECK_MSG(bytes == e.traffic_bytes,
-                     "schedule '%s': comm event %zu ('%s') claims %zu bytes "
-                     "but its messages carry %zu",
-                     schedule.net_name.c_str(), id, e.layer_name.c_str(),
-                     e.traffic_bytes, bytes);
-        LS_CHECK_MSG(id + 1 < schedule.events.size() &&
-                         schedule.events[id + 1].kind == EventKind::kCompute &&
-                         schedule.events[id + 1].layer_name == e.layer_name,
-                     "schedule '%s': comm event %zu ('%s') is not "
-                     "immediately followed by its compute event",
-                     schedule.net_name.c_str(), id, e.layer_name.c_str());
-      } else {
-        LS_CHECK_MSG(e.per_core_work.size() == schedule.cores,
-                     "schedule '%s': compute event %zu ('%s') carries work "
-                     "for %zu cores on a %zu-core machine",
-                     schedule.net_name.c_str(), id, e.layer_name.c_str(),
-                     e.per_core_work.size(), schedule.cores);
-        LS_CHECK_MSG(e.messages.empty() && e.traffic_bytes == 0,
-                     "schedule '%s': compute event %zu ('%s') carries comm "
-                     "payload",
-                     schedule.net_name.c_str(), id, e.layer_name.c_str());
-      }
-    }
-  } else {
-    (void)schedule;
-  }
-}
-
-void validate_against(const Schedule& schedule, const nn::NetSpec& spec) {
-  if constexpr (check::kEnabled) {
-    validate(schedule);
-    std::vector<std::string> expected;
-    for (const nn::LayerAnalysis& a : nn::analyze(spec)) {
-      if (a.is_compute()) expected.push_back(a.spec.name);
-    }
-    std::vector<const Event*> computes;
-    for (const Event& e : schedule.events) {
-      if (e.kind == EventKind::kCompute) computes.push_back(&e);
-    }
-    LS_CHECK_MSG(computes.size() == expected.size(),
-                 "schedule '%s' covers %zu compute layers but '%s' has %zu",
-                 schedule.net_name.c_str(), computes.size(),
-                 spec.name.c_str(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      LS_CHECK_MSG(computes[i]->layer_name == expected[i],
-                   "schedule '%s': compute event %zu is '%s' but layer %zu "
-                   "of '%s' is '%s'",
-                   schedule.net_name.c_str(), i,
-                   computes[i]->layer_name.c_str(), i, spec.name.c_str(),
-                   expected[i].c_str());
-    }
-  } else {
-    (void)schedule;
-    (void)spec;
-  }
 }
 
 void to_json(const Schedule& schedule, util::JsonWriter& w,

@@ -16,7 +16,8 @@
 // ls::sim::CmpSystem is an executor over schedules — the same engine runs
 // every strategy, single-pass or software-pipelined across many requests.
 //
-// Invariants (validate(); LS_CHECK-enforced in checked builds):
+// Invariants (sched::verify, verify.hpp, checks them in every build and
+// CmpSystem::execute rejects a schedule that breaks one):
 //   * dependencies point backwards (the event list is a topological order,
 //     so the graph is acyclic by construction),
 //   * every comm event is immediately followed by the compute event it
@@ -33,7 +34,6 @@
 
 #include "accel/core_model.hpp"
 #include "noc/simulator.hpp"
-#include "nn/layer_spec.hpp"
 
 namespace ls::util {
 class JsonWriter;
@@ -67,8 +67,8 @@ const char* to_string(Strategy strategy);
 ///   * kWidth   — split output columns, halo exchange on the column axis,
 ///   * kChannel — split *input* channels; each core computes partial sums
 ///     for the whole output volume, and a reduce-scatter back to the
-///     kernel-wise layout rides on the next layer transition (hence not
-///     allowed on the last compute layer).
+///     kernel-wise layout rides on the next on-chip layer transition
+///     (hence not allowed on the last compute layer of a pipeline stage).
 enum class PartitionDim { kKernel, kBatch, kHeight, kWidth, kChannel };
 
 const char* to_string(PartitionDim dim);
@@ -127,7 +127,7 @@ struct Schedule {
   std::size_t chips = 1;
   /// Partition -> physical-core permutation the lowering applied (empty =
   /// identity). Events already carry physical core ids; this records the
-  /// mapping for dumps and for invariant class 9 (bijectivity).
+  /// mapping for dumps and for verify's bijectivity check.
   std::vector<std::size_t> placement;
   /// Topologically ordered: every event's deps precede it.
   std::vector<Event> events;
@@ -137,16 +137,6 @@ struct Schedule {
   /// Total bytes moved by all comm events.
   std::size_t traffic_bytes() const;
 };
-
-/// Checked-build structural validation (see header comment for the
-/// invariant list). Compiles to nothing when LS_CHECKS is off; in checked
-/// builds a malformed schedule aborts with a diagnostic. The executor runs
-/// this before executing any schedule.
-void validate(const Schedule& schedule);
-
-/// Additionally checks the schedule against the architecture it claims to
-/// implement: one compute event per compute layer of `spec`, in order.
-void validate_against(const Schedule& schedule, const nn::NetSpec& spec);
 
 struct CycleEstimate;  // cost_model.hpp
 

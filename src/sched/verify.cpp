@@ -147,8 +147,6 @@ VerifyReport verify(const Schedule& schedule, const VerifyOptions& options) {
   // Walk events once, tracking the most recent compute event (the producer
   // a comm burst drains from) and the pipeline-stage chip sequence.
   const Event* producer = nullptr;
-  const Event* last_compute = nullptr;
-  EventId last_compute_id = kNoEvent;
   std::size_t last_compute_chip = 0;
   std::vector<bool> chip_seen(chips, false);
   for (EventId id = 0; id < schedule.events.size(); ++id) {
@@ -376,19 +374,27 @@ VerifyReport verify(const Schedule& schedule, const VerifyOptions& options) {
                 "pipeline stages must map to non-decreasing chip ids",
                 e.layer_name.c_str(), e.chip, last_compute_chip);
       }
+      // A channel split leaves partial sums of the whole output on every
+      // core of its chip; the reduce-scatter is the next burst, on the
+      // same chip. Without one (last layer, stage end) they are never
+      // reduced. One core holds the full sum and needs no reduction.
+      if (e.partition_dim == PartitionDim::kChannel && cpc > 1) {
+        const Event* next =
+            id + 1 < schedule.events.size() ? &schedule.events[id + 1]
+                                            : nullptr;
+        if (next == nullptr || next->kind != EventKind::kComm ||
+            next->inter_chip || next->chip != e.chip) {
+          out.add(VerifyCode::kNondeterministicReduction, id,
+                  "compute event '%s' is channel-split but is not followed "
+                  "by an on-chip burst on chip %zu to reduce-scatter its "
+                  "partial sums",
+                  e.layer_name.c_str(), e.chip);
+        }
+      }
       chip_seen[e.chip] = true;
       last_compute_chip = e.chip;
       producer = &e;
-      last_compute = &e;
-      last_compute_id = id;
     }
-  }
-  if (last_compute != nullptr &&
-      last_compute->partition_dim == PartitionDim::kChannel) {
-    out.add(VerifyCode::kNondeterministicReduction, last_compute_id,
-            "last compute event '%s' is channel-split — its partial-sum "
-            "reduce-scatter has no following transition to ride on",
-            last_compute->layer_name.c_str());
   }
   // Stage/chip bijectivity, half 2: the stage map is onto — every chip of
   // a multi-chip package owns at least one compute event.

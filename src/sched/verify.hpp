@@ -1,15 +1,14 @@
 #pragma once
 // Static schedule verifier (DESIGN.md §4j "Static analysis").
 //
-// `sched::validate` (schedule.hpp) is an LS_CHECK layer: it aborts on the
-// first structural violation and compiles to nothing in unchecked builds.
-// That is the right tool for catching builder bugs in CI, but the wrong
-// one for *data*: tuned-schedule caches are loaded from disk, hand-edited,
-// and consumed blind by serving — a malformed schedule must be rejected
-// with a diagnostic in every build, before a single flit is simulated.
+// verify() is the one structural check on a built schedule, active in
+// every build. Tuned-schedule caches are loaded from disk, hand-edited,
+// and consumed blind by serving, so a malformed schedule must be rejected
+// with a diagnostic before a single flit is simulated. (Malformed tuning
+// knobs never get this far: lowering throws on them, builders.hpp.)
 //
-// verify() is that front door: a pure function over any Schedule that
-// proves, without executing anything,
+// verify() is a pure function over any Schedule that proves, without
+// executing anything,
 //   * acyclicity        — every dependency edge points to an earlier event
 //     (the event list is a topological order, so execution cannot
 //     deadlock),
@@ -37,8 +36,9 @@
 //     by (producer partition, consumer partition), the deterministic
 //     emission order every builder uses; duplicates or inversions would
 //     make the channel-split reduce-scatter's accumulation order
-//     ambiguous. A channel-split compute event must also not be last (its
-//     reduce-scatter rides on the next layer transition),
+//     ambiguous. A channel-split compute event on a multi-core chip must
+//     also be followed by an on-chip burst on its own chip (its
+//     reduce-scatter), so it can neither be last nor end a stage,
 //   * chip hierarchy    — multi-chip schedules only: compute chip ids form
 //     a non-decreasing onto map of pipeline stages over 0..chips-1, work
 //     and on-chip bursts stay inside their chip's chip-major core range,

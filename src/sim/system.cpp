@@ -103,29 +103,21 @@ sched::Schedule CmpSystem::build_schedule(
   const sched::Strategy strategy = sparsity != nullptr
                                        ? sched::Strategy::kSparsified
                                        : sched::Strategy::kTraditional;
-  if (cfg_.chips > 1) {
-    return sched::lower_pipelined(spec, traffic, opts, cfg_.chips, sparsity,
-                                  strategy);
-  }
-  return sched::lower(spec, traffic, opts, sparsity, strategy);
+  return sched::lower_pipelined(spec, traffic, opts, cfg_.chips, sparsity,
+                                strategy);
 }
 
 InferenceResult CmpSystem::run_inference(
     const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
     const core::SparsityProfile* sparsity) const {
-  const sched::Schedule schedule = build_schedule(spec, traffic, sparsity);
-  // The builder must have lowered every compute layer of the spec, in
-  // order — the IR detour cannot drop work.
-  sched::validate_against(schedule, spec);
-  return execute(schedule);
+  return execute(build_schedule(spec, traffic, sparsity));
 }
 
 InferenceResult CmpSystem::execute(const sched::Schedule& schedule,
                                    std::uint64_t stream_epoch) const {
-  // Front door: statically verify before simulating a single flit. Unlike
-  // sched::validate (LS_CHECK, checked builds only), this rejects
-  // malformed schedules — stale tuned caches, hand-edited dumps — with a
-  // structured diagnostic in every build.
+  // Front door: statically verify before simulating a single flit, so
+  // malformed schedules — stale tuned caches, hand-edited dumps — are
+  // rejected with a structured diagnostic in every build.
   if (schedule.cores != cfg_.cores) {
     throw std::invalid_argument(
         "schedule '" + schedule.net_name + "' targets " +
@@ -147,7 +139,6 @@ InferenceResult CmpSystem::execute(const sched::Schedule& schedule,
                                 "' failed static verification:\n" +
                                 report.to_string());
   }
-  sched::validate(schedule);
   const std::size_t P = cfg_.cores;
 
   const bool tracing = obs::trace_enabled();
@@ -226,7 +217,7 @@ InferenceResult CmpSystem::execute(const sched::Schedule& schedule,
     } else if (pending_comm != nullptr) {
       // The flit-level simulation and the schedule's burst must account
       // for the same traffic: the simulator's flit count is exactly the
-      // packetization of the comm event's messages (validate() already
+      // packetization of the comm event's messages (verify() already
       // tied message bytes to the event's claimed total). Every downstream
       // number (comm cycles, NoC energy, heatmaps) rides on this.
       if constexpr (check::kEnabled) {
@@ -314,7 +305,7 @@ StreamResult CmpSystem::run_stream(const sched::Schedule& schedule,
   }
 
   // Per-event durations, read off the single-pass timeline. A comm event is
-  // always immediately followed by its compute event (validate()), so the
+  // always immediately followed by its compute event (verify()), so the
   // layer index advances on computes and a comm event reads the *next*
   // layer's drain time. Streaming charges the full drain (comm_cycles, not
   // the single-pass overlap-ablated blocking time): overlap here is

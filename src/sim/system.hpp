@@ -189,7 +189,8 @@ class CmpSystem {
       const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
       const core::SparsityProfile* sparsity = nullptr) const;
 
-  /// Executes any well-formed schedule (checked-build validated). Burst
+  /// Executes any schedule sched::verify passes (throws
+  /// std::invalid_argument with its report otherwise). Burst
   /// simulations go through the memoizing cache under `stream_epoch`
   /// (see noc::NocRunCache::run; 0 = the shared single-pass memo space).
   InferenceResult execute(const sched::Schedule& schedule,

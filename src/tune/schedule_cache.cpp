@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -137,50 +138,57 @@ bool ScheduleCache::from_json(std::string_view text, std::string* error) {
   util::JsonValue doc;
   std::string parse_error;
   if (!util::parse_json(text, &doc, &parse_error)) return fail(parse_error);
-  const util::JsonValue* version = doc.find("version");
-  if (version == nullptr) return fail("missing version");
-  if (version->as_u64() != 2) {
-    return fail("format version " + std::to_string(version->as_u64()) +
-                " but this build expects 2 (keys gained a chips dimension) "
-                "— delete the stale store and retune");
-  }
-  const util::JsonValue* entries = doc.find("entries");
-  if (entries == nullptr ||
-      entries->kind() != util::JsonValue::Kind::kObject) {
-    return fail("missing entries object");
-  }
+  // A wrongly typed field (JsonValue's accessors throw std::logic_error)
+  // is a malformed store like any other, named by its entry.
+  std::string where;
   std::map<std::string, CacheEntry> parsed;
-  for (const auto& [key, v] : entries->as_object()) {
-    CacheEntry e;
-    const util::JsonValue* dims = v.find("layer_dims");
-    const util::JsonValue* placement = v.find("placement");
-    const util::JsonValue* overlap = v.find("overlap");
-    if (dims == nullptr || placement == nullptr || overlap == nullptr) {
-      return fail("entry '" + key + "' lacks a required field");
+  try {
+    const util::JsonValue* version = doc.find("version");
+    if (version == nullptr) return fail("missing version");
+    if (version->as_u64() != 2) {
+      return fail("format version " + std::to_string(version->as_u64()) +
+                  " but this build expects 2 (keys gained a chips dimension) "
+                  "— delete the stale store and retune");
     }
-    for (const util::JsonValue& d : dims->as_array()) {
-      sched::PartitionDim dim;
-      if (!sched::parse_partition_dim(d.as_string(), &dim)) {
-        return fail("entry '" + key + "': unknown dim '" + d.as_string() +
-                    "'");
+    const util::JsonValue* entries = doc.find("entries");
+    if (entries == nullptr ||
+        entries->kind() != util::JsonValue::Kind::kObject) {
+      return fail("missing entries object");
+    }
+    for (const auto& [key, v] : entries->as_object()) {
+      where = "entry '" + key + "': ";
+      CacheEntry e;
+      const util::JsonValue* dims = v.find("layer_dims");
+      const util::JsonValue* placement = v.find("placement");
+      const util::JsonValue* overlap = v.find("overlap");
+      if (dims == nullptr || placement == nullptr || overlap == nullptr) {
+        return fail(where + "lacks a required field");
       }
-      e.candidate.layer_dims.push_back(dim);
+      for (const util::JsonValue& d : dims->as_array()) {
+        sched::PartitionDim dim;
+        if (!sched::parse_partition_dim(d.as_string(), &dim)) {
+          return fail(where + "unknown dim '" + d.as_string() + "'");
+        }
+        e.candidate.layer_dims.push_back(dim);
+      }
+      for (const util::JsonValue& c : placement->as_array()) {
+        e.candidate.placement.push_back(
+            static_cast<std::size_t>(c.as_u64()));
+      }
+      e.candidate.overlap_comm = overlap->as_bool();
+      const auto u64_field = [&v](const char* name, std::uint64_t* out) {
+        const util::JsonValue* f = v.find(name);
+        if (f != nullptr) *out = f->as_u64();
+      };
+      u64_field("est_cycles", &e.est_cycles);
+      u64_field("sim_cycles", &e.sim_cycles);
+      u64_field("baseline_sim_cycles", &e.baseline_sim_cycles);
+      u64_field("seed", &e.seed);
+      u64_field("budget", &e.budget);
+      parsed.insert_or_assign(key, std::move(e));
     }
-    for (const util::JsonValue& c : placement->as_array()) {
-      e.candidate.placement.push_back(
-          static_cast<std::size_t>(c.as_u64()));
-    }
-    e.candidate.overlap_comm = overlap->as_bool();
-    const auto u64_field = [&v](const char* name, std::uint64_t* out) {
-      const util::JsonValue* f = v.find(name);
-      if (f != nullptr) *out = f->as_u64();
-    };
-    u64_field("est_cycles", &e.est_cycles);
-    u64_field("sim_cycles", &e.sim_cycles);
-    u64_field("baseline_sim_cycles", &e.baseline_sim_cycles);
-    u64_field("seed", &e.seed);
-    u64_field("budget", &e.budget);
-    parsed.insert_or_assign(key, std::move(e));
+  } catch (const std::logic_error& e) {
+    return fail(where + e.what());
   }
   entries_ = std::move(parsed);
   return true;
@@ -199,7 +207,11 @@ bool ScheduleCache::load_file(const std::string& path, std::string* error) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  return from_json(buf.str(), error);
+  if (!from_json(buf.str(), error)) {
+    if (error != nullptr) *error += " (in '" + path + "')";
+    return false;
+  }
+  return true;
 }
 
 bool ScheduleCache::save_file(const std::string& path) const {

@@ -78,12 +78,14 @@ class ScheduleCache {
   /// Canonical document (see file comment).
   std::string to_json() const;
   /// Replaces the contents. False (with *error set when non-null) on
-  /// malformed JSON, unknown version, or invalid entry fields.
+  /// malformed JSON, unknown version, or invalid entry fields (missing,
+  /// wrongly typed, or an unknown dim); an entry error names the entry
+  /// ("entry '<key>': ..."). Leaves the contents unchanged on failure.
   bool from_json(std::string_view text, std::string* error = nullptr);
 
   /// Loads `path`; a missing file yields an empty cache and returns true
   /// (an unpopulated store is the normal cold-start state). Parse errors
-  /// return false.
+  /// return false, with the path appended to *error.
   bool load_file(const std::string& path, std::string* error = nullptr);
   bool save_file(const std::string& path) const;
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "check/check.hpp"
@@ -32,9 +34,11 @@ std::vector<std::size_t> identity(std::size_t n) {
 }
 
 std::size_t cores_per_chip(const sim::SystemConfig& system) {
-  LS_CHECK_MSG(system.chips > 0 && system.cores % system.chips == 0,
-               "tune: %zu chips cannot tile %zu cores", system.chips,
-               system.cores);
+  if (system.chips == 0 || system.cores % system.chips != 0) {
+    throw std::invalid_argument(
+        "tune: " + std::to_string(system.chips) + " chips cannot tile " +
+        std::to_string(system.cores) + " cores");
+  }
   return system.cores / system.chips;
 }
 
@@ -45,18 +49,9 @@ class Search {
   Search(Scorer& scorer, const sim::SystemConfig& system,
          const TunerConfig& cfg)
       : scorer_(scorer), system_(system), cfg_(cfg), rng_(cfg.seed) {
-    const std::size_t layers = scorer.layers();
-    const std::vector<std::size_t>& stages = scorer.stages();
-    legal_dims_.resize(layers);
-    // Multi-chip: a channel split's reduce-scatter rides on the next layer
-    // transition, which does not exist across a stage boundary — exclude
-    // kChannel on stage-ending layers so every candidate stays lowerable.
-    for (std::size_t li = 0; li < layers; ++li) {
-      const bool stage_end =
-          system.chips > 1 &&
-          (li + 1 == layers || stages[li + 1] != stages[li]);
+    legal_dims_.resize(scorer.layers());
+    for (std::size_t li = 0; li < scorer.layers(); ++li) {
       for (const sched::PartitionDim d : kAllDims) {
-        if (stage_end && d == sched::PartitionDim::kChannel) continue;
         if (scorer.context().compatible(li, d)) legal_dims_[li].push_back(d);
       }
     }
@@ -136,12 +131,10 @@ class Search {
 Scorer::Scorer(const nn::NetSpec& spec,
                const core::InferenceTraffic& traffic,
                const sim::SystemConfig& system)
-    : ctx_(spec, traffic, cores_per_chip(system), system.bytes_per_value),
+    : ctx_(spec, traffic, cores_per_chip(system), system.bytes_per_value,
+           system.chips),
       pricer_(cost_model_for(system),
               noc::MeshTopology::for_cores(cores_per_chip(system))),
-      stages_(system.chips > 1
-                  ? sched::partition_stages(spec, system.chips)
-                  : std::vector<std::size_t>(ctx_.layers(), 0)),
       compute_(ctx_.layers() * kDimCount),
       bursts_(ctx_.layers() * kDimCount * kDimCount),
       comm_(bursts_.size()) {}
@@ -165,7 +158,7 @@ std::optional<std::uint64_t> Scorer::comm_cycles(std::size_t li,
                                                  sched::PartitionDim dim,
                                                  const Candidate& c,
                                                  bool incumbent_placement) {
-  if (stages_[li - 1] != stages_[li]) {
+  if (ctx_.stages()[li - 1] != ctx_.stages()[li]) {
     return pricer_.inter_chip_cycles(ctx_.input_bytes(li));
   }
   const std::size_t t = transition_index(li, prev, dim);
@@ -236,21 +229,15 @@ sched::Schedule lower_candidate(const nn::NetSpec& spec,
                                 const sim::SystemConfig& system,
                                 const Candidate& candidate,
                                 sched::Strategy strategy) {
-  LS_CHECK_MSG(system.chips > 0 && system.cores % system.chips == 0,
-               "lower_candidate: %zu chips cannot tile %zu cores",
-               system.chips, system.cores);
   sched::BuildOptions opts;
-  opts.cores = system.cores / system.chips;  // one chip's mesh
+  opts.cores = cores_per_chip(system);  // one chip's mesh
   opts.bytes_per_value = system.bytes_per_value;
   opts.overlap_comm = candidate.overlap_comm;
   opts.sparse_cycle_model = false;
   opts.layer_dims = candidate.layer_dims;
   opts.placement = candidate.placement;
-  if (system.chips > 1) {
-    return sched::lower_pipelined(spec, traffic, opts, system.chips, nullptr,
-                                  strategy);
-  }
-  return sched::lower(spec, traffic, opts, nullptr, strategy);
+  return sched::lower_pipelined(spec, traffic, opts, system.chips, nullptr,
+                                strategy);
 }
 
 TuneOutcome tune(const nn::NetSpec& spec,

@@ -130,7 +130,9 @@ sched::CostModelConfig cost_model_for(const sim::SystemConfig& system);
 /// Lowers `candidate` against spec + traffic with the system's parameters
 /// (always sparsity-free: non-kernel dims are undefined under liveness
 /// discounts). An empty/default candidate reproduces the untuned schedule
-/// except for the overlap flag, which comes from the candidate.
+/// except for the overlap flag, which comes from the candidate. Throws
+/// std::invalid_argument when the system's chips do not tile its cores or
+/// the candidate's knobs are malformed (sched::BuildOptions).
 sched::Schedule lower_candidate(const nn::NetSpec& spec,
                                 const core::InferenceTraffic& traffic,
                                 const sim::SystemConfig& system,
@@ -164,9 +166,8 @@ class Scorer {
   /// move).
   virtual void adopt(const Candidate& c);
 
-  /// Compute layers; pipeline stage of each (all 0 on one chip).
+  /// Compute layers; the lowering context (legal dims, stage cut).
   std::size_t layers() const { return ctx_.layers(); }
-  const std::vector<std::size_t>& stages() const { return stages_; }
   const sched::LoweringContext& context() const { return ctx_; }
 
  private:
@@ -183,7 +184,6 @@ class Scorer {
 
   sched::LoweringContext ctx_;
   sched::EventPricer pricer_;
-  std::vector<std::size_t> stages_;
   std::vector<std::optional<std::uint64_t>> compute_;  ///< [li][dim]
   std::vector<std::optional<sched::TransitionBurst>> bursts_;
   std::vector<std::optional<std::uint64_t>> comm_;  ///< under placement_

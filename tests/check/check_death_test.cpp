@@ -9,9 +9,10 @@
 //   5. Param::version monotonicity        (nn::BlockSparsity::map)
 //   6. thread-pool misuse                 (util::ThreadPool::set_num_threads)
 //   7. placement bijectivity              (core::placement_cost)
-//   8. schedule well-formedness           (sched::validate / validate_against)
-//   9. tuning-knob preconditions          (sched::lower: placement
-//      bijectivity, per-layer dim compatibility, dims/sparsity exclusion)
+//
+// Schedule well-formedness is sched::verify's job and malformed tuning
+// knobs make sched::lower throw; both are tested in every build
+// (tests/sched/verify_test.cpp, tests/sched/partition_dim_test.cpp).
 //
 // This file is only compiled into checked builds (tests/CMakeLists.txt
 // gates it on LS_CHECKS); in unchecked builds the macros are no-ops and
@@ -30,11 +31,8 @@
 #include "nn/fc.hpp"
 #include "nn/layer.hpp"
 #include "nn/network.hpp"
-#include "nn/model_zoo.hpp"
 #include "noc/simulator.hpp"
 #include "noc/topology.hpp"
-#include "sched/builders.hpp"
-#include "sched/schedule.hpp"
 #include "tensor/tensor.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -186,145 +184,6 @@ TEST_F(CheckDeath, NonBijectivePlacementDies) {
   const core::InferenceTraffic traffic;
   EXPECT_DEATH(core::placement_cost(traffic, p, topo),
                "non-bijective placement");
-}
-
-// --- 8. schedule well-formedness ---------------------------------------------
-
-// A valid lowered schedule, mutated one invariant at a time.
-sched::Schedule lowered_convnet() {
-  const nn::NetSpec spec = nn::convnet_spec();
-  sched::BuildOptions opts;
-  opts.cores = 16;
-  return sched::build_traditional(
-      spec,
-      core::traffic_dense(spec, noc::MeshTopology::for_cores(opts.cores), 2),
-      opts);
-}
-
-TEST_F(CheckDeath, ScheduleForwardDependencyDies) {
-  sched::Schedule s = lowered_convnet();
-  s.events[0].deps.push_back(s.events.size() - 1);  // dep points forward
-  EXPECT_DEATH(sched::validate(s), "deps must point backwards");
-}
-
-TEST_F(CheckDeath, ScheduleCommByteMismatchDies) {
-  sched::Schedule s = lowered_convnet();
-  for (sched::Event& e : s.events) {
-    if (e.kind != sched::EventKind::kComm) continue;
-    e.traffic_bytes += 1;  // claims one byte its messages do not carry
-    break;
-  }
-  EXPECT_DEATH(sched::validate(s), "but its messages carry");
-}
-
-TEST_F(CheckDeath, ScheduleOrphanCommEventDies) {
-  sched::Schedule s = lowered_convnet();
-  for (std::size_t i = 0; i < s.events.size(); ++i) {
-    if (s.events[i].kind != sched::EventKind::kComm) continue;
-    s.events[i + 1].layer_name = "someone_else";  // breaks the pairing
-    break;
-  }
-  EXPECT_DEATH(sched::validate(s),
-               "not immediately followed by its compute event");
-}
-
-TEST_F(CheckDeath, ScheduleWrongCoreCountWorkDies) {
-  sched::Schedule s = lowered_convnet();
-  for (sched::Event& e : s.events) {
-    if (e.kind != sched::EventKind::kCompute) continue;
-    e.per_core_work.pop_back();  // work vector no longer covers the machine
-    break;
-  }
-  EXPECT_DEATH(sched::validate(s), "carries work for");
-}
-
-TEST_F(CheckDeath, ScheduleMessageOutsideMachineDies) {
-  sched::Schedule s = lowered_convnet();
-  for (sched::Event& e : s.events) {
-    if (e.kind != sched::EventKind::kComm) continue;
-    e.messages.front().dst = s.cores + 7;
-    e.traffic_bytes = 0;
-    for (const noc::Message& m : e.messages) e.traffic_bytes += m.bytes;
-    break;
-  }
-  EXPECT_DEATH(sched::validate(s), "outside the");
-}
-
-TEST_F(CheckDeath, ScheduleMissingLayerCoverageDies) {
-  const nn::NetSpec spec = nn::convnet_spec();
-  sched::Schedule s = lowered_convnet();
-  // Drop the last layer (compute event plus its burst, keeping the
-  // remainder structurally valid): the schedule no longer covers the net.
-  ASSERT_EQ(s.events.back().kind, sched::EventKind::kCompute);
-  s.events.pop_back();
-  if (!s.events.empty() &&
-      s.events.back().kind == sched::EventKind::kComm) {
-    s.events.pop_back();
-  }
-  EXPECT_DEATH(sched::validate_against(s, spec), "compute layers but");
-}
-
-// --- 9. tuning-knob preconditions --------------------------------------------
-
-// Lowers ConvNet with one tuning knob deliberately malformed.
-sched::Schedule lower_with(std::vector<sched::PartitionDim> dims,
-                           std::vector<std::size_t> placement) {
-  const nn::NetSpec spec = nn::convnet_spec();
-  sched::BuildOptions opts;
-  opts.cores = 16;
-  opts.layer_dims = std::move(dims);
-  opts.placement = std::move(placement);
-  return sched::build_traditional(
-      spec,
-      core::traffic_dense(spec, noc::MeshTopology::for_cores(opts.cores), 2),
-      opts);
-}
-
-TEST_F(CheckDeath, NonBijectiveSchedulePlacementDies) {
-  std::vector<std::size_t> placement(16);
-  for (std::size_t i = 0; i < 16; ++i) placement[i] = i;
-  placement[3] = 5;  // core 5 duplicated, core 3 missing
-  EXPECT_DEATH(lower_with({}, placement), "not a bijective permutation");
-}
-
-TEST_F(CheckDeath, WrongLengthSchedulePlacementDies) {
-  EXPECT_DEATH(lower_with({}, {0, 1, 2, 3}),  // 4 entries on 16 cores
-               "placement maps");
-}
-
-TEST_F(CheckDeath, LayerDimsCountMismatchDies) {
-  EXPECT_DEATH(lower_with({sched::PartitionDim::kKernel}, {}),
-               "layer dims for");
-}
-
-TEST_F(CheckDeath, SpatialDimOnFcLayerDies) {
-  // ConvNet computes: conv1..conv3, ip1, ip2 — height cannot split an FC.
-  std::vector<sched::PartitionDim> dims(5, sched::PartitionDim::kKernel);
-  dims[3] = sched::PartitionDim::kHeight;
-  EXPECT_DEATH(lower_with(dims, {}), "incompatible with compute layer");
-}
-
-TEST_F(CheckDeath, ChannelDimOnLastLayerDies) {
-  // Channel's reduce-scatter rides the next transition; ip2 has none.
-  std::vector<sched::PartitionDim> dims(5, sched::PartitionDim::kKernel);
-  dims[4] = sched::PartitionDim::kChannel;
-  EXPECT_DEATH(lower_with(dims, {}), "incompatible with compute layer");
-}
-
-TEST_F(CheckDeath, NonKernelDimUnderSparsityProfileDies) {
-  const nn::NetSpec spec = nn::convnet_spec();
-  sched::BuildOptions opts;
-  opts.cores = 16;
-  opts.layer_dims.assign(5, sched::PartitionDim::kKernel);
-  opts.layer_dims[0] = sched::PartitionDim::kHeight;
-  const core::SparsityProfile profile;  // liveness is kernel-split-defined
-  EXPECT_DEATH(
-      sched::build_sparsified(
-          spec,
-          core::traffic_dense(spec, noc::MeshTopology::for_cores(opts.cores),
-                              2),
-          opts, &profile),
-      "defined on the kernel");
 }
 
 }  // namespace

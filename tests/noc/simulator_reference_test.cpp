@@ -465,6 +465,8 @@ TEST(NocReference, TunerCandidates) {
     const sim::CmpSystem system(cfg);
     const core::InferenceTraffic traffic =
         core::traffic_dense(spec, system.topology(), cfg.bytes_per_value);
+    const sched::LoweringContext ctx(spec, traffic, cfg.cores,
+                                     cfg.bytes_per_value);
     const std::vector<PartitionDim> dims = {
         PartitionDim::kBatch, PartitionDim::kHeight, PartitionDim::kWidth,
         PartitionDim::kChannel};
@@ -473,10 +475,9 @@ TEST(NocReference, TunerCandidates) {
       tune::Candidate cand;
       for (std::size_t i = 0; i < layers; ++i) {
         const PartitionDim dim = dims[k < dims.size() ? k : i % dims.size()];
-        // A channel split needs a following layer to reduce into.
-        const bool legal = sched::dim_compatible(spec, i, dim) &&
-                           (dim != PartitionDim::kChannel || i + 1 < layers);
-        cand.layer_dims.push_back(legal ? dim : PartitionDim::kKernel);
+        cand.layer_dims.push_back(ctx.compatible(i, dim)
+                                      ? dim
+                                      : PartitionDim::kKernel);
       }
       candidates.push_back(cand);
       for (std::size_t c = 0; c < cfg.cores; ++c) {

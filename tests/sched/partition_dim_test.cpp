@@ -9,6 +9,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/partition.hpp"
@@ -285,22 +288,143 @@ TEST(PartitionDim, ExecutedComputeMatchesAnalyticEstimateExactly) {
 
 TEST(PartitionDim, DimCompatibleRules) {
   const nn::NetSpec spec = nn::convnet_spec();  // conv1..3, ip1, ip2
+  const core::InferenceTraffic traffic = convnet_traffic();
+  const sched::LoweringContext ctx(spec, traffic, kCores, kBpv);
   using sched::PartitionDim;
   for (std::size_t li = 0; li < 5; ++li) {
-    EXPECT_TRUE(sched::dim_compatible(spec, li, PartitionDim::kKernel));
-    EXPECT_TRUE(sched::dim_compatible(spec, li, PartitionDim::kBatch));
+    EXPECT_TRUE(ctx.compatible(li, PartitionDim::kKernel));
+    EXPECT_TRUE(ctx.compatible(li, PartitionDim::kBatch));
   }
   // Spatial dims: convs only.
-  EXPECT_TRUE(sched::dim_compatible(spec, 0, PartitionDim::kHeight));
-  EXPECT_TRUE(sched::dim_compatible(spec, 2, PartitionDim::kWidth));
-  EXPECT_FALSE(sched::dim_compatible(spec, 3, PartitionDim::kHeight));
-  EXPECT_FALSE(sched::dim_compatible(spec, 4, PartitionDim::kWidth));
+  EXPECT_TRUE(ctx.compatible(0, PartitionDim::kHeight));
+  EXPECT_TRUE(ctx.compatible(2, PartitionDim::kWidth));
+  EXPECT_FALSE(ctx.compatible(3, PartitionDim::kHeight));
+  EXPECT_FALSE(ctx.compatible(4, PartitionDim::kWidth));
   // Channel: fine mid-net, never on the last compute layer.
-  EXPECT_TRUE(sched::dim_compatible(spec, 1, PartitionDim::kChannel));
-  EXPECT_TRUE(sched::dim_compatible(spec, 3, PartitionDim::kChannel));
-  EXPECT_FALSE(sched::dim_compatible(spec, 4, PartitionDim::kChannel));
+  EXPECT_TRUE(ctx.compatible(1, PartitionDim::kChannel));
+  EXPECT_TRUE(ctx.compatible(3, PartitionDim::kChannel));
+  EXPECT_FALSE(ctx.compatible(4, PartitionDim::kChannel));
   // Out-of-range layer index is simply incompatible.
-  EXPECT_FALSE(sched::dim_compatible(spec, 99, PartitionDim::kKernel));
+  EXPECT_FALSE(ctx.compatible(99, PartitionDim::kKernel));
+
+  // On two chips conv2 ends stage 0: no channel split there, while the
+  // same split mid-stage stays legal.
+  const sched::LoweringContext two(spec, traffic, kCores, kBpv, 2);
+  ASSERT_EQ(two.stages(), (std::vector<std::size_t>{0, 0, 1, 1, 1}));
+  EXPECT_FALSE(two.compatible(1, PartitionDim::kChannel));
+  EXPECT_TRUE(two.compatible(0, PartitionDim::kChannel));
+  EXPECT_TRUE(two.compatible(2, PartitionDim::kChannel));
+  EXPECT_TRUE(two.compatible(1, PartitionDim::kHeight));
+}
+
+// --- lowering rejects malformed knobs in every build -------------------------
+
+// Lowering throws std::invalid_argument whose message contains `what`.
+template <typename F>
+void expect_rejected(F&& lower, const std::string& what) {
+  try {
+    lower();
+    ADD_FAILURE() << "expected std::invalid_argument containing '" << what
+                  << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+std::vector<std::size_t> identity_placement() {
+  std::vector<std::size_t> p(kCores);
+  std::iota(p.begin(), p.end(), std::size_t{0});
+  return p;
+}
+
+TEST(LoweringRejects, NonBijectivePlacement) {
+  std::vector<std::size_t> placement = identity_placement();
+  placement[3] = 5;  // core 5 duplicated, core 3 missing
+  expect_rejected([&] { lower_convnet({}, placement); },
+                  "not a bijective permutation");
+}
+
+TEST(LoweringRejects, OutOfRangePlacementEntry) {
+  std::vector<std::size_t> placement = identity_placement();
+  placement[3] = 4000;
+  expect_rejected([&] { lower_convnet({}, placement); },
+                  "core 4000 out of range or repeated");
+}
+
+TEST(LoweringRejects, WrongLengthPlacement) {
+  expect_rejected([] { lower_convnet({}, {0, 1, 2, 3}); },  // 4 of 16 cores
+                  "placement maps 4 partitions on a 16-core machine");
+}
+
+TEST(LoweringRejects, LayerDimsCountMismatch) {
+  using sched::PartitionDim;
+  expect_rejected([] { lower_convnet({PartitionDim::kWidth}); },
+                  "1 layer dims for 5 compute layers");
+  expect_rejected(
+      [] { lower_convnet(std::vector(6, PartitionDim::kKernel)); },
+      "6 layer dims for 5 compute layers");
+}
+
+TEST(LoweringRejects, SpatialDimOnFcLayer) {
+  // ConvNet computes: conv1..conv3, ip1, ip2 — height cannot split an FC.
+  std::vector<sched::PartitionDim> dims(5, sched::PartitionDim::kKernel);
+  dims[3] = sched::PartitionDim::kHeight;
+  expect_rejected([&] { lower_convnet(dims); },
+                  "dim 'height' is incompatible with compute layer 3");
+}
+
+TEST(LoweringRejects, ChannelDimOnLastLayer) {
+  // Channel's reduce-scatter rides the next transition; ip2 has none.
+  std::vector<sched::PartitionDim> dims(5, sched::PartitionDim::kKernel);
+  dims[4] = sched::PartitionDim::kChannel;
+  expect_rejected([&] { lower_convnet(dims); },
+                  "dim 'channel' is incompatible with compute layer 4");
+}
+
+TEST(LoweringRejects, ChannelDimEndingPipelineStage) {
+  // On two chips conv2 ends stage 0; its reduce-scatter cannot ride the
+  // gateway link. The same dims lower on one chip.
+  std::vector<sched::PartitionDim> dims(5, sched::PartitionDim::kKernel);
+  dims[1] = sched::PartitionDim::kChannel;
+  sched::BuildOptions opts;
+  opts.cores = kCores;
+  opts.bytes_per_value = kBpv;
+  opts.layer_dims = dims;
+  EXPECT_NO_THROW(lower_convnet(dims));
+  expect_rejected(
+      [&] {
+        sched::lower_pipelined(nn::convnet_spec(), convnet_traffic(), opts, 2);
+      },
+      "dim 'channel' is incompatible with compute layer 1 ('conv2')");
+}
+
+TEST(LoweringRejects, PermutedPlacementOnMultiChip) {
+  sched::BuildOptions opts;
+  opts.cores = kCores;
+  opts.bytes_per_value = kBpv;
+  opts.placement = identity_placement();
+  std::swap(opts.placement[0], opts.placement[1]);
+  expect_rejected(
+      [&] {
+        sched::lower_pipelined(nn::convnet_spec(), convnet_traffic(), opts, 2);
+      },
+      "placement permutations are per-chip concepts");
+}
+
+TEST(LoweringRejects, NonKernelDimUnderSparsityProfile) {
+  sched::BuildOptions opts;
+  opts.cores = kCores;
+  opts.bytes_per_value = kBpv;
+  opts.layer_dims.assign(5, sched::PartitionDim::kKernel);
+  opts.layer_dims[0] = sched::PartitionDim::kHeight;
+  const core::SparsityProfile profile;  // liveness is kernel-split-defined
+  expect_rejected(
+      [&] {
+        sched::build_sparsified(nn::convnet_spec(), convnet_traffic(), opts,
+                                &profile);
+      },
+      "defined on the kernel");
 }
 
 TEST(PartitionDim, StringRoundTrip) {

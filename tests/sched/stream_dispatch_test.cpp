@@ -298,13 +298,8 @@ TEST(StreamDispatch, MatchesFullScanReferenceOnTunerCandidates) {
       const CmpSystem system(cfg);
       const core::InferenceTraffic traffic =
           core::traffic_dense(spec, system.topology(), cfg.bytes_per_value);
-      const std::vector<std::size_t> stages =
-          sched::partition_stages(spec, chips);
-      auto legal = [&](std::size_t i, PartitionDim dim) {
-        if (!sched::dim_compatible(spec, i, dim)) return false;
-        return dim != PartitionDim::kChannel ||
-               (i + 1 < layers && stages[i + 1] == stages[i]);
-      };
+      const sched::LoweringContext ctx(spec, traffic, 16,
+                                       cfg.bytes_per_value, chips);
 
       std::vector<tune::Candidate> candidates;
       const std::vector<PartitionDim> dims = {
@@ -313,8 +308,9 @@ TEST(StreamDispatch, MatchesFullScanReferenceOnTunerCandidates) {
       for (const PartitionDim dim : dims) {
         tune::Candidate cand;
         for (std::size_t i = 0; i < layers; ++i) {
-          cand.layer_dims.push_back(legal(i, dim) ? dim
-                                                  : PartitionDim::kKernel);
+          cand.layer_dims.push_back(ctx.compatible(i, dim)
+                                        ? dim
+                                        : PartitionDim::kKernel);
         }
         cand.overlap_comm = dim == PartitionDim::kHeight;
         candidates.push_back(cand);
@@ -322,7 +318,9 @@ TEST(StreamDispatch, MatchesFullScanReferenceOnTunerCandidates) {
       tune::Candidate mixed;
       for (std::size_t i = 0; i < layers; ++i) {
         const PartitionDim dim = dims[i % dims.size()];
-        mixed.layer_dims.push_back(legal(i, dim) ? dim : PartitionDim::kKernel);
+        mixed.layer_dims.push_back(ctx.compatible(i, dim)
+                                       ? dim
+                                       : PartitionDim::kKernel);
       }
       candidates.push_back(mixed);
       if (chips == 1) {

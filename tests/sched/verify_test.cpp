@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/traffic.hpp"
@@ -88,6 +89,13 @@ void expect_pinpointed(const VerifyReport& report, VerifyCode code,
                      << report.to_string();
 }
 
+EventId first_event(const Schedule& s, EventKind kind) {
+  for (EventId id = 0; id < s.events.size(); ++id) {
+    if (s.events[id].kind == kind) return id;
+  }
+  return kNoEvent;
+}
+
 // --- negative suite: one seeded corruption per violation class ----------
 
 TEST(VerifyNegative, CyclicDependencePinpointed) {
@@ -156,6 +164,63 @@ TEST(VerifyNegative, ChannelSplitOnLastComputeLayerFlagged) {
                     last_compute);
 }
 
+// A channel split that ends a pipeline stage leaves its partial sums
+// unreduced: the next event is the gateway transfer, not an on-chip burst.
+TEST(VerifyNegative, ChannelSplitEndingStageFlagged) {
+  const nn::NetSpec spec = nn::convnet_spec();
+  Schedule s =
+      lower_pipelined(spec, dense_traffic(spec, 16), options(16), /*chips=*/2);
+  ASSERT_TRUE(verify(s).ok());
+  EventId conv2 = kNoEvent;
+  for (EventId id = 0; id < s.events.size(); ++id) {
+    if (s.events[id].kind == EventKind::kCompute &&
+        s.events[id].layer_name == "conv2") {
+      conv2 = id;
+    }
+  }
+  ASSERT_NE(conv2, kNoEvent);
+  ASSERT_TRUE(s.events[conv2 + 1].inter_chip) << "conv2 must end stage 0";
+  s.events[conv2].partition_dim = PartitionDim::kChannel;
+  const VerifyReport report = verify(s);
+  expect_pinpointed(report, VerifyCode::kNondeterministicReduction, conv2);
+  EXPECT_NE(report.to_string().find("'conv2'"), std::string::npos)
+      << report.to_string();
+}
+
+TEST(VerifyNegative, CommNotFollowedByItsComputeFlagged) {
+  Schedule s = lowered_convnet();
+  const EventId comm = first_event(s, EventKind::kComm);
+  ASSERT_NE(comm, kNoEvent);
+  s.events[comm + 1].layer_name = "someone_else";  // breaks the pairing
+  expect_pinpointed(verify(s), VerifyCode::kUnpairedEvent, comm);
+}
+
+TEST(VerifyNegative, ShortPerCoreWorkFlagged) {
+  Schedule s = lowered_convnet();
+  const EventId compute = first_event(s, EventKind::kCompute);
+  ASSERT_NE(compute, kNoEvent);
+  s.events[compute].per_core_work.pop_back();  // no longer covers the machine
+  expect_pinpointed(verify(s), VerifyCode::kPlacementNotBijective, compute);
+}
+
+TEST(VerifyNegative, EmptyBurstFlagged) {
+  Schedule s = lowered_convnet();
+  const EventId comm = first_event(s, EventKind::kComm);
+  ASSERT_NE(comm, kNoEvent);
+  s.events[comm].messages.clear();
+  s.events[comm].traffic_bytes = 0;
+  expect_pinpointed(verify(s), VerifyCode::kUnpairedEvent, comm);
+}
+
+TEST(VerifyNegative, ComputeEventWithCommPayloadFlagged) {
+  Schedule s = lowered_convnet();
+  const EventId compute = first_event(s, EventKind::kCompute);
+  ASSERT_NE(compute, kNoEvent);
+  s.events[compute].messages.push_back({0, 1, 64, 0});
+  s.events[compute].traffic_bytes = 64;
+  expect_pinpointed(verify(s), VerifyCode::kUnpairedEvent, compute);
+}
+
 TEST(VerifyNegative, ZeroCoresIsScheduleLevelViolation) {
   Schedule s = lowered_convnet();
   s.cores = 0;
@@ -222,16 +287,13 @@ TEST(VerifyPositive, EveryPartitionDimVerifiesClean) {
   cfg.cores = 16;
   for (const nn::NetSpec& spec : {nn::convnet_spec(), nn::alexnet_spec()}) {
     const auto traffic = dense_traffic(spec, cfg.cores);
-    std::size_t compute_layers = 0;
-    for (const nn::LayerAnalysis& a : nn::analyze(spec)) {
-      compute_layers += a.is_compute() ? 1 : 0;
-    }
+    const LoweringContext ctx(spec, traffic, cfg.cores, cfg.bytes_per_value);
     for (const PartitionDim dim :
          {PartitionDim::kKernel, PartitionDim::kBatch, PartitionDim::kHeight,
           PartitionDim::kWidth, PartitionDim::kChannel}) {
       tune::Candidate cand;
-      for (std::size_t i = 0; i < compute_layers; ++i) {
-        cand.layer_dims.push_back(dim_compatible(spec, i, dim)
+      for (std::size_t i = 0; i < ctx.layers(); ++i) {
+        cand.layer_dims.push_back(ctx.compatible(i, dim)
                                       ? dim
                                       : PartitionDim::kKernel);
       }

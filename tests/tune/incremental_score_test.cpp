@@ -113,18 +113,13 @@ std::size_t compute_layers(const nn::NetSpec& spec) {
   return n;
 }
 
-/// The tuner's move filter: dim_compatible, and no channel split on a
-/// layer that ends a pipeline stage.
-std::vector<std::vector<PartitionDim>> legal_dims(
-    const Point& p, const std::vector<std::size_t>& stages) {
-  const std::size_t layers = stages.size();
-  std::vector<std::vector<PartitionDim>> legal(layers);
-  for (std::size_t li = 0; li < layers; ++li) {
-    const bool stage_end = p.cfg.chips > 1 &&
-                           (li + 1 == layers || stages[li + 1] != stages[li]);
+/// The tuner's move filter: the lowering context's compatible().
+std::vector<std::vector<PartitionDim>> legal_dims(const tune::Scorer& scorer) {
+  const sched::LoweringContext& ctx = scorer.context();
+  std::vector<std::vector<PartitionDim>> legal(ctx.layers());
+  for (std::size_t li = 0; li < ctx.layers(); ++li) {
     for (const PartitionDim d : kDims) {
-      if (stage_end && d == PartitionDim::kChannel) continue;
-      if (sched::dim_compatible(p.spec, li, d)) legal[li].push_back(d);
+      if (ctx.compatible(li, d)) legal[li].push_back(d);
     }
   }
   return legal;
@@ -136,7 +131,7 @@ std::vector<std::vector<PartitionDim>> legal_dims(
 void random_walk(const Point& p, std::uint64_t seed, std::size_t moves) {
   tune::Scorer scorer(p.spec, p.traffic, p.cfg);
   util::Rng rng(seed);
-  const auto legal = legal_dims(p, scorer.stages());
+  const auto legal = legal_dims(scorer);
   const std::size_t mesh = p.cfg.cores / p.cfg.chips;
   const auto pick = [&](std::size_t li) {
     return legal[li][rng.uniform_index(legal[li].size())];

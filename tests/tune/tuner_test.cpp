@@ -7,6 +7,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/traffic.hpp"
@@ -280,9 +281,30 @@ TEST(ScheduleCache, MalformedStoreIsRejected) {
   EXPECT_FALSE(error.empty());
   EXPECT_FALSE(cache.from_json("{\"version\":3,\"entries\":{}}", &error));
   EXPECT_FALSE(cache.from_json("{\"entries\":{}}", &error));
+  // Wrongly typed entry fields are rejected with the entry named, not
+  // thrown out of the loader.
+  EXPECT_FALSE(cache.from_json(
+      "{\"version\":2,\"entries\":{\"k1\":{\"layer_dims\":[],"
+      "\"placement\":[],\"overlap\":1}}}",
+      &error));
+  EXPECT_NE(error.find("entry 'k1': "), std::string::npos) << error;
+  EXPECT_FALSE(cache.from_json(
+      "{\"version\":2,\"entries\":{\"k2\":{\"layer_dims\":[],"
+      "\"placement\":[0,-1],\"overlap\":false}}}",
+      &error));
+  EXPECT_NE(error.find("entry 'k2': "), std::string::npos) << error;
   // A well-formed document still loads after failures.
   EXPECT_TRUE(cache.from_json("{\"version\":2,\"entries\":{}}", &error));
   EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(LowerCandidate, RejectsChipsThatDoNotTileCores) {
+  TunePoint p = convnet16();
+  p.cfg.chips = 3;
+  EXPECT_THROW(tune::lower_candidate(p.spec, p.traffic, p.cfg,
+                                     tune::Candidate{},
+                                     sched::Strategy::kTraditional),
+               std::invalid_argument);
 }
 
 TEST(ScheduleCache, StaleVersion1StoreRejectedLoudly) {

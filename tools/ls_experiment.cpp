@@ -50,7 +50,6 @@
 #include "prof/attribution.hpp"
 #include "prof/model_error.hpp"
 #include "prof/report.hpp"
-#include "sched/builders.hpp"
 #include "sched/cost_model.hpp"
 #include "sched/schedule.hpp"
 #include "sched/verify.hpp"
@@ -455,19 +454,15 @@ int cmd_tune(const Args& args) {
 }
 
 /// Audits one cache entry: parse the canonical key, rebuild the system it
-/// targets, structurally pre-validate the candidate, lower it against
-/// freshly derived traffic, and run the static verifier. Returns "" when
-/// the entry is sound, else newline-terminated diagnostic lines.
-///
-/// The pre-validation matters in release builds: the lowering's own
-/// LS_CHECK guards compile out there, so a cache entry with the wrong
-/// layer-dim count or a bogus placement would index out of bounds long
-/// before the verifier ever saw a schedule.
+/// targets, lower the candidate against freshly derived traffic (lowering
+/// rejects malformed dims and placements), and run the static verifier.
+/// Returns "" when the entry is sound, else newline-terminated diagnostic
+/// lines.
 std::string audit_entry(const std::string& key_string,
                         const tune::CacheEntry& entry) {
   tune::CacheKey key;
   if (!tune::parse_cache_key(key_string, &key)) {
-    return "        non-canonical cache key\n";
+    return "non-canonical cache key\n";
   }
   // Cache keys carry the spec's display name (tune_key uses spec.name,
   // e.g. "ConvNet"), so resolve against both spellings.
@@ -481,45 +476,13 @@ std::string audit_entry(const std::string& key_string,
       break;
     }
   }
-  if (!net_ok) return "        unknown net '" + key.net + "'\n";
+  if (!net_ok) return "unknown net '" + key.net + "'\n";
 
-  std::size_t compute_layers = 0;
-  for (const auto& a : nn::analyze(spec)) {
-    if (a.is_compute()) ++compute_layers;
-  }
-  const tune::Candidate& cand = entry.candidate;
-  if (!cand.layer_dims.empty() && cand.layer_dims.size() != compute_layers) {
-    return "        " + std::to_string(cand.layer_dims.size()) +
-           " layer dims for " + std::to_string(compute_layers) +
-           " compute layers\n";
-  }
-  for (std::size_t i = 0; i < cand.layer_dims.size(); ++i) {
-    if (!sched::dim_compatible(spec, i, cand.layer_dims[i])) {
-      return "        dim '" +
-             std::string(sched::to_string(cand.layer_dims[i])) +
-             "' is illegal for compute layer " + std::to_string(i) + "\n";
-    }
-  }
   if (key.chips == 0 || key.cores % key.chips != 0) {
-    return "        " + std::to_string(key.chips) +
+    return std::to_string(key.chips) +
            " chips cannot tile " + std::to_string(key.cores) + " cores\n";
   }
-  // Placement permutes one chip's mesh (the whole machine on one chip).
   const std::size_t chip_cores = key.cores / key.chips;
-  if (!cand.placement.empty()) {
-    if (cand.placement.size() != chip_cores) {
-      return "        placement maps " +
-             std::to_string(cand.placement.size()) + " partitions on a " +
-             std::to_string(chip_cores) + "-core chip\n";
-    }
-    std::vector<bool> seen(chip_cores, false);
-    for (const std::size_t c : cand.placement) {
-      if (c >= chip_cores || seen[c]) {
-        return "        placement is not a permutation of the core range\n";
-      }
-      seen[c] = true;
-    }
-  }
 
   sim::SystemConfig cfg;
   cfg.cores = key.cores;
@@ -533,7 +496,8 @@ std::string audit_entry(const std::string& key_string,
     const noc::MeshTopology topo = noc::MeshTopology::for_cores(chip_cores);
     const auto traffic = core::traffic_dense(spec, topo, cfg.bytes_per_value);
     const sched::Schedule schedule =
-        tune::lower_candidate(spec, traffic, cfg, cand, key.strategy);
+        tune::lower_candidate(spec, traffic, cfg, entry.candidate,
+                              key.strategy);
     sched::VerifyOptions vopts;
     vopts.accel = cfg.accel;
     vopts.accel.dram_bytes_per_cycle =
@@ -541,18 +505,9 @@ std::string audit_entry(const std::string& key_string,
     vopts.noc = key.noc;
     report = sched::verify(schedule, vopts);
   } catch (const std::exception& e) {
-    return "        lowering failed: " + std::string(e.what()) + "\n";
+    return "lowering failed: " + std::string(e.what()) + "\n";
   }
-  std::string out;
-  for (const sched::Violation& v : report.violations) {
-    out += "        ";
-    out += v.event == sched::kNoEvent
-               ? "schedule ["
-               : "event " + std::to_string(v.event) + " [";
-    out += sched::to_string(v.code);
-    out += "]: " + v.message + "\n";
-  }
-  return out;
+  return report.to_string();
 }
 
 /// `ls_experiment verify`: static audit of an entire tuned-schedule cache
@@ -579,7 +534,12 @@ int cmd_verify(const Args& args) {
       std::printf("  ok    %s\n", key_string.c_str());
     } else {
       ++failures;
-      std::printf("  FAIL  %s\n%s", key_string.c_str(), fail.c_str());
+      std::printf("  FAIL  %s\n", key_string.c_str());
+      for (std::size_t pos = 0; pos < fail.size();) {
+        const std::size_t eol = fail.find('\n', pos);
+        std::printf("        %s\n", fail.substr(pos, eol - pos).c_str());
+        pos = eol + 1;
+      }
     }
   }
   std::printf("verify: %zu/%zu entries ok in %s\n",

@@ -220,6 +220,49 @@ if [ -s "$repo_root/tuned_schedules.json" ]; then
     exit 1; }
 fi
 
+# Malformed-cache smoke: a hand-edited tuned cache (a placement entry off
+# the mesh, a one-entry layer_dims, a channel split ending pipeline stage
+# 0 on two chips) must be rejected by infer with a message and exit status
+# exactly 1 — never a crash — and reported as FAIL by verify.
+bad_dir="$(mktemp -d)"
+trap 'rm -rf "$bad_dir"' EXIT
+key='ConvNet|cores=16|traditional|noc=fb64,mp20,vc3,vd4,rl3,pc2,xy|div=1|chips=1'
+key2="${key/cores=16/cores=32}"
+key2="${key2/chips=1/chips=2}"
+cat > "$bad_dir/placement.json" <<JSON
+{"version":2,"entries":{"$key":{"layer_dims":[],
+ "placement":[0,1,2,4000,4,5,6,7,8,9,10,11,12,13,14,15],"overlap":false}}}
+JSON
+cat > "$bad_dir/layer_dims.json" <<JSON
+{"version":2,"entries":{"$key":{"layer_dims":["width"],"placement":[],
+ "overlap":false}}}
+JSON
+cat > "$bad_dir/stage_end.json" <<JSON
+{"version":2,"entries":{"$key2":{
+ "layer_dims":["kernel","channel","kernel","kernel","kernel"],
+ "placement":[],"overlap":false}}}
+JSON
+for bad in "placement 16 1" "layer_dims 16 1" "stage_end 32 2"; do
+  read -r name cores chips <<< "$bad"
+  rc=0
+  "$build_dir/tools/ls_experiment" infer --net convnet --cores "$cores" \
+    --chips "$chips" --tuned-cache "$bad_dir/$name.json" \
+    >/dev/null 2>"$bad_dir/$name.err" || rc=$?
+  if [ "$rc" -ne 1 ] || [ ! -s "$bad_dir/$name.err" ]; then
+    echo "malformed-cache smoke: infer on $name.json exited $rc" \
+      "(want 1 with a message on stderr)" >&2
+    exit 1
+  fi
+  rc=0
+  "$build_dir/tools/ls_experiment" verify \
+    --tuned-cache "$bad_dir/$name.json" >"$bad_dir/$name.out" || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -q 'FAIL' "$bad_dir/$name.out"; then
+    echo "malformed-cache smoke: verify on $name.json exited $rc" \
+      "(want 1 and a FAIL line)" >&2
+    exit 1
+  fi
+done
+
 # Bench regression soft gate: diff the fresh dumps against the committed
 # baselines snapshotted above. Timing-sensitive metrics (wall-clock ms)
 # vary across runners, so a regression here warns loudly but does not
