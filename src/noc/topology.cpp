@@ -47,15 +47,6 @@ std::size_t MeshTopology::hops(std::size_t a, std::size_t b) const {
   return static_cast<std::size_t>(std::abs(dx) + std::abs(dy));
 }
 
-std::vector<std::vector<std::size_t>> MeshTopology::distance_matrix() const {
-  const std::size_t n = num_cores();
-  std::vector<std::vector<std::size_t>> m(n, std::vector<std::size_t>(n, 0));
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) m[a][b] = hops(a, b);
-  }
-  return m;
-}
-
 double MeshTopology::mean_hops() const {
   const std::size_t n = num_cores();
   if (n < 2) return 0.0;
@@ -70,90 +61,6 @@ double MeshTopology::mean_hops() const {
 
 std::size_t MeshTopology::diameter() const {
   return (cols_ - 1) + (rows_ - 1);
-}
-
-std::size_t MeshTopology::bisection_links() const {
-  // Cut across the wider dimension.
-  return cols_ >= rows_ ? rows_ : cols_;
-}
-
-namespace {
-
-// Most-square cols x rows arrangement for the chip grid. Chip counts are
-// small and chain-shaped packages are physically real (2 chips side by
-// side), so — unlike MeshTopology::for_cores — 1xN is legal here.
-void chip_grid_shape(std::size_t chips, std::size_t* cols,
-                     std::size_t* rows) {
-  std::size_t best_rows = 1;
-  for (std::size_t r = 1; r * r <= chips; ++r) {
-    if (chips % r == 0) best_rows = r;
-  }
-  *rows = best_rows;
-  *cols = chips / best_rows;
-}
-
-}  // namespace
-
-Topology::Topology(MeshTopology chip_mesh, std::size_t chips,
-                   InterChipLinkClass link)
-    : mesh_(chip_mesh), chips_(chips), link_(link) {
-  if (chips == 0) throw std::invalid_argument("zero chips");
-  chip_grid_shape(chips_, &grid_cols_, &grid_rows_);
-}
-
-Topology Topology::single_chip(MeshTopology mesh) {
-  return Topology(mesh, 1);
-}
-
-Topology Topology::for_cores(std::size_t total_cores, std::size_t chips,
-                             InterChipLinkClass link) {
-  if (chips == 0) throw std::invalid_argument("zero chips");
-  if (total_cores == 0 || total_cores % chips != 0) {
-    throw std::invalid_argument(
-        "Topology::for_cores(" + std::to_string(total_cores) + ", " +
-        std::to_string(chips) + "): chips must divide the core count");
-  }
-  return Topology(MeshTopology::for_cores(total_cores / chips), chips, link);
-}
-
-std::size_t Topology::chip_of(std::size_t core) const {
-  if (core >= num_cores()) throw std::out_of_range("core id");
-  return core / cores_per_chip();
-}
-
-std::size_t Topology::local_core(std::size_t core) const {
-  if (core >= num_cores()) throw std::out_of_range("core id");
-  return core % cores_per_chip();
-}
-
-std::size_t Topology::global_core(std::size_t chip, std::size_t local) const {
-  if (chip >= chips_) throw std::out_of_range("chip id");
-  if (local >= cores_per_chip()) throw std::out_of_range("local core id");
-  return chip * cores_per_chip() + local;
-}
-
-std::size_t Topology::gateway_core(std::size_t chip) const {
-  return global_core(chip, 0);
-}
-
-std::size_t Topology::chip_hops(std::size_t chip_a, std::size_t chip_b) const {
-  if (chip_a >= chips_ || chip_b >= chips_) {
-    throw std::out_of_range("chip id");
-  }
-  const auto dx = static_cast<std::ptrdiff_t>(chip_a % grid_cols_) -
-                  static_cast<std::ptrdiff_t>(chip_b % grid_cols_);
-  const auto dy = static_cast<std::ptrdiff_t>(chip_a / grid_cols_) -
-                  static_cast<std::ptrdiff_t>(chip_b / grid_cols_);
-  return static_cast<std::size_t>(std::abs(dx) + std::abs(dy));
-}
-
-std::size_t Topology::hops(std::size_t a, std::size_t b) const {
-  const std::size_t ca = chip_of(a), cb = chip_of(b);
-  if (ca == cb) return mesh_.hops(local_core(a), local_core(b));
-  // Cross-chip: walk to the source gateway, cross the package, walk from
-  // the destination gateway.
-  return mesh_.hops(local_core(a), 0) + chip_hops(ca, cb) +
-         mesh_.hops(0, local_core(b));
 }
 
 }  // namespace ls::noc

@@ -1,23 +1,20 @@
 #pragma once
-// 2D mesh topology: core coordinates and hop distances — plus the
-// hierarchical multi-chip generalization (DESIGN.md §4k).
+// 2D mesh topology: core coordinates and hop distances.
 //
 // The paper's SS_Mask technique keys the group-Lasso strength of weight
 // block (p, c) to the Manhattan hop distance between cores p and c under
-// dimension-ordered routing (Fig. 6(a)), so the distance matrix defined
-// here is shared by the NoC simulator, the traffic/energy models, and the
+// dimension-ordered routing (Fig. 6(a)), so the hop distance defined here
+// is shared by the NoC simulator, the traffic/energy models, and the
 // trainer's strength masks.
 //
-// `Topology` scales the picture out: a ChipGrid of identical 2D meshes
-// joined by inter-chip links with their own width/latency class. The flat
-// single-chip case is the degenerate C=1 instance and delegates every
-// query to the inner mesh unchanged, so hop matrices, DOR routes, strength
-// masks, and the energy model stay bit-identical to the pre-hierarchy
-// code.
+// A multi-chip package (DESIGN.md §4k) is `chips` copies of one such mesh
+// joined by InterChipLinkClass links; it has no class of its own. Global
+// core ids are chip-major (sched::Schedule::chips), sim::cores_per_chip
+// tiles a SystemConfig into chips, and sched::resource_of names the gang,
+// NoC or boundary link an event occupies.
 
 #include <cstddef>
 #include <stdexcept>
-#include <vector>
 
 namespace ls::noc {
 
@@ -50,19 +47,11 @@ class MeshTopology {
   /// Manhattan hop distance (the DOR path length).
   std::size_t hops(std::size_t a, std::size_t b) const;
 
-  /// Full num_cores x num_cores hop-distance matrix (Fig. 6(a) factor mask
-  /// source).
-  std::vector<std::vector<std::size_t>> distance_matrix() const;
-
   /// Mean hop distance over all ordered pairs (a != b).
   double mean_hops() const;
 
   /// Network diameter (max hop distance).
   std::size_t diameter() const;
-
-  /// Bisection link count (links crossing the vertical mid-cut; a proxy for
-  /// bisection bandwidth in the scalability discussion of §V.B).
-  std::size_t bisection_links() const;
 
  private:
   std::size_t cols_;
@@ -76,65 +65,10 @@ class MeshTopology {
 struct InterChipLinkClass {
   double bytes_per_cycle = 16.0;     ///< serialized link bandwidth
   std::size_t latency_cycles = 50;   ///< fixed crossing latency (SerDes+pkg)
-  std::size_t links_per_boundary = 1;  ///< parallel lanes per chip boundary
   double energy_pj_per_byte = 1.0;   ///< off-die signaling energy
 
   friend bool operator==(const InterChipLinkClass&,
                          const InterChipLinkClass&) = default;
-};
-
-/// Hierarchical package topology: `num_chips` identical 2D meshes arranged
-/// in a near-square ChipGrid, joined by InterChipLinkClass links between
-/// consecutive chip ids (the stage-pipeline daisy chain). Core ids are
-/// global and chip-major: chip s owns [s*cores_per_chip, (s+1)*cores_per_chip).
-/// Each chip's gateway — the core its boundary links attach to — is its
-/// local core 0.
-class Topology {
- public:
-  Topology(MeshTopology chip_mesh, std::size_t chips,
-           InterChipLinkClass link = {});
-
-  /// The degenerate single-chip package: all queries delegate to `mesh`.
-  static Topology single_chip(MeshTopology mesh);
-
-  /// Package of `chips` chips of total_cores/chips cores each (near-square
-  /// per-chip meshes via MeshTopology::for_cores). Throws when chips is
-  /// zero or does not divide total_cores.
-  static Topology for_cores(std::size_t total_cores, std::size_t chips,
-                            InterChipLinkClass link = {});
-
-  const MeshTopology& chip_mesh() const { return mesh_; }
-  const InterChipLinkClass& inter_chip() const { return link_; }
-  std::size_t num_chips() const { return chips_; }
-  std::size_t cores_per_chip() const { return mesh_.num_cores(); }
-  std::size_t num_cores() const { return chips_ * mesh_.num_cores(); }
-
-  /// Near-square grid the chips are arranged in (2 -> 2x1, 4 -> 2x2).
-  std::size_t grid_cols() const { return grid_cols_; }
-  std::size_t grid_rows() const { return grid_rows_; }
-
-  std::size_t chip_of(std::size_t core) const;
-  std::size_t local_core(std::size_t core) const;
-  std::size_t global_core(std::size_t chip, std::size_t local) const;
-  std::size_t gateway_core(std::size_t chip) const;
-  bool same_chip(std::size_t a, std::size_t b) const {
-    return chip_of(a) == chip_of(b);
-  }
-
-  /// Manhattan distance between chips in the ChipGrid.
-  std::size_t chip_hops(std::size_t chip_a, std::size_t chip_b) const;
-
-  /// Hop distance between global cores: the plain mesh distance on one
-  /// chip; across chips, the DOR walk to the source gateway, the ChipGrid
-  /// distance, and the walk from the destination gateway.
-  std::size_t hops(std::size_t a, std::size_t b) const;
-
- private:
-  MeshTopology mesh_;
-  std::size_t chips_;
-  std::size_t grid_cols_;
-  std::size_t grid_rows_;
-  InterChipLinkClass link_;
 };
 
 }  // namespace ls::noc

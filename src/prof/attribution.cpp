@@ -15,18 +15,6 @@ bool is_comm(const sched::Schedule& schedule, sched::EventId e) {
   return schedule.events[e].kind == sched::EventKind::kComm;
 }
 
-/// Dense id of the resource an event occupies, mirroring run_stream's
-/// model: gangs [0, C), per-chip NoCs [C, 2C), boundary links [2C, 3C-1).
-/// A single-chip schedule uses exactly two ids — the historical gang/NoC
-/// pair — so the resource-order chain is unchanged there.
-std::size_t resource_of(const sched::Schedule& schedule, sched::EventId e) {
-  const sched::Event& ev = schedule.events[e];
-  const std::size_t C = schedule.chips;
-  if (ev.kind == sched::EventKind::kCompute) return ev.chip;
-  if (!ev.inter_chip) return C + ev.chip;
-  return 2 * C + (ev.chip - 1);
-}
-
 bool is_inter_chip(const sched::Schedule& schedule, sched::EventId e) {
   return schedule.events[e].inter_chip;
 }
@@ -73,10 +61,9 @@ StreamAttribution attribute_stream(const sched::Schedule& schedule,
   std::vector<std::size_t> res_pred(n, kNone);
   std::vector<std::size_t> res_succ(n, kNone);
   {
-    std::vector<std::size_t> last(3 * std::max<std::size_t>(schedule.chips, 1),
-                                  kNone);
+    std::vector<std::size_t> last(sched::resource_count(schedule), kNone);
     for (std::size_t i = 0; i < n; ++i) {
-      std::size_t& l = last[resource_of(schedule, items[i].event)];
+      std::size_t& l = last[sched::resource_of(schedule, items[i].event)];
       res_pred[i] = l;
       if (l != kNone) res_succ[l] = i;
       l = i;

@@ -2,9 +2,9 @@
 // Critical-path analysis and makespan blame over executed schedules
 // (DESIGN.md §4h "Profiling & attribution").
 //
-// run_stream's per-chip-resource list scheduler (one core gang + one NoC
-// per chip, one serial link per chip boundary; a single gang + NoC on a
-// flat machine) is work-conserving: an item starts at
+// run_stream's per-chip-resource list scheduler (the resources are
+// sched::resource_of's: one core gang + one NoC per chip, one serial link
+// per chip boundary) is work-conserving: an item starts at
 // max(ready, resource_free), so every item's start coincides with either
 // its resource predecessor's finish or a dependency's finish.
 // That makes the critical chain *gapless* — walking backward from the

@@ -664,31 +664,4 @@ Schedule lower_pipelined(const nn::NetSpec& spec,
   return assemble(spec, ctx, opts, sparsity, strategy);
 }
 
-Schedule build_traditional(const nn::NetSpec& spec,
-                           const core::InferenceTraffic& dense_traffic,
-                           const BuildOptions& opts) {
-  return lower(spec, dense_traffic, opts, nullptr, Strategy::kTraditional);
-}
-
-Schedule build_structure_level(const nn::NetSpec& grouped_spec,
-                               const core::InferenceTraffic& dense_traffic,
-                               const BuildOptions& opts) {
-  return lower(grouped_spec, dense_traffic, opts, nullptr,
-               Strategy::kStructureLevel);
-}
-
-Schedule build_sparsified(const nn::NetSpec& spec,
-                          const core::InferenceTraffic& live_traffic,
-                          const BuildOptions& opts,
-                          const core::SparsityProfile* sparsity) {
-  return lower(spec, live_traffic, opts, sparsity, Strategy::kSparsified);
-}
-
-Schedule build_hybrid(const nn::NetSpec& grouped_spec,
-                      const core::InferenceTraffic& live_traffic,
-                      const BuildOptions& opts,
-                      const core::SparsityProfile* sparsity) {
-  return lower(grouped_spec, live_traffic, opts, sparsity, Strategy::kHybrid);
-}
-
 }  // namespace ls::sched

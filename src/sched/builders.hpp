@@ -12,9 +12,6 @@
 //     core::traffic_live from the group-Lasso-trained weights plus the
 //     matching SparsityProfile discounting per-core compute,
 //   * hybrid            — the grouped spec with live traffic + profile.
-// The thin strategy entry points below exist so call sites state intent
-// while `lower()` stays the single source of truth for what a layer
-// transition costs.
 //
 // Lowering checks its tuning knobs (BuildOptions::layer_dims, placement,
 // the chip count) in every build and throws std::invalid_argument on a bad
@@ -143,33 +140,6 @@ Schedule lower(const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
                const BuildOptions& opts,
                const core::SparsityProfile* sparsity = nullptr,
                Strategy strategy = Strategy::kTraditional);
-
-/// Traditional parallelization: dense traffic, no sparsity.
-Schedule build_traditional(const nn::NetSpec& spec,
-                           const core::InferenceTraffic& dense_traffic,
-                           const BuildOptions& opts);
-
-/// Structure-level (grouped) parallelization: the grouped spec's dense
-/// traffic — grouping removed the transitions instead of sparsifying them.
-Schedule build_structure_level(const nn::NetSpec& grouped_spec,
-                               const core::InferenceTraffic& dense_traffic,
-                               const BuildOptions& opts);
-
-/// SS / SS_Mask sparsified parallelization: live traffic extracted from the
-/// trained weights plus the matching per-core sparsity discounts. The two
-/// schemes differ only in training (uniform vs distance-weighted lasso
-/// strength); their lowering is identical.
-Schedule build_sparsified(const nn::NetSpec& spec,
-                          const core::InferenceTraffic& live_traffic,
-                          const BuildOptions& opts,
-                          const core::SparsityProfile* sparsity);
-
-/// Hybrid: grouped spec + live traffic + sparsity discounts on the
-/// still-dense layers.
-Schedule build_hybrid(const nn::NetSpec& grouped_spec,
-                      const core::InferenceTraffic& live_traffic,
-                      const BuildOptions& opts,
-                      const core::SparsityProfile* sparsity);
 
 // ---------------------------------------------------------------------------
 // Multi-chip stage pipelining (DESIGN.md §4k).

@@ -11,17 +11,6 @@ namespace ls::sched {
 
 namespace {
 
-accel::AccelConfig per_core_accel(const CostModelConfig& cfg,
-                                  std::size_t cores_per_chip) {
-  // Same per-core DRAM-share construction as CmpSystem: the compute half
-  // of the estimate is bit-identical to the executor's numbers. Every chip
-  // has its own DRAM channel, shared by its cores.
-  accel::AccelConfig per_core = cfg.accel;
-  per_core.dram_bytes_per_cycle =
-      cfg.chip_dram_bytes_per_cycle / static_cast<double>(cores_per_chip);
-  return per_core;
-}
-
 /// Adds `flits` to the links [lo, hi) of one row or column difference array.
 void add_span(std::uint64_t* diff, std::size_t lo, std::size_t hi,
               std::uint64_t flits) {
@@ -46,10 +35,20 @@ std::uint64_t max_prefix(const std::vector<std::uint64_t>& diff,
 
 }  // namespace
 
+accel::AccelConfig per_core_accel(const accel::AccelConfig& accel,
+                                  double chip_dram_bytes_per_cycle,
+                                  std::size_t cores_per_chip) {
+  accel::AccelConfig per_core = accel;
+  per_core.dram_bytes_per_cycle =
+      chip_dram_bytes_per_cycle / static_cast<double>(cores_per_chip);
+  return per_core;
+}
+
 EventPricer::EventPricer(const CostModelConfig& cfg,
                          const noc::MeshTopology& mesh)
     : sim_(mesh, cfg.noc),
-      core_model_(per_core_accel(cfg, mesh.num_cores())),
+      core_model_(per_core_accel(cfg.accel, cfg.chip_dram_bytes_per_cycle,
+                                 mesh.num_cores())),
       noc_clock_divider_(cfg.noc_clock_divider),
       inter_chip_(cfg.inter_chip),
       cols_(sim_.topology().cols()),
@@ -144,12 +143,11 @@ std::uint64_t EventPricer::burst_cycles(
 
 std::uint64_t inter_chip_transfer_cycles(const noc::InterChipLinkClass& link,
                                          std::uint64_t bytes) {
-  const double bw =
-      link.bytes_per_cycle * static_cast<double>(link.links_per_boundary);
-  LS_CHECK_MSG(bw > 0.0, "inter-chip link has zero bandwidth");
+  LS_CHECK_MSG(link.bytes_per_cycle > 0.0,
+               "inter-chip link has zero bandwidth");
   return link.latency_cycles +
-         static_cast<std::uint64_t>(
-             std::ceil(static_cast<double>(bytes) / bw));
+         static_cast<std::uint64_t>(std::ceil(static_cast<double>(bytes) /
+                                              link.bytes_per_cycle));
 }
 
 CycleEstimate estimate_cycles(const Schedule& schedule,

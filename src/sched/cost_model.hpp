@@ -38,8 +38,8 @@ namespace ls::sched {
 struct CostModelConfig {
   accel::AccelConfig accel{};
   /// Chip-level DRAM bandwidth in bytes per core cycle, divided across the
-  /// cores of one chip exactly like CmpSystem's constructor does (each
-  /// chip of a multi-chip package has its own channel).
+  /// cores of one chip by per_core_accel (each chip of a multi-chip
+  /// package has its own channel).
   double chip_dram_bytes_per_cycle = 12.8;
   noc::NocConfig noc{};
   /// Core cycles per NoC cycle (scales every on-chip comm estimate).
@@ -51,8 +51,16 @@ struct CostModelConfig {
   noc::InterChipLinkClass inter_chip{};
 };
 
+/// One core's accelerator config: `accel` with an equal share of its chip's
+/// DRAM channel. CmpSystem (and so its verify options) and EventPricer
+/// both build their core model from it, so the compute half of the
+/// estimate is bit-identical to the executor's numbers.
+accel::AccelConfig per_core_accel(const accel::AccelConfig& accel,
+                                  double chip_dram_bytes_per_cycle,
+                                  std::size_t cores_per_chip);
+
 /// Analytic core-cycle price of one gateway-to-gateway transfer: the fixed
-/// crossing latency plus serialization over the boundary's parallel lanes.
+/// crossing latency plus serialization over the boundary link.
 /// Shared by the cost model, the executor, and run_stream so the three
 /// views of an inter-chip event always agree.
 std::uint64_t inter_chip_transfer_cycles(const noc::InterChipLinkClass& link,

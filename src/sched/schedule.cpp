@@ -75,6 +75,17 @@ std::size_t Schedule::traffic_bytes() const {
   return n;
 }
 
+std::size_t resource_of(const Schedule& schedule, EventId e) {
+  const Event& ev = schedule.events[e];
+  if (ev.kind == EventKind::kCompute) return ev.chip;
+  if (!ev.inter_chip) return schedule.chips + ev.chip;
+  return 2 * schedule.chips + ev.chip - 1;
+}
+
+std::size_t resource_count(const Schedule& schedule) {
+  return 3 * schedule.chips - 1;
+}
+
 void to_json(const Schedule& schedule, util::JsonWriter& w,
              const CycleEstimate* estimate) {
   w.begin_object();

@@ -138,6 +138,17 @@ struct Schedule {
   std::size_t traffic_bytes() const;
 };
 
+/// Dense id of the resource event `e` occupies when the schedule is
+/// streamed: chip c's core gang is c, its NoC chips + c, and the serial
+/// link into chip c is 2 * chips + c - 1. A single-chip schedule has two
+/// resources, its gang (0) and its NoC (1). run_stream dispatches on it;
+/// prof::attribute_stream chains each resource's items through it.
+std::size_t resource_of(const Schedule& schedule, EventId e);
+
+/// Number of resource_of ids: 3 * chips - 1 (chips >= 1, as verify
+/// requires).
+std::size_t resource_count(const Schedule& schedule);
+
 struct CycleEstimate;  // cost_model.hpp
 
 /// Serializes the schedule into `w` as one JSON object (events with kinds,

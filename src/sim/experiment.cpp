@@ -37,10 +37,10 @@ data::Dataset dataset_for(const nn::NetSpec& spec, std::size_t samples,
 
 namespace {
 
-// Lowers the strategy's inputs through the matching Schedule-IR builder and
-// executes the schedule. This is where the per-strategy runners collapse:
-// they no longer own any simulation arithmetic, only the training recipe
-// and which (spec, traffic, profile) triple they hand the builder.
+// Lowers the strategy's inputs into the Schedule IR and executes the
+// schedule. This is where the per-strategy runners collapse: they no
+// longer own any simulation arithmetic, only the training recipe and which
+// (spec, traffic, profile) triple they hand the lowering.
 StrategyOutcome simulate_with_traffic(
     const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
     const ExperimentConfig& cfg, const StrategyOutcome* baseline,
@@ -54,23 +54,9 @@ StrategyOutcome simulate_with_traffic(
   opts.bytes_per_value = sys.bytes_per_value;
   opts.overlap_comm = sys.overlap_comm;
   opts.sparse_cycle_model = sys.sparse_cycle_model;
-  sched::Schedule schedule;
-  switch (strategy) {
-    case sched::Strategy::kTraditional:
-      schedule = sched::build_traditional(spec, traffic, opts);
-      break;
-    case sched::Strategy::kStructureLevel:
-      schedule = sched::build_structure_level(spec, traffic, opts);
-      break;
-    case sched::Strategy::kSparsified:
-      schedule = sched::build_sparsified(spec, traffic, opts, sparsity);
-      break;
-    case sched::Strategy::kHybrid:
-      schedule = sched::build_hybrid(spec, traffic, opts, sparsity);
-      break;
-  }
   StrategyOutcome out;
-  out.result = system.execute(schedule);
+  out.result =
+      system.execute(sched::lower(spec, traffic, opts, sparsity, strategy));
   const std::size_t bytes = traffic.total_bytes();
   out.mean_traffic_hops =
       bytes ? static_cast<double>(traffic.total_byte_hops()) /

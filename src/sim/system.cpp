@@ -67,9 +67,9 @@ void name_sim_tracks(std::size_t P) {
   tr.set_virtual_thread_name(obs::kSimPid, P, "noc");
 }
 
-// The mesh every schedule event runs on is one chip's; chips must tile the
-// core count exactly (chip-major core numbering has no remainder chip).
-std::size_t cores_per_chip_checked(const SystemConfig& cfg) {
+}  // namespace
+
+std::size_t cores_per_chip(const SystemConfig& cfg) {
   if (cfg.chips == 0 || cfg.cores % cfg.chips != 0) {
     throw std::invalid_argument(
         "CmpSystem: " + std::to_string(cfg.chips) +
@@ -78,19 +78,12 @@ std::size_t cores_per_chip_checked(const SystemConfig& cfg) {
   return cfg.cores / cfg.chips;
 }
 
-}  // namespace
-
 CmpSystem::CmpSystem(const SystemConfig& cfg)
     : cfg_(cfg),
-      topo_(noc::MeshTopology::for_cores(cores_per_chip_checked(cfg))),
-      package_(topo_, cfg.chips, cfg.inter_chip) {
-  // Each streaming core gets an equal share of its chip's memory channel
-  // (every chip has its own — the whole machine's share when chips == 1).
-  accel::AccelConfig per_core = cfg_.accel;
-  per_core.dram_bytes_per_cycle =
-      cfg_.chip_dram_bytes_per_cycle / static_cast<double>(topo_.num_cores());
-  core_model_ = accel::CoreModel(per_core);
-}
+      topo_(noc::MeshTopology::for_cores(cores_per_chip(cfg))),
+      core_model_(sched::per_core_accel(cfg.accel,
+                                        cfg.chip_dram_bytes_per_cycle,
+                                        topo_.num_cores())) {}
 
 sched::Schedule CmpSystem::build_schedule(
     const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
@@ -130,11 +123,7 @@ InferenceResult CmpSystem::execute(const sched::Schedule& schedule,
         std::to_string(schedule.chips) + " chips but this system has " +
         std::to_string(cfg_.chips));
   }
-  sched::VerifyOptions vopts;
-  vopts.accel = core_model_.config();
-  vopts.noc = cfg_.noc;
-  if (const sched::VerifyReport report = sched::verify(schedule, vopts);
-      !report.ok()) {
+  if (const sched::VerifyReport report = verify(schedule); !report.ok()) {
     throw std::invalid_argument("schedule '" + schedule.net_name +
                                 "' failed static verification:\n" +
                                 report.to_string());
@@ -287,6 +276,13 @@ InferenceResult CmpSystem::execute(const sched::Schedule& schedule,
   return result;
 }
 
+sched::VerifyReport CmpSystem::verify(const sched::Schedule& schedule) const {
+  sched::VerifyOptions vopts;
+  vopts.accel = core_model_.config();
+  vopts.noc = cfg_.noc;
+  return sched::verify(schedule, vopts);
+}
+
 StreamResult CmpSystem::run_stream(const sched::Schedule& schedule,
                                    std::size_t requests,
                                    std::uint64_t stream_epoch,
@@ -327,14 +323,13 @@ StreamResult CmpSystem::run_stream(const sched::Schedule& schedule,
     }
   }
 
-  // Per-chip-resource list scheduling: each chip's core gang runs one
-  // compute event at a time, each chip's NoC one burst at a time, and each
-  // chip boundary's serial link one inter-chip transfer at a time (one
-  // gang + one NoC total on a single-chip system — the historical
-  // two-resource model, decision for decision). Work-conserving greedy:
-  // always start the pending event with the earliest feasible start (deps
-  // done and its resource free); lower request index breaks ties, so older
-  // requests drain first.
+  // Per-chip-resource list scheduling: each resource (sched::resource_of:
+  // a chip's core gang, a chip's NoC, a chip boundary's serial link) runs
+  // one event at a time (one gang + one NoC total on a single-chip system
+  // — the historical two-resource model, decision for decision).
+  // Work-conserving greedy: always start the pending event with the
+  // earliest feasible start (deps done and its resource free); lower
+  // request index breaks ties, so older requests drain first.
   //
   // head[g] counts the requests that have dispatched event g. All requests
   // run the same schedule from cycle 0 and dispatch starts never decrease,
@@ -347,9 +342,11 @@ StreamResult CmpSystem::run_stream(const sched::Schedule& schedule,
   const std::size_t C = schedule.chips;
   std::vector<std::uint64_t> end(requests * E, 0);  // [request * E + event]
   std::vector<std::size_t> head(E, 0);
-  std::vector<std::uint64_t> gang_free(C, 0);
-  std::vector<std::uint64_t> noc_free(C, 0);
-  std::vector<std::uint64_t> link_free(C > 1 ? C - 1 : 0, 0);
+  std::vector<std::uint64_t> resource_free(sched::resource_count(schedule), 0);
+  std::vector<std::size_t> resource(E);
+  for (std::size_t i = 0; i < E; ++i) {
+    resource[i] = sched::resource_of(schedule, i);
+  }
   std::uint64_t core_busy = 0;
   std::uint64_t noc_busy = 0;
   std::uint64_t link_busy = 0;
@@ -390,11 +387,7 @@ StreamResult CmpSystem::run_stream(const sched::Schedule& schedule,
       for (const sched::EventId dep : e.deps) {
         ready = std::max(ready, end[r * E + dep]);
       }
-      const std::uint64_t res_free =
-          e.kind == sched::EventKind::kComm
-              ? (e.inter_chip ? link_free[e.chip - 1] : noc_free[e.chip])
-              : gang_free[e.chip];
-      const std::uint64_t start = std::max(ready, res_free);
+      const std::uint64_t start = std::max(ready, resource_free[resource[g]]);
       if (start < best_start) {
         best_start = start;
         id = g;
@@ -413,14 +406,9 @@ StreamResult CmpSystem::run_stream(const sched::Schedule& schedule,
                                       static_cast<double>(inflight),
                                       obs::kSimPid);
     }
+    resource_free[resource[id]] = finish;
     if (e.kind == sched::EventKind::kComm) {
-      if (e.inter_chip) {
-        link_free[e.chip - 1] = finish;
-        link_busy += dur[id];
-      } else {
-        noc_free[e.chip] = finish;
-        noc_busy += dur[id];
-      }
+      (e.inter_chip ? link_busy : noc_busy) += dur[id];
       if (tracing && dur[id] > 0) {
         char args[64];
         std::snprintf(args, sizeof(args), "{\"request\":%zu}", best_r);
@@ -431,7 +419,6 @@ StreamResult CmpSystem::run_stream(const sched::Schedule& schedule,
         pending_flow[best_r] = {true, best_start, finish};
       }
     } else {
-      gang_free[e.chip] = finish;
       core_busy += dur[id];
       if (tracing) {
         char args[64];

@@ -16,12 +16,13 @@
 //
 // run_stream executes the same schedule for many independent requests,
 // software-pipelined: request k+1's layer-transition bursts overlap
-// request k's compute. Each chip's cores are one gang resource (every
-// compute layer occupies all its cores), each chip's NoC one burst
-// resource and each chip boundary one serial link; all are work-conserving
-// and serve the event with the earliest feasible start (request index
-// breaks ties). Requests pass every event in index order, so dispatch
-// keeps one cursor per event: R requests over E events cost R * E^2.
+// request k's compute. Every event occupies one resource, named by
+// sched::resource_of: its chip's core gang (every compute layer occupies
+// all its cores), its chip's NoC, or the serial link into its chip. All
+// resources are work-conserving and serve the event with the earliest
+// feasible start (request index breaks ties). Requests pass every event
+// in index order, so dispatch keeps one cursor per event: R requests over
+// E events cost R * E^2.
 // Burst latencies still come from the flit model via the memoizing burst
 // cache; cross-request NoC contention is queueing on the burst resource.
 // Throughput is reported in inferences per 1e6 cycles.
@@ -38,6 +39,7 @@
 #include "noc/topology.hpp"
 #include "nn/layer_spec.hpp"
 #include "sched/schedule.hpp"
+#include "sched/verify.hpp"
 
 namespace ls::sim {
 
@@ -78,6 +80,11 @@ struct SystemConfig {
   /// sparse-model tests.
   bool sparse_cycle_model = true;
 };
+
+/// Cores on one chip of `cfg`: the mesh every schedule event runs on.
+/// Throws std::invalid_argument when the chips cannot tile the cores
+/// (chip-major core numbering has no remainder chip).
+std::size_t cores_per_chip(const SystemConfig& cfg);
 
 struct LayerTimeline {
   std::string layer_name;
@@ -130,10 +137,10 @@ struct StreamTimelineItem {
 };
 
 /// Execution record of run_stream, in dispatch order. Dispatch order
-/// sequences each resource (consecutive items of a kind ran back to back
-/// on it) and topologically orders the dep + resource precedence graph —
-/// exactly the contract prof::attribute_stream consumes for critical-path
-/// and slack analysis.
+/// sequences each resource (consecutive items on one sched::resource_of
+/// ran back to back on it) and topologically orders the dep + resource
+/// precedence graph — exactly the contract prof::attribute_stream
+/// consumes for critical-path and slack analysis.
 struct StreamTimeline {
   std::vector<StreamTimelineItem> items;
 };
@@ -196,6 +203,10 @@ class CmpSystem {
   InferenceResult execute(const sched::Schedule& schedule,
                           std::uint64_t stream_epoch = 0) const;
 
+  /// sched::verify under this system's per-core accel and NoC configs —
+  /// the check execute runs before simulating.
+  sched::VerifyReport verify(const sched::Schedule& schedule) const;
+
   /// Software-pipelined execution of `requests` independent inferences of
   /// `schedule` (see the header comment for the resource model). The
   /// overlap ablation flag on comm events is ignored here: streaming
@@ -210,13 +221,10 @@ class CmpSystem {
   const SystemConfig& config() const { return cfg_; }
   /// One chip's mesh (== the whole machine when chips == 1).
   const noc::MeshTopology& topology() const { return topo_; }
-  /// The full package: per-chip mesh + chip grid + boundary link class.
-  const noc::Topology& package() const { return package_; }
 
  private:
   SystemConfig cfg_;
   noc::MeshTopology topo_;
-  noc::Topology package_;
   accel::CoreModel core_model_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -31,15 +30,6 @@ std::vector<std::size_t> identity(std::size_t n) {
   std::vector<std::size_t> p(n);
   for (std::size_t i = 0; i < n; ++i) p[i] = i;
   return p;
-}
-
-std::size_t cores_per_chip(const sim::SystemConfig& system) {
-  if (system.chips == 0 || system.cores % system.chips != 0) {
-    throw std::invalid_argument(
-        "tune: " + std::to_string(system.chips) + " chips cannot tile " +
-        std::to_string(system.cores) + " cores");
-  }
-  return system.cores / system.chips;
 }
 
 /// Search state shared by the restarts: the scorer, the per-layer legal
@@ -131,10 +121,10 @@ class Search {
 Scorer::Scorer(const nn::NetSpec& spec,
                const core::InferenceTraffic& traffic,
                const sim::SystemConfig& system)
-    : ctx_(spec, traffic, cores_per_chip(system), system.bytes_per_value,
-           system.chips),
+    : ctx_(spec, traffic, sim::cores_per_chip(system),
+           system.bytes_per_value, system.chips),
       pricer_(cost_model_for(system),
-              noc::MeshTopology::for_cores(cores_per_chip(system))),
+              noc::MeshTopology::for_cores(sim::cores_per_chip(system))),
       compute_(ctx_.layers() * kDimCount),
       bursts_(ctx_.layers() * kDimCount * kDimCount),
       comm_(bursts_.size()) {}
@@ -230,7 +220,7 @@ sched::Schedule lower_candidate(const nn::NetSpec& spec,
                                 const Candidate& candidate,
                                 sched::Strategy strategy) {
   sched::BuildOptions opts;
-  opts.cores = cores_per_chip(system);  // one chip's mesh
+  opts.cores = sim::cores_per_chip(system);  // one chip's mesh
   opts.bytes_per_value = system.bytes_per_value;
   opts.overlap_comm = candidate.overlap_comm;
   opts.sparse_cycle_model = false;
@@ -357,12 +347,6 @@ TuneOutcome tune(const nn::NetSpec& spec,
             .total_cycles;
     bool have_best = false;
     std::size_t best_idx = 0;
-    sched::VerifyOptions vopts;
-    vopts.accel = system.accel;
-    vopts.accel.dram_bytes_per_cycle =
-        system.chip_dram_bytes_per_cycle /
-        static_cast<double>(system.cores / system.chips);
-    vopts.noc = system.noc;
     for (const auto& [est, cand] : finalists) {
       obs::Span vspan;
       if (obs::trace_enabled()) {
@@ -374,7 +358,7 @@ TuneOutcome tune(const nn::NetSpec& spec,
       // skip the candidate in release.
       const sched::Schedule lowered =
           lower_candidate(spec, traffic, system, cand, strategy);
-      if (const sched::VerifyReport report = sched::verify(lowered, vopts);
+      if (const sched::VerifyReport report = sys.verify(lowered);
           !report.ok()) {
         LS_CHECK_MSG(false, "tune('%s'): finalist failed verify:\n%s",
                      spec.name.c_str(), report.to_string().c_str());

@@ -70,17 +70,6 @@ TEST(MeshTopology, TriangleInequality) {
   }
 }
 
-TEST(MeshTopology, DistanceMatrixMatchesHops) {
-  const MeshTopology topo(4, 2);
-  const auto m = topo.distance_matrix();
-  ASSERT_EQ(m.size(), 8u);
-  for (std::size_t a = 0; a < 8; ++a) {
-    for (std::size_t b = 0; b < 8; ++b) {
-      EXPECT_EQ(m[a][b], topo.hops(a, b));
-    }
-  }
-}
-
 TEST(MeshTopology, MeanHopsAndDiameter) {
   const MeshTopology topo(2, 2);
   // Pairs: 4 at distance 1 (adjacent, x2 direction each) ... enumerate:
@@ -94,11 +83,6 @@ TEST(MeshTopology, MeanHopsGrowsWithScale) {
             MeshTopology::for_cores(16).mean_hops());
   EXPECT_LT(MeshTopology::for_cores(16).mean_hops(),
             MeshTopology::for_cores(64).mean_hops());
-}
-
-TEST(MeshTopology, BisectionLinks) {
-  EXPECT_EQ(MeshTopology(4, 4).bisection_links(), 4u);
-  EXPECT_EQ(MeshTopology(8, 4).bisection_links(), 4u);
 }
 
 TEST(MeshTopology, RejectsEmpty) {
@@ -134,24 +118,21 @@ TEST(MeshTopology, ForCoresRejectsChainDegenerates) {
 }
 
 TEST(MeshTopology, MetricHelpersOnDegenerateAndNonSquareShapes) {
-  // 1x1: no pairs, no cut, zero diameter.
+  // 1x1: no pairs, zero diameter.
   const MeshTopology single(1, 1);
   EXPECT_EQ(single.mean_hops(), 0.0);
   EXPECT_EQ(single.diameter(), 0u);
-  EXPECT_EQ(single.bisection_links(), 1u);
 
   // 1xN chain (directly constructed; for_cores refuses to build one):
-  // diameter N-1, one link crosses the mid-cut, mean hops (N+1)/3.
+  // diameter N-1, mean hops (N+1)/3.
   const MeshTopology chain(5, 1);
   EXPECT_EQ(chain.diameter(), 4u);
-  EXPECT_EQ(chain.bisection_links(), 1u);
   EXPECT_NEAR(chain.mean_hops(), 2.0, 1e-12);
 
-  // Non-square 4x2: diameter (4-1)+(2-1), the vertical mid-cut crosses
-  // the 2 rows, and mean hops matches the brute-force expectation.
+  // Non-square 4x2: diameter (4-1)+(2-1), and mean hops matches the
+  // brute-force expectation.
   const MeshTopology rect(4, 2);
   EXPECT_EQ(rect.diameter(), 4u);
-  EXPECT_EQ(rect.bisection_links(), 2u);
   double total = 0.0;
   for (std::size_t a = 0; a < 8; ++a) {
     for (std::size_t b = 0; b < 8; ++b) {
@@ -159,59 +140,6 @@ TEST(MeshTopology, MetricHelpersOnDegenerateAndNonSquareShapes) {
     }
   }
   EXPECT_NEAR(rect.mean_hops(), total / (8.0 * 7.0), 1e-12);
-}
-
-TEST(Topology, SingleChipDegenerateMatchesMesh) {
-  const Topology pkg = Topology::for_cores(16, 1);
-  const MeshTopology mesh = MeshTopology::for_cores(16);
-  EXPECT_EQ(pkg.num_chips(), 1u);
-  EXPECT_EQ(pkg.num_cores(), 16u);
-  EXPECT_EQ(pkg.cores_per_chip(), 16u);
-  for (std::size_t a = 0; a < 16; ++a) {
-    EXPECT_EQ(pkg.chip_of(a), 0u);
-    EXPECT_EQ(pkg.local_core(a), a);
-    for (std::size_t b = 0; b < 16; ++b) {
-      EXPECT_EQ(pkg.hops(a, b), mesh.hops(a, b));
-    }
-  }
-}
-
-TEST(Topology, ChipMajorCoreNumbering) {
-  const Topology pkg = Topology::for_cores(64, 4);
-  EXPECT_EQ(pkg.cores_per_chip(), 16u);
-  EXPECT_EQ(pkg.grid_cols(), 2u);
-  EXPECT_EQ(pkg.grid_rows(), 2u);
-  EXPECT_EQ(pkg.chip_of(0), 0u);
-  EXPECT_EQ(pkg.chip_of(15), 0u);
-  EXPECT_EQ(pkg.chip_of(16), 1u);
-  EXPECT_EQ(pkg.chip_of(63), 3u);
-  EXPECT_EQ(pkg.local_core(17), 1u);
-  EXPECT_EQ(pkg.global_core(2, 5), 37u);
-  EXPECT_EQ(pkg.gateway_core(0), 0u);
-  EXPECT_EQ(pkg.gateway_core(3), 48u);
-  EXPECT_TRUE(pkg.same_chip(16, 31));
-  EXPECT_FALSE(pkg.same_chip(15, 16));
-  EXPECT_THROW(pkg.chip_of(64), std::out_of_range);
-  EXPECT_THROW(pkg.global_core(4, 0), std::out_of_range);
-}
-
-TEST(Topology, CrossChipHopsGoThroughGateways) {
-  const Topology pkg = Topology::for_cores(32, 2);  // two 4x4 chips, 2x1 grid
-  // Same chip: plain mesh distance.
-  EXPECT_EQ(pkg.hops(0, 5), MeshTopology::for_cores(16).hops(0, 5));
-  // Gateway to gateway of the adjacent chip: just the package crossing.
-  EXPECT_EQ(pkg.hops(0, 16), 1u);
-  // Interior core to interior core: walk to gateway, cross, walk out.
-  const MeshTopology mesh = MeshTopology::for_cores(16);
-  EXPECT_EQ(pkg.hops(5, 16 + 10), mesh.hops(5, 0) + 1 + mesh.hops(0, 10));
-  EXPECT_EQ(pkg.chip_hops(0, 1), 1u);
-  EXPECT_EQ(pkg.chip_hops(1, 1), 0u);
-}
-
-TEST(Topology, RejectsBadShapes) {
-  EXPECT_THROW(Topology::for_cores(16, 0), std::invalid_argument);
-  EXPECT_THROW(Topology::for_cores(17, 2), std::invalid_argument);
-  EXPECT_THROW(Topology::for_cores(0, 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -366,6 +366,56 @@ TEST(MultiChipSystem, StreamBlameCoversInterChipClass) {
   EXPECT_EQ(attr.makespan_cycles, r.makespan_cycles);
 }
 
+TEST(StreamResources, IdsFollowTheChipMajorMap) {
+  // Gang c, NoC chips + c, boundary link into chip c at 2 * chips + c - 1.
+  for (const std::size_t chips : {1u, 2u, 4u}) {
+    const Schedule s = pipelined(nn::convnet_spec(), chips);
+    ASSERT_EQ(resource_count(s), 3 * chips - 1);
+    for (EventId i = 0; i < s.events.size(); ++i) {
+      const Event& e = s.events[i];
+      const std::size_t want =
+          e.kind == EventKind::kCompute ? e.chip
+          : e.inter_chip                ? 2 * chips + e.chip - 1
+                                        : chips + e.chip;
+      EXPECT_EQ(resource_of(s, i), want) << chips << " chips, event " << i;
+    }
+  }
+}
+
+TEST(StreamResources, ItemsOnOneResourceNeverOverlap) {
+  for (const std::size_t chips : {1u, 2u, 4u}) {
+    sim::SystemConfig cfg;
+    cfg.cores = 16 * chips;
+    cfg.chips = chips;
+    const sim::CmpSystem system(cfg);
+    const nn::NetSpec spec = nn::convnet_spec();
+    const auto traffic =
+        core::traffic_dense(spec, system.topology(), cfg.bytes_per_value);
+    const Schedule s = system.build_schedule(spec, traffic);
+    sim::StreamTimeline timeline;
+    system.run_stream(s, 8, 0, &timeline);
+    ASSERT_EQ(timeline.items.size(), 8 * s.events.size());
+
+    std::vector<std::vector<sim::StreamTimelineItem>> on(resource_count(s));
+    for (const sim::StreamTimelineItem& it : timeline.items) {
+      const std::size_t r = resource_of(s, it.event);
+      ASSERT_LT(r, resource_count(s)) << chips << " chips";
+      on[r].push_back(it);
+    }
+    for (std::size_t r = 0; r < on.size(); ++r) {
+      std::sort(on[r].begin(), on[r].end(),
+                [](const sim::StreamTimelineItem& a,
+                   const sim::StreamTimelineItem& b) {
+                  return a.start_cycle < b.start_cycle;
+                });
+      for (std::size_t k = 1; k < on[r].size(); ++k) {
+        EXPECT_LE(on[r][k - 1].finish_cycle, on[r][k].start_cycle)
+            << chips << " chips, resource " << r;
+      }
+    }
+  }
+}
+
 TEST(Verify, PinpointsChipBoundaryViolation) {
   Schedule s = pipelined(nn::convnet_spec(), 2);
   ASSERT_TRUE(verify(s).ok());

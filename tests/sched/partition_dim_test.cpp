@@ -41,8 +41,8 @@ sched::Schedule lower_convnet(std::vector<sched::PartitionDim> dims,
   opts.bytes_per_value = kBpv;
   opts.layer_dims = std::move(dims);
   opts.placement = std::move(placement);
-  return sched::build_traditional(nn::convnet_spec(), convnet_traffic(),
-                                  opts);
+  return sched::lower(nn::convnet_spec(), convnet_traffic(), opts, nullptr,
+                      sched::Strategy::kTraditional);
 }
 
 const sched::Event& compute_event(const sched::Schedule& s,
@@ -421,8 +421,8 @@ TEST(LoweringRejects, NonKernelDimUnderSparsityProfile) {
   const core::SparsityProfile profile;  // liveness is kernel-split-defined
   expect_rejected(
       [&] {
-        sched::build_sparsified(nn::convnet_spec(), convnet_traffic(), opts,
-                                &profile);
+        sched::lower(nn::convnet_spec(), convnet_traffic(), opts, &profile,
+                     sched::Strategy::kSparsified);
       },
       "defined on the kernel");
 }

@@ -144,12 +144,12 @@ TEST(ScheduleEquivalence, ExplicitBuildersMatchRunInference) {
   opts.overlap_comm = cfg.overlap_comm;
   opts.sparse_cycle_model = cfg.sparse_cycle_model;
   const sched::Schedule traditional =
-      sched::build_traditional(spec, traffic, opts);
+      sched::lower(spec, traffic, opts, nullptr, sched::Strategy::kTraditional);
   EXPECT_EQ(system.execute(traditional), system.run_inference(spec, traffic));
 
   const auto profile = synthetic_profile(spec, cfg.cores);
   const sched::Schedule sparsified =
-      sched::build_sparsified(spec, traffic, opts, &profile);
+      sched::lower(spec, traffic, opts, &profile, sched::Strategy::kSparsified);
   EXPECT_EQ(system.execute(sparsified),
             system.run_inference(spec, traffic, &profile));
 }

@@ -29,7 +29,8 @@ TEST(ScheduleIr, LowersOneComputeEventPerComputeLayer) {
   const nn::NetSpec spec = nn::convnet_spec();
   const auto opts = options();
   const Schedule s =
-      build_traditional(spec, dense_traffic(spec, opts.cores), opts);
+      lower(spec, dense_traffic(spec, opts.cores), opts, nullptr,
+            Strategy::kTraditional);
 
   std::size_t compute_layers = 0;
   for (const nn::LayerAnalysis& a : nn::analyze(spec)) {
@@ -59,7 +60,8 @@ TEST(ScheduleIr, TrafficBytesMatchInputTraffic) {
   const nn::NetSpec spec = nn::alexnet_spec();
   const auto opts = options();
   const auto traffic = dense_traffic(spec, opts.cores);
-  const Schedule s = build_traditional(spec, traffic, opts);
+  const Schedule s =
+      lower(spec, traffic, opts, nullptr, Strategy::kTraditional);
   EXPECT_EQ(s.traffic_bytes(), traffic.total_bytes());
   // Per-event bytes equal the sum of the event's messages.
   for (const Event& e : s.events) {
@@ -75,7 +77,8 @@ TEST(ScheduleIr, OverlapFlagStampsEveryCommEvent) {
   auto opts = options();
   opts.overlap_comm = true;
   const Schedule s =
-      build_traditional(spec, dense_traffic(spec, opts.cores), opts);
+      lower(spec, dense_traffic(spec, opts.cores), opts, nullptr,
+            Strategy::kTraditional);
   std::size_t comm = 0;
   for (const Event& e : s.events) {
     if (e.kind != EventKind::kComm) continue;
@@ -98,8 +101,10 @@ TEST(ScheduleIr, SparsityProfileDiscountsWork) {
   ls.layer_live_fraction = 0.5;
   profile.layers.push_back(ls);
 
-  const Schedule dense = build_traditional(spec, traffic, opts);
-  const Schedule sparse = build_sparsified(spec, traffic, opts, &profile);
+  const Schedule dense =
+      lower(spec, traffic, opts, nullptr, Strategy::kTraditional);
+  const Schedule sparse =
+      lower(spec, traffic, opts, &profile, Strategy::kSparsified);
   ASSERT_EQ(dense.events.size(), sparse.events.size());
   EXPECT_EQ(sparse.strategy, Strategy::kSparsified);
   bool saw_discount = false;
@@ -122,7 +127,8 @@ TEST(ScheduleIr, SparsityProfileDiscountsWork) {
 
   // The ablation switch kills the discount even with a profile in hand.
   opts.sparse_cycle_model = false;
-  const Schedule ablated = build_sparsified(spec, traffic, opts, &profile);
+  const Schedule ablated =
+      lower(spec, traffic, opts, &profile, Strategy::kSparsified);
   for (const Event& e : ablated.events) EXPECT_EQ(e.macs_discounted, 0u);
 }
 
@@ -130,7 +136,8 @@ TEST(ScheduleIr, ToJsonCarriesTheDumpShape) {
   const nn::NetSpec spec = nn::convnet_spec();
   const auto opts = options();
   const Schedule s =
-      build_traditional(spec, dense_traffic(spec, opts.cores), opts);
+      lower(spec, dense_traffic(spec, opts.cores), opts, nullptr,
+            Strategy::kTraditional);
   const std::string json = to_json(s);
   EXPECT_NE(json.find("\"net\":\"ConvNet\""), std::string::npos);
   EXPECT_NE(json.find("\"strategy\":\"traditional\""), std::string::npos);

@@ -42,7 +42,8 @@ core::InferenceTraffic dense_traffic(const nn::NetSpec& spec,
 
 Schedule lowered_convnet(std::size_t cores = 16) {
   const nn::NetSpec spec = nn::convnet_spec();
-  return build_traditional(spec, dense_traffic(spec, cores), options(cores));
+  return lower(spec, dense_traffic(spec, cores), options(cores), nullptr,
+               Strategy::kTraditional);
 }
 
 // Synthetic per-core live fractions (the profile_from_groups shape)
@@ -250,12 +251,48 @@ TEST(VerifyFrontDoor, ExecuteRejectsCoreCountMismatch) {
 
 // --- positive sweep: the golden suite verifies clean ---------------------
 
+// The options a caller outside CmpSystem would build by hand: the chip's
+// DRAM channel split across its cores.
+VerifyOptions hand_built_options(const sim::SystemConfig& cfg) {
+  VerifyOptions v;
+  v.accel = cfg.accel;
+  v.accel.dram_bytes_per_cycle = cfg.chip_dram_bytes_per_cycle /
+                                 static_cast<double>(cfg.cores / cfg.chips);
+  v.noc = cfg.noc;
+  return v;
+}
+
+TEST(VerifyFrontDoor, SystemVerifyMatchesHandBuiltOptions) {
+  for (const nn::NetSpec& spec : {nn::convnet_spec(), nn::alexnet_spec()}) {
+    for (const std::size_t chips : {1u, 2u, 4u}) {
+      sim::SystemConfig cfg;
+      cfg.cores = 16 * chips;
+      cfg.chips = chips;
+      const sim::CmpSystem system(cfg);
+      const auto traffic =
+          core::traffic_dense(spec, system.topology(), cfg.bytes_per_value);
+      Schedule s = system.build_schedule(spec, traffic);
+      const VerifyOptions opts = hand_built_options(cfg);
+      const VerifyReport clean = system.verify(s);
+      EXPECT_TRUE(clean.ok()) << spec.name << " x" << chips << ":\n"
+                              << clean.to_string();
+      EXPECT_EQ(clean.to_string(), verify(s, opts).to_string());
+
+      testing::corrupt(&s, testing::Corruption::kByteTotalMismatch);
+      const VerifyReport corrupted = system.verify(s);
+      EXPECT_FALSE(corrupted.ok()) << spec.name << " x" << chips;
+      EXPECT_EQ(corrupted.to_string(), verify(s, opts).to_string());
+    }
+  }
+}
+
 TEST(VerifyPositive, EveryBuilderStrategyVerifiesClean) {
   const auto opts = options();
   for (const nn::NetSpec& spec : {nn::mlp_spec(), nn::lenet_spec(),
                                   nn::convnet_spec(), nn::alexnet_spec()}) {
     const auto traffic = dense_traffic(spec, opts.cores);
-    const VerifyReport r = verify(build_traditional(spec, traffic, opts));
+    const VerifyReport r =
+        verify(lower(spec, traffic, opts, nullptr, Strategy::kTraditional));
     EXPECT_TRUE(r.ok()) << spec.name << " traditional:\n" << r.to_string();
   }
 
@@ -264,18 +301,20 @@ TEST(VerifyPositive, EveryBuilderStrategyVerifiesClean) {
   const core::SparsityProfile profile =
       synthetic_profile(grouped, opts.cores);
   const VerifyReport structure =
-      verify(build_structure_level(grouped, grouped_traffic, opts));
+      verify(lower(grouped, grouped_traffic, opts, nullptr,
+                   Strategy::kStructureLevel));
   EXPECT_TRUE(structure.ok()) << structure.to_string();
   const VerifyReport hybrid =
-      verify(build_hybrid(grouped, grouped_traffic, opts, &profile));
+      verify(lower(grouped, grouped_traffic, opts, &profile,
+                   Strategy::kHybrid));
   EXPECT_TRUE(hybrid.ok()) << hybrid.to_string();
 
   const nn::NetSpec convnet = nn::convnet_spec();
   const core::SparsityProfile convnet_profile =
       synthetic_profile(convnet, opts.cores);
   const VerifyReport sparsified =
-      verify(build_sparsified(convnet, dense_traffic(convnet, opts.cores),
-                              opts, &convnet_profile));
+      verify(lower(convnet, dense_traffic(convnet, opts.cores), opts,
+                   &convnet_profile, Strategy::kSparsified));
   EXPECT_TRUE(sparsified.ok()) << sparsified.to_string();
 }
 

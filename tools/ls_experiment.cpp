@@ -478,36 +478,24 @@ std::string audit_entry(const std::string& key_string,
   }
   if (!net_ok) return "unknown net '" + key.net + "'\n";
 
-  if (key.chips == 0 || key.cores % key.chips != 0) {
-    return std::to_string(key.chips) +
-           " chips cannot tile " + std::to_string(key.cores) + " cores\n";
-  }
-  const std::size_t chip_cores = key.cores / key.chips;
-
   sim::SystemConfig cfg;
   cfg.cores = key.cores;
   cfg.chips = key.chips;
   cfg.noc = key.noc;
   cfg.noc_clock_divider = key.noc_clock_divider;
-  sched::VerifyReport report;
   try {
     // Traffic rides each chip's own mesh (== the whole machine when the
-    // key has one chip).
-    const noc::MeshTopology topo = noc::MeshTopology::for_cores(chip_cores);
-    const auto traffic = core::traffic_dense(spec, topo, cfg.bytes_per_value);
-    const sched::Schedule schedule =
-        tune::lower_candidate(spec, traffic, cfg, entry.candidate,
-                              key.strategy);
-    sched::VerifyOptions vopts;
-    vopts.accel = cfg.accel;
-    vopts.accel.dram_bytes_per_cycle =
-        cfg.chip_dram_bytes_per_cycle / static_cast<double>(chip_cores);
-    vopts.noc = key.noc;
-    report = sched::verify(schedule, vopts);
+    // key has one chip); the system rejects chips that cannot tile cores.
+    const sim::CmpSystem system(cfg);
+    const auto traffic =
+        core::traffic_dense(spec, system.topology(), cfg.bytes_per_value);
+    return system
+        .verify(tune::lower_candidate(spec, traffic, cfg, entry.candidate,
+                                      key.strategy))
+        .to_string();
   } catch (const std::exception& e) {
     return "lowering failed: " + std::string(e.what()) + "\n";
   }
-  return report.to_string();
 }
 
 /// `ls_experiment verify`: static audit of an entire tuned-schedule cache

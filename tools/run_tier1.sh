@@ -222,13 +222,15 @@ fi
 
 # Malformed-cache smoke: a hand-edited tuned cache (a placement entry off
 # the mesh, a one-entry layer_dims, a channel split ending pipeline stage
-# 0 on two chips) must be rejected by infer with a message and exit status
-# exactly 1 — never a crash — and reported as FAIL by verify.
+# 0 on two chips, a key whose 3 chips cannot tile its 16 cores) must be
+# rejected by infer with a message and exit status exactly 1 — never a
+# crash — and reported as FAIL by verify.
 bad_dir="$(mktemp -d)"
 trap 'rm -rf "$bad_dir"' EXIT
 key='ConvNet|cores=16|traditional|noc=fb64,mp20,vc3,vd4,rl3,pc2,xy|div=1|chips=1'
 key2="${key/cores=16/cores=32}"
 key2="${key2/chips=1/chips=2}"
+key3="${key/chips=1/chips=3}"
 cat > "$bad_dir/placement.json" <<JSON
 {"version":2,"entries":{"$key":{"layer_dims":[],
  "placement":[0,1,2,4000,4,5,6,7,8,9,10,11,12,13,14,15],"overlap":false}}}
@@ -242,7 +244,12 @@ cat > "$bad_dir/stage_end.json" <<JSON
  "layer_dims":["kernel","channel","kernel","kernel","kernel"],
  "placement":[],"overlap":false}}}
 JSON
-for bad in "placement 16 1" "layer_dims 16 1" "stage_end 32 2"; do
+cat > "$bad_dir/tiling.json" <<JSON
+{"version":2,"entries":{"$key3":{"layer_dims":[],"placement":[],
+ "overlap":false}}}
+JSON
+for bad in "placement 16 1" "layer_dims 16 1" "stage_end 32 2" \
+           "tiling 16 3"; do
   read -r name cores chips <<< "$bad"
   rc=0
   "$build_dir/tools/ls_experiment" infer --net convnet --cores "$cores" \
