@@ -120,8 +120,8 @@ NocStats NocRunCache::run(const MeshNocSimulator& sim,
   impl_->misses.fetch_add(1, std::memory_order_relaxed);
   miss_metric.inc();
   // Simulate outside the lock: bursts are the expensive part and distinct
-  // layers can run concurrently. A racing duplicate computes the same
-  // stats, so emplace-after is harmless.
+  // bursts can run concurrently. A racing duplicate (concurrent execute
+  // calls) computes the same stats, so emplace-after is harmless.
   const NocStats stats = sim.run(messages, max_cycles);
   {
     std::lock_guard<std::mutex> lk(impl_->mu);

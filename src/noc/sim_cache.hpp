@@ -22,10 +22,12 @@
 //    sweeping unbounded distinct bursts where the memo map would only grow
 //    (clear() between sweep points), or via LS_NOC_CACHE=0 / set_enabled.
 //
-// Thread-safe: CmpSystem dispatches per-layer bursts onto the shared pool
-// and all of them may consult the cache concurrently. Misses simulate
-// outside the lock; a racing duplicate insert is harmless because equal
-// keys always map to equal stats.
+// Thread-safe: CmpSystem::execute dispatches a batch's bursts onto the
+// shared pool and all of them may consult the cache concurrently. Misses
+// simulate outside the lock. execute deduplicates a batch's bursts before
+// dispatch, so two simulations of one key can race only across concurrent
+// execute calls; the duplicate insert is then harmless because equal keys
+// always map to equal stats.
 
 #include <cstdint>
 #include <vector>

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "check/check.hpp"
 #include "core/partition.hpp"
@@ -67,6 +70,85 @@ void name_sim_tracks(std::size_t P) {
   tr.set_virtual_thread_name(obs::kSimPid, P, "noc");
 }
 
+// "schedule 'AlexNet'", with its position when it is one of a batch.
+std::string schedule_label(const sched::Schedule& schedule, std::size_t i,
+                           std::size_t n) {
+  std::string label = "schedule '" + schedule.net_name + "'";
+  if (n > 1) {
+    label += " (batch item " + std::to_string(i) + " of " +
+             std::to_string(n) + ")";
+  }
+  return label;
+}
+
+std::size_t sequence_hash(const std::vector<noc::Message>& msgs) {
+  std::size_t h = msgs.size();
+  for (const noc::Message& m : msgs) {
+    for (const std::size_t v :
+         {m.src, m.dst, m.bytes, static_cast<std::size_t>(m.inject_cycle)}) {
+      h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    }
+  }
+  return h;
+}
+
+// A batch's on-chip bursts, deduplicated by exact ordered message sequence
+// (the burst cache's own key, so a hit and a shared burst agree on what
+// "the same burst" means). bursts[b] is one distinct sequence in its chip's
+// mesh coordinates; burst_of[s][i] is the burst of schedule s's event i, or
+// kNone for compute events and inter-chip transfers (priced analytically,
+// never flit-simulated).
+struct BurstPlan {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<const std::vector<noc::Message>*> bursts;
+  std::vector<std::vector<std::size_t>> burst_of;
+  std::deque<std::vector<noc::Message>> localized;  ///< multi-chip copies
+
+  BurstPlan(std::span<const sched::Schedule> schedules,
+            std::size_t cores_per_chip) {
+    std::unordered_multimap<std::size_t, std::size_t> by_hash;
+    burst_of.reserve(schedules.size());
+    for (const sched::Schedule& schedule : schedules) {
+      std::vector<std::size_t>& of =
+          burst_of.emplace_back(schedule.events.size(), kNone);
+      for (std::size_t i = 0; i < schedule.events.size(); ++i) {
+        const sched::Event& e = schedule.events[i];
+        if (e.kind != sched::EventKind::kComm || e.inter_chip) continue;
+        // Multi-chip bursts move onto their chip's mesh coordinates;
+        // single-chip schedules pass the event's messages through
+        // untouched, so burst-cache keys (and stats) stay bit-identical to
+        // the flat machine.
+        std::vector<noc::Message> local;
+        if (schedule.chips > 1) {
+          const std::size_t base = e.chip * cores_per_chip;
+          local.reserve(e.messages.size());
+          for (const noc::Message& m : e.messages) {
+            local.push_back({m.src - base, m.dst - base, m.bytes, 0});
+          }
+        }
+        const std::vector<noc::Message>& msgs =
+            schedule.chips > 1 ? local : e.messages;
+        const std::size_t h = sequence_hash(msgs);
+        std::size_t b = kNone;
+        for (auto [it, last] = by_hash.equal_range(h); it != last; ++it) {
+          if (*bursts[it->second] == msgs) {
+            b = it->second;
+            break;
+          }
+        }
+        if (b == kNone) {
+          b = bursts.size();
+          by_hash.emplace(h, b);
+          bursts.push_back(schedule.chips > 1
+                               ? &localized.emplace_back(std::move(local))
+                               : &e.messages);
+        }
+        of[i] = b;
+      }
+    }
+  }
+};
+
 }  // namespace
 
 std::size_t cores_per_chip(const SystemConfig& cfg) {
@@ -108,74 +190,95 @@ InferenceResult CmpSystem::run_inference(
 
 InferenceResult CmpSystem::execute(const sched::Schedule& schedule,
                                    std::uint64_t stream_epoch) const {
-  // Front door: statically verify before simulating a single flit, so
-  // malformed schedules — stale tuned caches, hand-edited dumps — are
-  // rejected with a structured diagnostic in every build.
-  if (schedule.cores != cfg_.cores) {
-    throw std::invalid_argument(
-        "schedule '" + schedule.net_name + "' targets " +
-        std::to_string(schedule.cores) + " cores but this system has " +
-        std::to_string(cfg_.cores));
+  return std::move(execute(std::span(&schedule, 1), stream_epoch).front());
+}
+
+std::vector<InferenceResult> CmpSystem::execute(
+    std::span<const sched::Schedule> schedules,
+    std::uint64_t stream_epoch) const {
+  // Front door: statically verify the whole batch before simulating a
+  // single flit, so malformed schedules — stale tuned caches, hand-edited
+  // dumps — are rejected with a structured diagnostic in every build.
+  for (std::size_t s = 0; s < schedules.size(); ++s) {
+    const sched::Schedule& schedule = schedules[s];
+    const std::string label = schedule_label(schedule, s, schedules.size());
+    if (schedule.cores != cfg_.cores) {
+      throw std::invalid_argument(
+          label + " targets " + std::to_string(schedule.cores) +
+          " cores but this system has " + std::to_string(cfg_.cores));
+    }
+    if (schedule.chips != cfg_.chips) {
+      throw std::invalid_argument(
+          label + " targets " + std::to_string(schedule.chips) +
+          " chips but this system has " + std::to_string(cfg_.chips));
+    }
+    if (const sched::VerifyReport report = verify(schedule); !report.ok()) {
+      throw std::invalid_argument(label + " failed static verification:\n" +
+                                  report.to_string());
+    }
   }
-  if (schedule.chips != cfg_.chips) {
-    throw std::invalid_argument(
-        "schedule '" + schedule.net_name + "' targets " +
-        std::to_string(schedule.chips) + " chips but this system has " +
-        std::to_string(cfg_.chips));
-  }
-  if (const sched::VerifyReport report = verify(schedule); !report.ok()) {
-    throw std::invalid_argument("schedule '" + schedule.net_name +
-                                "' failed static verification:\n" +
-                                report.to_string());
-  }
-  const std::size_t P = cfg_.cores;
+  std::vector<InferenceResult> results;
+  if (schedules.empty()) return results;
 
   const bool tracing = obs::trace_enabled();
   obs::Span run_span;
   if (tracing) {
-    run_span.begin("sim.execute(" + schedule.net_name + ")", "sim");
-    name_sim_tracks(P);
+    run_span.begin("sim.execute", "sim");
+    name_sim_tracks(cfg_.cores);
+  }
+  const BurstPlan plan(schedules, topo_.num_cores());
+  if (tracing) {
+    run_span.set_args("{\"schedules\":" + std::to_string(schedules.size()) +
+                      ",\"bursts\":" + std::to_string(plan.bursts.size()) +
+                      "}");
   }
 
-  noc::MeshNocSimulator noc_sim(topo_, cfg_.noc);
-
-  // Per-layer bursts inject at cycle 0 of their own burst, so the NoC
-  // simulations are independent: dispatch them onto the shared pool (each
-  // through the memoizing burst cache unless disabled), then assemble the
-  // timeline serially — the overlap ablation needs the previous layer's
-  // compute time.
-  // Inter-chip transfers never touch the flit simulator — they are priced
-  // analytically on the serial link during assembly below. Multi-chip
-  // on-chip bursts are localized onto their chip's mesh coordinates first;
-  // single-chip schedules pass the event's message vector through
-  // untouched, so burst-cache keys (and stats) stay bit-identical to the
-  // flat machine.
-  std::vector<noc::NocStats> burst_stats(schedule.events.size());
-  std::vector<std::vector<noc::Message>> localized;
-  if (schedule.chips > 1) {
-    localized.resize(schedule.events.size());
-    const std::size_t cpc = topo_.num_cores();
-    for (std::size_t i = 0; i < schedule.events.size(); ++i) {
-      const sched::Event& e = schedule.events[i];
-      if (e.kind != sched::EventKind::kComm || e.inter_chip) continue;
-      const std::size_t base = e.chip * cpc;
-      localized[i].reserve(e.messages.size());
-      for (const noc::Message& m : e.messages) {
-        localized[i].push_back({m.src - base, m.dst - base, m.bytes, 0});
+  // Bursts inject at cycle 0 of their own burst, so the simulations are
+  // independent of each other and of the schedules they came from: run
+  // every distinct one in a single pool job (each through the memoizing
+  // burst cache unless disabled), then assemble the timelines serially —
+  // the overlap ablation needs the previous layer's compute time. The pool
+  // hands out indices in order, so dispatching the largest bursts first
+  // keeps a long burst from starting last and running alone.
+  const noc::MeshNocSimulator noc_sim(topo_, cfg_.noc);
+  std::vector<std::uint64_t> flits(plan.bursts.size(), 0);
+  for (std::size_t b = 0; b < plan.bursts.size(); ++b) {
+    for (const noc::Message& m : *plan.bursts[b]) {
+      if (m.src != m.dst && m.bytes > 0) {
+        flits[b] += noc_sim.flits_for_bytes(m.bytes);
       }
     }
   }
-  util::parallel_for(0, schedule.events.size(), [&](std::size_t i) {
-    const sched::Event& e = schedule.events[i];
-    if (e.kind != sched::EventKind::kComm || e.inter_chip) return;
-    const auto& msgs = schedule.chips > 1 ? localized[i] : e.messages;
-    burst_stats[i] =
-        cfg_.noc_result_cache
-            ? noc::NocRunCache::instance().run(noc_sim, msgs,
-                                               200'000'000ull, stream_epoch)
-            : noc_sim.run(msgs);
+  std::vector<std::size_t> order(plan.bursts.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return flits[a] > flits[b];
+                   });
+  std::vector<noc::NocStats> stats(plan.bursts.size());
+  util::parallel_for(0, order.size(), [&](std::size_t k) {
+    const std::size_t b = order[k];
+    stats[b] = cfg_.noc_result_cache
+                   ? noc::NocRunCache::instance().run(
+                         noc_sim, *plan.bursts[b], 200'000'000ull,
+                         stream_epoch)
+                   : noc_sim.run(*plan.bursts[b]);
   });
 
+  results.reserve(schedules.size());
+  for (std::size_t s = 0; s < schedules.size(); ++s) {
+    results.push_back(
+        assemble(schedules[s], plan.burst_of[s], stats, noc_sim));
+  }
+  return results;
+}
+
+InferenceResult CmpSystem::assemble(
+    const sched::Schedule& schedule, std::span<const std::size_t> burst_of,
+    std::span<const noc::NocStats> burst_stats,
+    const noc::MeshNocSimulator& noc_sim) const {
+  const std::size_t P = cfg_.cores;
+  const bool tracing = obs::trace_enabled();
   InferenceResult result;
   std::uint64_t prev_compute = 0;
   std::uint64_t cursor = 0;  // serialized model time, for the trace
@@ -186,7 +289,7 @@ InferenceResult CmpSystem::execute(const sched::Schedule& schedule,
     const sched::Event& e = schedule.events[i];
     if (e.kind == sched::EventKind::kComm) {
       pending_comm = &e;
-      pending_stats = &burst_stats[i];
+      pending_stats = e.inter_chip ? nullptr : &burst_stats[burst_of[i]];
       continue;
     }
 

@@ -28,6 +28,7 @@
 // Throughput is reported in inferences per 1e6 cycles.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -196,10 +197,21 @@ class CmpSystem {
       const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
       const core::SparsityProfile* sparsity = nullptr) const;
 
-  /// Executes any schedule sched::verify passes (throws
-  /// std::invalid_argument with its report otherwise). Burst
-  /// simulations go through the memoizing cache under `stream_epoch`
-  /// (see noc::NocRunCache::run; 0 = the shared single-pass memo space).
+  /// Executes a batch of schedules; result i belongs to schedule i. Every
+  /// schedule must target this system's cores and chips and pass verify()
+  /// — otherwise std::invalid_argument names the first that does not,
+  /// before a single flit is simulated. The batch's on-chip bursts are
+  /// deduplicated by exact ordered message sequence, and the distinct ones
+  /// are simulated in one pool job, largest flit count first, through the
+  /// memoizing cache under `stream_epoch` (see noc::NocRunCache::run; 0 =
+  /// the shared single-pass memo space) unless it is disabled. Each
+  /// schedule's timeline is then assembled serially, so every result is
+  /// identical to executing its schedule alone.
+  std::vector<InferenceResult> execute(
+      std::span<const sched::Schedule> schedules,
+      std::uint64_t stream_epoch = 0) const;
+
+  /// A batch of one.
   InferenceResult execute(const sched::Schedule& schedule,
                           std::uint64_t stream_epoch = 0) const;
 
@@ -223,6 +235,13 @@ class CmpSystem {
   const noc::MeshTopology& topology() const { return topo_; }
 
  private:
+  /// One schedule's timeline from the batch's simulated bursts: on-chip
+  /// comm event i drained as `burst_stats[burst_of[i]]`.
+  InferenceResult assemble(const sched::Schedule& schedule,
+                           std::span<const std::size_t> burst_of,
+                           std::span<const noc::NocStats> burst_stats,
+                           const noc::MeshNocSimulator& noc_sim) const;
+
   SystemConfig cfg_;
   noc::MeshTopology topo_;
   accel::CoreModel core_model_;

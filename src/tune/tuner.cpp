@@ -333,31 +333,25 @@ TuneOutcome tune(const nn::NetSpec& spec,
 
   // Flit-level validation: the analytic model picks the shortlist, the
   // real simulator picks the winner (and prices the baseline for the
-  // reported speedup).
+  // reported speedup). The baseline and every surviving finalist go to
+  // the simulator as one batch, so their bursts share one pool job and
+  // bursts common to several schedules run once.
   {
     obs::Span span("tune.validate", "tune");
     const sim::CmpSystem sys(system);
-    out.baseline_sim_cycles =
-        sys.execute(lower_candidate(spec, traffic, system, base, strategy))
-            .total_cycles;
+    std::vector<sched::Schedule> batch;
+    batch.push_back(lower_candidate(spec, traffic, system, base, strategy));
     out.baseline_est_cycles =
-        sched::estimate_cycles(
-            lower_candidate(spec, traffic, system, base, strategy),
-            cost_model_for(system))
+        sched::estimate_cycles(batch.front(), cost_model_for(system))
             .total_cycles;
-    bool have_best = false;
-    std::size_t best_idx = 0;
-    for (const auto& [est, cand] : finalists) {
-      obs::Span vspan;
-      if (obs::trace_enabled()) {
-        vspan.begin("tune.validate#" + std::to_string(out.validated), "tune");
-      }
+    std::vector<const std::pair<std::uint64_t, Candidate>*> survivors;
+    for (const auto& finalist : finalists) {
       // Static verification gates the expensive flit-level validation:
       // a finalist the verifier rejects never reaches the simulator. A
       // violation here means a builder bug — abort in checked builds,
       // skip the candidate in release.
-      const sched::Schedule lowered =
-          lower_candidate(spec, traffic, system, cand, strategy);
+      sched::Schedule lowered =
+          lower_candidate(spec, traffic, system, finalist.second, strategy);
       if (const sched::VerifyReport report = sys.verify(lowered);
           !report.ok()) {
         LS_CHECK_MSG(false, "tune('%s'): finalist failed verify:\n%s",
@@ -366,29 +360,35 @@ TuneOutcome tune(const nn::NetSpec& spec,
                     spec.name.c_str(), report.to_string().c_str());
         continue;
       }
-      const std::uint64_t sim_cycles = sys.execute(lowered).total_cycles;
+      survivors.push_back(&finalist);
+      batch.push_back(std::move(lowered));
+    }
+    const std::vector<sim::InferenceResult> priced = sys.execute(batch);
+    out.baseline_sim_cycles = priced.front().total_cycles;
+    std::size_t best_idx = 0;
+    for (std::size_t i = 0; i < survivors.size(); ++i) {
+      const auto& [est, cand] = *survivors[i];
+      const std::uint64_t sim_cycles = priced[i + 1].total_cycles;
       if (telemetry != nullptr) {
         telemetry->validations.push_back({est, sim_cycles, false});
       }
-      ++out.validated;
-      if (!have_best || sim_cycles < out.best_sim_cycles) {
-        have_best = true;
-        best_idx = out.validated - 1;
+      if (i == 0 || sim_cycles < out.best_sim_cycles) {
+        best_idx = i;
         out.best = cand;
         out.best_est_cycles = est;
         out.best_sim_cycles = sim_cycles;
       }
     }
-    if (telemetry != nullptr && have_best) {
-      telemetry->validations[best_idx].is_best = true;
-    }
-    if (!have_best) {
+    out.validated = survivors.size();
+    if (survivors.empty()) {
       // Every finalist was rejected by the static verifier (release builds
       // only — checked builds abort above). Fall back to the already-priced
       // kernel-wise baseline rather than returning garbage.
       out.best = base;
       out.best_est_cycles = out.baseline_est_cycles;
       out.best_sim_cycles = out.baseline_sim_cycles;
+    } else if (telemetry != nullptr) {
+      telemetry->validations[best_idx].is_best = true;
     }
   }
   validated_ctr.inc(out.validated);

@@ -10,7 +10,8 @@
 // Scorer prices only the layers a move touches, bit-identical to
 // sched::estimate_cycles over the lowered candidate), and only the top-k
 // analytic winners are validated with the flit-level NoC simulation
-// (CmpSystem::execute) before one is declared best. The search is greedy
+// (one batched CmpSystem::execute, with the baseline) before one is
+// declared best. The search is greedy
 // hill-climbing with random restarts over single-knob moves (one layer's
 // dim, one placement swap, the overlap flag), driven by a seeded
 // util::Rng: the same seed and budget always visit the same candidates and

@@ -7,6 +7,9 @@
 //   * concurrent NocRunCache lookups on hot and cold keys;
 //   * whole CmpSystem::run_inference calls racing on two threads (pool
 //     dispatch + burst cache + obs counters all exercised at once);
+//   * batched CmpSystem::execute calls racing on external threads, each
+//     batch sharing bursts within itself and with the others, on a cold
+//     burst cache;
 //   * concurrent block-sparse forwards on per-thread layers over the shared
 //     pool;
 //   * conv backward (sample-parallel data gradient, dW tiles packing their
@@ -156,6 +159,46 @@ TEST(TsanStress, ConcurrentSystemRuns) {
   for (auto& th : threads) th.join();
   for (std::size_t t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(ok[t]) << "thread " << t << " diverged from the serial run";
+  }
+}
+
+TEST(TsanStress, ConcurrentBatchedExecutes) {
+  // One batch dedups its bursts before dispatch, so racing duplicates can
+  // only come from concurrent batches: three external threads execute the
+  // same burst-sharing batch (a schedule, its overlap twin, the schedule
+  // again) against a cold cache. Every result must equal the uncontended
+  // one-at-a-time execution.
+  sim::SystemConfig cfg;
+  cfg.cores = 16;
+  const sim::CmpSystem system(cfg);
+  const nn::NetSpec spec = nn::lenet_expt_spec();
+  const auto traffic =
+      core::traffic_dense(spec, system.topology(), cfg.bytes_per_value);
+  sim::SystemConfig overlap_cfg = cfg;
+  overlap_cfg.overlap_comm = true;
+  const sched::Schedule plain = system.build_schedule(spec, traffic);
+  const std::vector<sched::Schedule> batch = {
+      plain, sim::CmpSystem(overlap_cfg).build_schedule(spec, traffic), plain};
+  std::vector<sim::InferenceResult> want;
+  for (const sched::Schedule& s : batch) want.push_back(system.execute(s));
+  noc::NocRunCache::instance().clear();
+
+  constexpr std::size_t kThreads = 3;
+  constexpr std::size_t kRounds = 4;
+  std::vector<std::thread> threads;
+  std::vector<int> ok(kThreads, 0);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &system, &batch, &want, &ok] {
+      bool all_match = true;
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        all_match = all_match && system.execute(batch) == want;
+      }
+      ok[t] = all_match;
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(ok[t]) << "thread " << t << " batch diverged from serial";
   }
 }
 

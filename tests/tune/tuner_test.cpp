@@ -12,9 +12,11 @@
 
 #include "core/traffic.hpp"
 #include "nn/model_zoo.hpp"
+#include "noc/sim_cache.hpp"
 #include "sim/system.hpp"
 #include "tune/schedule_cache.hpp"
 #include "tune/tuner.hpp"
+#include "util/parallel.hpp"
 
 namespace ls {
 namespace {
@@ -185,6 +187,34 @@ TEST(Tuner, TelemetryIsDeterministicAndNonPerturbing) {
   EXPECT_EQ(a.best_sim_cycles, plain.best_sim_cycles);
   EXPECT_EQ(a.evals, plain.evals);
   EXPECT_EQ(b.best, plain.best);
+}
+
+// Validation prices the baseline and the finalists as one pooled batch:
+// what the tuner returns must not depend on how many threads ran it. The
+// burst cache is cleared before each run so both actually simulate.
+TEST(Tuner, OutcomeIndependentOfPoolSize) {
+  TunePoint alexnet64;
+  alexnet64.spec = nn::alexnet_spec();
+  alexnet64.cfg.cores = 64;
+  alexnet64.traffic = core::traffic_dense(
+      alexnet64.spec, noc::MeshTopology::for_cores(alexnet64.cfg.cores),
+      alexnet64.cfg.bytes_per_value);
+  for (const TunePoint& p : {convnet16(), alexnet64}) {
+    SCOPED_TRACE(p.spec.name);
+    tune::TuneOutcome out[2];
+    tune::TuneTelemetry telemetry[2];
+    const std::size_t threads[2] = {1, 4};
+    for (std::size_t k = 0; k < 2; ++k) {
+      util::ThreadPool::set_num_threads(threads[k]);
+      noc::NocRunCache::instance().clear();
+      out[k] = tune::tune(p.spec, p.traffic, p.cfg, small_search(),
+                          sched::Strategy::kTraditional, &telemetry[k]);
+    }
+    util::ThreadPool::set_num_threads(0);
+    EXPECT_GT(out[0].validated, 0u);
+    EXPECT_EQ(out[0], out[1]);
+    EXPECT_EQ(telemetry[0].validations, telemetry[1].validations);
+  }
 }
 
 TEST(ScheduleCache, RoundTripPreservesEntries) {
