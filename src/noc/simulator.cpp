@@ -215,6 +215,12 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
                 (b.flits + mpf - 1) / mpf, b.inject);
   }
 
+  // Flits that land in the same cycle leave in the heap's pop order, which
+  // is the standard library's (unspecified) choice among equal keys, and
+  // the model cycles depend on it. Pushes come in nondecreasing arrival
+  // order, yet a FIFO here is not equivalent: it moves BENCH_tune.json. A
+  // deterministic tie rule would be an intentional re-baseline (DESIGN.md
+  // §4b, "The in-flight heap stays").
   std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>>
       in_flight;
   // Flit counts per directed inter-router link (router x direction).

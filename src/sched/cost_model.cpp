@@ -52,13 +52,7 @@ EventPricer::EventPricer(const CostModelConfig& cfg,
       noc_clock_divider_(cfg.noc_clock_divider),
       inter_chip_(cfg.inter_chip),
       cols_(sim_.topology().cols()),
-      rows_(sim_.topology().rows()),
-      east_(rows_ * (cols_ + 1)),
-      west_(rows_ * (cols_ + 1)),
-      south_(cols_ * (rows_ + 1)),
-      north_(cols_ * (rows_ + 1)),
-      inject_(mesh.num_cores()),
-      eject_(mesh.num_cores()) {
+      rows_(sim_.topology().rows()) {
   x_.resize(mesh.num_cores());
   y_.resize(mesh.num_cores());
   for (std::size_t c = 0; c < mesh.num_cores(); ++c) {
@@ -85,60 +79,129 @@ std::size_t EventPricer::mesh_core(std::size_t endpoint,
   return core;
 }
 
-std::uint64_t EventPricer::burst_cycles(
-    std::span<const noc::Message> messages,
-    std::span<const std::size_t> place, std::size_t base) {
-  // Every message is routed along its dimension-ordered path: an X leg on
-  // one row and a Y leg on one column, each a contiguous run of same-
-  // direction links, so a leg is two difference-array updates and the
-  // burst's link loads fall out of one prefix sum per row and column.
-  for (auto* v : {&east_, &west_, &south_, &north_, &inject_, &eject_}) {
-    std::fill(v->begin(), v->end(), 0);
-  }
+std::uint64_t EventPricer::route(const noc::Message& m,
+                                 std::span<const std::size_t> place,
+                                 std::size_t base, BurstLoads& loads,
+                                 bool remove) const {
+  if (m.src == m.dst || m.bytes == 0) return 0;
+  const std::size_t s = mesh_core(m.src, place, base);
+  const std::size_t d = mesh_core(m.dst, place, base);
+  const std::uint64_t flits = sim_.flits_for_bytes(m.bytes);
+  // Taking a route back adds its two's complement: the sums wrap back to
+  // exactly the loads without it.
+  const std::uint64_t delta = remove ? 0 - flits : flits;
+  loads.inject[s] += delta;
+  loads.eject[d] += delta;
+  // The route is an X leg on one row and a Y leg on one column, each a
+  // contiguous run of same-direction links: two difference-array updates
+  // per leg. XY turns at (dx, sy); YX turns at (sx, dy).
   const bool x_first = sim_.config().routing == noc::Routing::kXY;
   const std::size_t row_len = cols_ + 1;
   const std::size_t col_len = rows_ + 1;
-  std::uint64_t max_zero_load = 0;
-  for (const noc::Message& m : messages) {
-    if (m.src == m.dst || m.bytes == 0) continue;
-    const std::size_t s = mesh_core(m.src, place, base);
-    const std::size_t d = mesh_core(m.dst, place, base);
-    const std::uint64_t flits = sim_.flits_for_bytes(m.bytes);
-    inject_[s] += flits;
-    eject_[d] += flits;
-    const std::size_t sx = x_[s], sy = y_[s], dx = x_[d], dy = y_[d];
-    // XY turns at (dx, sy); YX turns at (sx, dy).
-    const std::size_t row = x_first ? sy : dy;
-    const std::size_t col = x_first ? dx : sx;
-    if (dx > sx) add_span(&east_[row * row_len], sx, dx, flits);
-    if (dx < sx) add_span(&west_[row * row_len], dx + 1, sx + 1, flits);
-    if (dy > sy) add_span(&south_[col * col_len], sy, dy, flits);
-    if (dy < sy) add_span(&north_[col * col_len], dy + 1, sy + 1, flits);
-    const std::size_t hops = (dx > sx ? dx - sx : sx - dx) +
-                             (dy > sy ? dy - sy : sy - dy);
-    max_zero_load =
-        std::max(max_zero_load, sim_.zero_load_latency(hops, flits));
-  }
+  const std::size_t sx = x_[s], sy = y_[s], dx = x_[d], dy = y_[d];
+  const std::size_t row = x_first ? sy : dy;
+  const std::size_t col = x_first ? dx : sx;
+  if (dx > sx) add_span(&loads.east[row * row_len], sx, dx, delta);
+  if (dx < sx) add_span(&loads.west[row * row_len], dx + 1, sx + 1, delta);
+  if (dy > sy) add_span(&loads.south[col * col_len], sy, dy, delta);
+  if (dy < sy) add_span(&loads.north[col * col_len], dy + 1, sy + 1, delta);
+  if (remove) return 0;
+  const std::size_t hops = (dx > sx ? dx - sx : sx - dx) +
+                           (dy > sy ? dy - sy : sy - dy);
+  return sim_.zero_load_latency(hops, flits);
+}
+
+std::uint64_t EventPricer::drain_cycles(const BurstLoads& loads,
+                                        std::uint64_t max_zero_load) const {
   // Serialization-bound bursts drain at the bottleneck resource's rate —
   // a directed link (shared by the physical channels) or a single-channel
   // injection/ejection port — plus the head-flit pipeline of the last
   // packet through it; latency-bound bursts finish with their slowest lone
   // message.
+  const std::size_t row_len = cols_ + 1;
+  const std::size_t col_len = rows_ + 1;
   const std::uint64_t link = std::max(
-      std::max(max_prefix(east_, row_len), max_prefix(west_, row_len)),
-      std::max(max_prefix(south_, col_len), max_prefix(north_, col_len)));
+      std::max(max_prefix(loads.east, row_len),
+               max_prefix(loads.west, row_len)),
+      std::max(max_prefix(loads.south, col_len),
+               max_prefix(loads.north, col_len)));
   const std::uint64_t phys = sim_.config().phys_channels;
   std::uint64_t bottleneck = (link + phys - 1) / phys;
-  for (const std::uint64_t load : inject_) {
+  for (const std::uint64_t load : loads.inject) {
     bottleneck = std::max(bottleneck, load);
   }
-  for (const std::uint64_t load : eject_) {
+  for (const std::uint64_t load : loads.eject) {
     bottleneck = std::max(bottleneck, load);
   }
   const std::uint64_t noc_cycles =
       std::max(max_zero_load, bottleneck + sim_.config().router_latency);
   return static_cast<std::uint64_t>(static_cast<double>(noc_cycles) *
                                     noc_clock_divider_);
+}
+
+std::uint64_t EventPricer::burst_cycles(
+    std::span<const noc::Message> messages,
+    std::span<const std::size_t> place, std::size_t base) {
+  return burst_cycles(messages, place, base, scratch_);
+}
+
+std::uint64_t EventPricer::burst_cycles(
+    std::span<const noc::Message> messages,
+    std::span<const std::size_t> place, std::size_t base, BurstLoads& kept) {
+  kept.east.assign(rows_ * (cols_ + 1), 0);
+  kept.west.assign(rows_ * (cols_ + 1), 0);
+  kept.south.assign(cols_ * (rows_ + 1), 0);
+  kept.north.assign(cols_ * (rows_ + 1), 0);
+  kept.inject.assign(x_.size(), 0);
+  kept.eject.assign(x_.size(), 0);
+  kept.zero_load.resize(messages.size());
+  std::uint64_t max_zero_load = 0;
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    kept.zero_load[i] = route(messages[i], place, base, kept, false);
+    max_zero_load = std::max(max_zero_load, kept.zero_load[i]);
+  }
+  return drain_cycles(kept, max_zero_load);
+}
+
+std::uint64_t EventPricer::reprice(const BurstLoads& kept,
+                                   std::span<const noc::Message> messages,
+                                   std::span<const std::size_t> place,
+                                   std::size_t a, std::size_t b,
+                                   std::size_t base) {
+  if (kept.zero_load.size() != messages.size()) {
+    throw std::invalid_argument("reprice: loads kept for another burst");
+  }
+  if (a >= place.size() || b >= place.size()) {
+    throw std::out_of_range("reprice: swapped partition off the placement");
+  }
+  scratch_.east = kept.east;
+  scratch_.west = kept.west;
+  scratch_.south = kept.south;
+  scratch_.north = kept.north;
+  scratch_.inject = kept.inject;
+  scratch_.eject = kept.eject;
+  // Under the kept placement partition a rode the core `place` now gives
+  // b, and b the core it now gives a: a moved message's kept route is the
+  // route of its endpoint-swapped twin under `place`.
+  const std::size_t ea = base + a, eb = base + b;
+  const auto kept_endpoint = [&](std::size_t e) {
+    return e == ea ? eb : e == eb ? ea : e;
+  };
+  std::uint64_t max_zero_load = 0;
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const noc::Message& m = messages[i];
+    if (m.src != ea && m.src != eb && m.dst != ea && m.dst != eb) {
+      max_zero_load = std::max(max_zero_load, kept.zero_load[i]);
+      continue;
+    }
+    noc::Message before = m;
+    before.src = kept_endpoint(m.src);
+    before.dst = kept_endpoint(m.dst);
+    route(before, place, base, scratch_, true);
+    max_zero_load =
+        std::max(max_zero_load, route(m, place, base, scratch_, false));
+  }
+  return drain_cycles(scratch_, max_zero_load);
 }
 
 std::uint64_t inter_chip_transfer_cycles(const noc::InterChipLinkClass& link,

@@ -66,6 +66,19 @@ accel::AccelConfig per_core_accel(const accel::AccelConfig& accel,
 std::uint64_t inter_chip_transfer_cycles(const noc::InterChipLinkClass& link,
                                          std::uint64_t bytes);
 
+/// One burst's resource loads under one placement, as burst_cycles leaves
+/// them: what EventPricer::reprice starts from when a placement swap moves
+/// only some of the burst's messages.
+struct BurstLoads {
+  /// Directed-link loads as difference arrays along each row (east/west,
+  /// cols+1 entries per row) and column (south/north, rows+1 per column).
+  std::vector<std::uint64_t> east, west, south, north;
+  /// Per-core injection and ejection flits.
+  std::vector<std::uint64_t> inject, eject;
+  /// Each message's zero-load latency; 0 for self and zero-byte messages.
+  std::vector<std::uint64_t> zero_load;
+};
+
 /// Prices single events of a schedule whose chips each carry `mesh`: one
 /// on-chip burst, one inter-chip transfer, one compute event (the chip's
 /// DRAM channel shared by the mesh's cores). estimate_cycles and the
@@ -87,6 +100,18 @@ class EventPricer {
   std::uint64_t burst_cycles(std::span<const noc::Message> messages,
                              std::span<const std::size_t> place = {},
                              std::size_t base = 0);
+  /// The same, keeping the burst's loads in `kept` for reprice.
+  std::uint64_t burst_cycles(std::span<const noc::Message> messages,
+                             std::span<const std::size_t> place,
+                             std::size_t base, BurstLoads& kept);
+  /// burst_cycles(messages, place, base), bit for bit, where `kept` holds
+  /// the loads of the same messages under `place` with positions `a` and
+  /// `b` swapped. Only the messages from or to partitions a and b are
+  /// re-routed; every other message keeps its kept route and latency.
+  std::uint64_t reprice(const BurstLoads& kept,
+                        std::span<const noc::Message> messages,
+                        std::span<const std::size_t> place, std::size_t a,
+                        std::size_t b, std::size_t base = 0);
 
   /// One gateway-to-gateway transfer (no NoC divider: own clock domain).
   std::uint64_t inter_chip_cycles(std::uint64_t bytes) const {
@@ -97,6 +122,16 @@ class EventPricer {
   std::size_t mesh_core(std::size_t endpoint,
                         std::span<const std::size_t> place,
                         std::size_t base) const;
+  /// Adds (or, with `remove`, takes back) one message's flits along its
+  /// dimension-ordered route and at its ports; returns its zero-load
+  /// latency when adding, else 0. The one per-message routing rule of
+  /// burst_cycles and reprice.
+  std::uint64_t route(const noc::Message& m,
+                      std::span<const std::size_t> place, std::size_t base,
+                      BurstLoads& loads, bool remove) const;
+  /// Raw core cycles of a burst from its loads and slowest message.
+  std::uint64_t drain_cycles(const BurstLoads& loads,
+                             std::uint64_t max_zero_load) const;
 
   noc::MeshNocSimulator sim_;
   accel::CoreModel core_model_;
@@ -104,10 +139,7 @@ class EventPricer {
   noc::InterChipLinkClass inter_chip_;
   std::size_t cols_, rows_;
   std::vector<std::uint32_t> x_, y_;  ///< per-core mesh coordinates
-  // Per-burst scratch: directed-link loads as difference arrays along each
-  // row (east/west, cols+1 entries) and column (south/north, rows+1), plus
-  // per-core injection/ejection flits.
-  std::vector<std::uint64_t> east_, west_, south_, north_, inject_, eject_;
+  BurstLoads scratch_;  ///< loads of the burst being priced
 };
 
 /// A comm event's share of the serial timeline: its raw drain, or under

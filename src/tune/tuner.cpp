@@ -26,6 +26,31 @@ constexpr std::size_t kDimCount = std::size(kAllDims);
 static_assert(static_cast<std::size_t>(sched::PartitionDim::kChannel) + 1 ==
               kDimCount);
 
+/// Compute layer li's dim in `c` (kernel when c leaves the dims empty).
+sched::PartitionDim dim_of(const Candidate& c, std::size_t li) {
+  return c.layer_dims.empty() ? sched::PartitionDim::kKernel
+                              : c.layer_dims[li];
+}
+
+/// The two positions a single transposition of `from` swaps to give `to`,
+/// or nullopt when `to` is not exactly one swap away from `from`.
+std::optional<std::pair<std::size_t, std::size_t>> transposition(
+    const std::vector<std::size_t>& from, const std::vector<std::size_t>& to) {
+  if (from.size() != to.size()) return std::nullopt;
+  std::size_t diffs[2];
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    if (from[i] == to[i]) continue;
+    if (n == 2) return std::nullopt;
+    diffs[n++] = i;
+  }
+  if (n != 2 || from[diffs[0]] != to[diffs[1]] ||
+      from[diffs[1]] != to[diffs[0]]) {
+    return std::nullopt;
+  }
+  return std::pair{diffs[0], diffs[1]};
+}
+
 std::vector<std::size_t> identity(std::size_t n) {
   std::vector<std::size_t> p(n);
   for (std::size_t i = 0; i < n; ++i) p[i] = i;
@@ -127,7 +152,8 @@ Scorer::Scorer(const nn::NetSpec& spec,
               noc::MeshTopology::for_cores(sim::cores_per_chip(system))),
       compute_(ctx_.layers() * kDimCount),
       bursts_(ctx_.layers() * kDimCount * kDimCount),
-      comm_(bursts_.size()) {}
+      comm_(bursts_.size()),
+      loads_(bursts_.size()) {}
 
 std::size_t Scorer::transition_index(std::size_t li, sched::PartitionDim prev,
                                      sched::PartitionDim dim) const {
@@ -143,11 +169,10 @@ std::uint64_t Scorer::compute_cycles(std::size_t li,
   return *memo;
 }
 
-std::optional<std::uint64_t> Scorer::comm_cycles(std::size_t li,
-                                                 sched::PartitionDim prev,
-                                                 sched::PartitionDim dim,
-                                                 const Candidate& c,
-                                                 bool incumbent_placement) {
+std::optional<std::uint64_t> Scorer::comm_cycles(
+    std::size_t li, sched::PartitionDim prev, sched::PartitionDim dim,
+    const Candidate& c, bool incumbent_placement,
+    const std::optional<std::pair<std::size_t, std::size_t>>& swap) {
   if (ctx_.stages()[li - 1] != ctx_.stages()[li]) {
     return pricer_.inter_chip_cycles(ctx_.input_bytes(li));
   }
@@ -155,13 +180,22 @@ std::optional<std::uint64_t> Scorer::comm_cycles(std::size_t li,
   if (!bursts_[t]) bursts_[t] = ctx_.transition(li, prev, dim);
   const std::vector<noc::Message>& messages = bursts_[t]->messages;
   if (messages.empty()) return std::nullopt;
-  if (incumbent_placement && comm_[t]) return *comm_[t];
-  const std::uint64_t raw = pricer_.burst_cycles(messages, c.placement);
   if (incumbent_placement) {
-    comm_[t] = raw;
-  } else {
-    pending_.emplace_back(t, raw);
+    if (!comm_[t]) comm_[t] = pricer_.burst_cycles(messages, c.placement);
+    return *comm_[t];
   }
+  std::uint64_t raw;
+  if (swap) {
+    std::optional<sched::BurstLoads>& kept = loads_[t];
+    if (!kept) {
+      comm_[t] = pricer_.burst_cycles(messages, placement_, 0, kept.emplace());
+    }
+    raw = pricer_.reprice(*kept, messages, c.placement, swap->first,
+                          swap->second);
+  } else {
+    raw = pricer_.burst_cycles(messages, c.placement);
+  }
+  pending_.emplace_back(t, raw);
   return raw;
 }
 
@@ -169,35 +203,44 @@ std::uint64_t Scorer::score(const Candidate& c) {
   LS_CHECK_MSG(c.layer_dims.empty() || c.layer_dims.size() == layers(),
                "Scorer: %zu layer dims for %zu compute layers",
                c.layer_dims.size(), layers());
-  const auto dim_of = [&](std::size_t li) {
-    return c.layer_dims.empty() ? sched::PartitionDim::kKernel
-                                : c.layer_dims[li];
-  };
   const bool incumbent_placement = c.placement == placement_;
+  std::optional<std::pair<std::size_t, std::size_t>> swap;
   if (!incumbent_placement) {
     pending_.clear();
     pending_placement_ = c.placement;
+    swap = transposition(placement_, c.placement);
   }
   std::uint64_t total = 0;
   std::uint64_t prev_compute = 0;
   for (std::size_t li = 0; li < layers(); ++li) {
     if (li > 0) {
-      if (const auto raw = comm_cycles(li, dim_of(li - 1), dim_of(li), c,
-                                       incumbent_placement)) {
+      if (const auto raw = comm_cycles(li, dim_of(c, li - 1), dim_of(c, li), c,
+                                       incumbent_placement, swap)) {
         total +=
             sched::blocking_comm_cycles(*raw, prev_compute, c.overlap_comm);
       }
     }
-    prev_compute = compute_cycles(li, dim_of(li));
+    prev_compute = compute_cycles(li, dim_of(c, li));
     total += prev_compute;
   }
   return total;
 }
 
 void Scorer::adopt(const Candidate& c) {
-  if (c.placement == placement_) return;
+  if (c.placement == placement_) {
+    // Keep only the loads of the new incumbent's own transitions.
+    std::vector<bool> keep(loads_.size());
+    for (std::size_t li = 1; li < layers(); ++li) {
+      keep[transition_index(li, dim_of(c, li - 1), dim_of(c, li))] = true;
+    }
+    for (std::size_t t = 0; t < loads_.size(); ++t) {
+      if (!keep[t]) loads_[t].reset();
+    }
+    return;
+  }
   placement_ = c.placement;
   std::fill(comm_.begin(), comm_.end(), std::nullopt);
+  std::fill(loads_.begin(), loads_.end(), std::nullopt);
   if (pending_placement_ == placement_) {
     for (const auto& [t, raw] : pending_) comm_[t] = raw;
   }

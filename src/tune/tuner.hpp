@@ -149,7 +149,15 @@ sched::Schedule lower_candidate(const nn::NetSpec& spec,
 ///   * a transition's raw comm cycles on (layer, prev dim, dim) under the
 ///     incumbent placement (adopt()). A candidate with another placement
 ///     re-prices its bursts through that placement; adopting it replaces
-///     the table.
+///     the table;
+///   * a transition's link and port loads and per-message latencies
+///     (sched::BurstLoads) on (layer, prev dim, dim) under the incumbent
+///     placement, built the first time a candidate one swap away from the
+///     incumbent is scored and kept only for the incumbent's own
+///     transitions. Such a candidate re-routes only the swapped
+///     partitions' messages from them (EventPricer::reprice); any other
+///     placement change prices its bursts in full. Adopting another
+///     placement drops them all.
 /// Totals combine with estimate_cycles' own overlap arithmetic, stage
 /// boundaries priced as inter-chip transfers, so multi-chip systems score
 /// through the same path.
@@ -177,17 +185,19 @@ class Scorer {
   std::uint64_t compute_cycles(std::size_t li, sched::PartitionDim dim);
   /// Raw cycles of the comm event into layer li, or nullopt when the
   /// lowering emits none there.
-  std::optional<std::uint64_t> comm_cycles(std::size_t li,
-                                           sched::PartitionDim prev,
-                                           sched::PartitionDim dim,
-                                           const Candidate& c,
-                                           bool incumbent_placement);
+  /// `swap` holds the two positions where c's placement transposes the
+  /// incumbent's, when it does.
+  std::optional<std::uint64_t> comm_cycles(
+      std::size_t li, sched::PartitionDim prev, sched::PartitionDim dim,
+      const Candidate& c, bool incumbent_placement,
+      const std::optional<std::pair<std::size_t, std::size_t>>& swap);
 
   sched::LoweringContext ctx_;
   sched::EventPricer pricer_;
   std::vector<std::optional<std::uint64_t>> compute_;  ///< [li][dim]
   std::vector<std::optional<sched::TransitionBurst>> bursts_;
   std::vector<std::optional<std::uint64_t>> comm_;  ///< under placement_
+  std::vector<std::optional<sched::BurstLoads>> loads_;  ///< likewise
   std::vector<std::size_t> placement_;
   /// Raw comm cycles of the last candidate scored off placement_.
   std::vector<std::pair<std::size_t, std::uint64_t>> pending_;

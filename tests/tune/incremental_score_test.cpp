@@ -3,12 +3,17 @@
 // bit with sched::estimate_cycles over the fully lowered candidate after
 // every move of seeded random walks — dim moves, placement swaps and
 // overlap flips, each accepted or rejected — across nets, mesh sizes, chip
-// counts, NoC clock dividers and NoC configurations. A whole tune() run
-// ranked by a full-relowering reference scorer (defined only here) must
-// reach the same outcome through the same trajectory.
+// counts, NoC clock dividers and NoC configurations. A second walk drives
+// the scorer's swap-delta path the way the search does: swaps priced from
+// the incumbent's kept loads, accepted or rejected, mixed with dim moves,
+// overlap flips, repeated swaps, wider placement changes and fresh random
+// starts. A whole tune() run ranked by a full-relowering reference scorer
+// (defined only here) must reach the same outcome through the same
+// trajectory.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -215,6 +220,131 @@ class ReferenceScorer final : public tune::Scorer {
  private:
   const Point& p_;
 };
+
+/// A walk that adopts as the search does (each start, each accepted move)
+/// and mixes the placement moves of the swap-delta path with the rest:
+/// single swaps, accepted or rejected, the same swap scored twice, a
+/// rotation of three or more positions (not one swap away, so priced in
+/// full), dim moves, overlap flips, a candidate scored between a swap and
+/// its adoption, and fresh random starts. Every score must equal the
+/// full-relowering reference.
+void swap_walk(const Point& p, std::uint64_t seed, std::size_t moves) {
+  tune::Scorer scorer(p.spec, p.traffic, p.cfg);
+  ReferenceScorer ref(p);
+  util::Rng rng(seed);
+  const auto legal = legal_dims(scorer);
+  const std::size_t mesh = p.cfg.cores;
+  const auto random_start = [&] {
+    tune::Candidate c;
+    for (std::size_t li = 0; li < legal.size(); ++li) {
+      c.layer_dims.push_back(legal[li][rng.uniform_index(legal[li].size())]);
+    }
+    for (std::size_t i = 0; i < mesh; ++i) c.placement.push_back(i);
+    for (std::size_t i = mesh; i > 1; --i) {
+      std::swap(c.placement[i - 1], c.placement[rng.uniform_index(i)]);
+    }
+    c.overlap_comm = rng.bernoulli(0.5);
+    return c;
+  };
+
+  tune::Candidate cur = random_start();
+  ASSERT_EQ(scorer.score(cur), ref.score(cur)) << p.label << " start";
+  scorer.adopt(cur);
+  std::size_t swaps = 0;
+  for (std::size_t m = 0; m < moves; ++m) {
+    tune::Candidate next = cur;
+    std::string what;
+    const std::uint64_t kind = rng.uniform_index(8);
+    if (kind < 3) {
+      std::swap(next.placement[rng.uniform_index(mesh)],
+                next.placement[rng.uniform_index(mesh)]);
+      what = "swap";
+      ++swaps;
+    } else if (kind == 3) {
+      std::swap(next.placement[rng.uniform_index(mesh)],
+                next.placement[rng.uniform_index(mesh)]);
+      ASSERT_EQ(scorer.score(next), ref.score(next))
+          << p.label << " move " << m << " (repeated swap, first)";
+      what = "repeated swap";
+    } else if (kind == 4) {
+      // Rotate k >= 3 distinct positions: never a single transposition.
+      const std::size_t k = 3 + rng.uniform_index(3);
+      std::vector<std::size_t> pos;
+      while (pos.size() < k) {
+        const std::size_t i = rng.uniform_index(mesh);
+        if (std::find(pos.begin(), pos.end(), i) == pos.end()) {
+          pos.push_back(i);
+        }
+      }
+      for (std::size_t i = 0; i + 1 < k; ++i) {
+        std::swap(next.placement[pos[i]], next.placement[pos[i + 1]]);
+      }
+      what = "rotation of " + std::to_string(k);
+    } else if (kind == 5) {
+      const std::size_t li = rng.uniform_index(legal.size());
+      next.layer_dims[li] = legal[li][rng.uniform_index(legal[li].size())];
+      what = "dim of layer " + std::to_string(li);
+    } else if (kind == 6) {
+      next.overlap_comm = !next.overlap_comm;
+      what = "overlap flip";
+    } else {
+      next = random_start();
+      ASSERT_EQ(scorer.score(next), ref.score(next))
+          << p.label << " move " << m << " (random start)";
+      cur = std::move(next);
+      scorer.adopt(cur);
+      continue;
+    }
+    ASSERT_EQ(scorer.score(next), ref.score(next))
+        << p.label << " move " << m << " (" << what << ")";
+    if (rng.uniform_index(8) == 0) {
+      // Another swap of the incumbent scored before `next` is decided.
+      tune::Candidate other = cur;
+      std::swap(other.placement[rng.uniform_index(mesh)],
+                other.placement[rng.uniform_index(mesh)]);
+      ASSERT_EQ(scorer.score(other), ref.score(other))
+          << p.label << " move " << m << " (interleaved swap)";
+    }
+    if (rng.bernoulli(0.5)) {
+      cur = std::move(next);
+      scorer.adopt(cur);
+    }
+  }
+  EXPECT_EQ(scorer.score(cur), ref.score(cur)) << p.label << " end";
+  EXPECT_GT(swaps, moves / 8) << p.label;
+}
+
+TEST(IncrementalScore, SwapDeltaWalkMatchesReference) {
+  noc::NocConfig yx;
+  yx.routing = noc::Routing::kYX;
+  yx.phys_channels = 3;
+  yx.router_latency = 3;
+  const std::vector<Point> points = {
+      make_point(nn::alexnet_spec(), 64, 1, 1.0, noc::NocConfig{}),
+      make_point(nn::alexnet_spec(), 16, 1, 4.0, yx),
+      make_point(nn::convnet_spec(), 64, 1, 4.0, yx),
+      make_point(nn::convnet_spec(), 16, 1, 1.0, noc::NocConfig{}),
+      make_point(nn::mlp_spec(), 16, 1, 1.0, yx),
+  };
+  std::uint64_t seed = 101;
+  for (const Point& p : points) swap_walk(p, seed++, 120);
+}
+
+TEST(IncrementalScore, TuneMatchesReferenceOnAlexNet64) {
+  const Point p =
+      make_point(nn::alexnet_spec(), 64, 1, 1.0, noc::NocConfig{});
+  tune::TunerConfig tcfg;
+  tcfg.budget = 2000;
+  tune::TuneTelemetry fast_t, ref_t;
+  const tune::TuneOutcome fast = tune::tune(
+      p.spec, p.traffic, p.cfg, tcfg, sched::Strategy::kTraditional, &fast_t);
+  const tune::TuneOutcome ref = tune::tune(
+      p.spec, p.traffic, p.cfg, tcfg, sched::Strategy::kTraditional, &ref_t,
+      std::make_unique<ReferenceScorer>(p));
+  EXPECT_TRUE(fast == ref);
+  EXPECT_TRUE(fast_t == ref_t);
+  EXPECT_EQ(fast.evals, tcfg.budget);
+}
 
 TEST(IncrementalScore, TuneMatchesFullRelowerReference) {
   noc::NocConfig yx;
