@@ -60,6 +60,35 @@ void BM_NocAllToAll(benchmark::State& state) {
 }
 BENCHMARK(BM_NocAllToAll)->Arg(16)->Arg(32);
 
+// The burst shapes that set the flit-level benchmark workloads' run time,
+// reported as flit hops simulated per second: a 32-core uniform all-to-all
+// at 1/8 of VGG19/32's heaviest layer transition (25088 B per message) and
+// a 64-core one at AlexNet/64's (2028 B).
+void BM_NocAllToAllHops(benchmark::State& state) {
+  const auto cores = static_cast<std::size_t>(state.range(0));
+  const auto msg_bytes = static_cast<std::size_t>(state.range(1));
+  const noc::MeshTopology topo = noc::MeshTopology::for_cores(cores);
+  const noc::MeshNocSimulator sim(topo, {});
+  std::vector<noc::Message> msgs;
+  for (std::size_t s = 0; s < cores; ++s) {
+    for (std::size_t d = 0; d < cores; ++d) {
+      if (s != d) msgs.push_back({s, d, msg_bytes, 0});
+    }
+  }
+  std::uint64_t hops = 0;
+  for (auto _ : state) {
+    const auto stats = sim.run(msgs);
+    hops += stats.flit_hops;
+    benchmark::DoNotOptimize(stats.completion_cycle);
+  }
+  state.counters["flit_hops"] = benchmark::Counter(
+      static_cast<double>(hops), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_NocAllToAllHops)
+    ->Args({32, 25088})
+    ->Args({64, 2028})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_ConvForward(benchmark::State& state) {
   util::Rng rng(2);
   nn::Conv2DConfig cfg;

@@ -8,6 +8,7 @@
 //   ./build/examples/quickstart
 
 #include <cstdio>
+#include <string>
 
 #include "core/traffic.hpp"
 #include "core/weight_groups.hpp"
@@ -43,10 +44,11 @@ int main() {
   util::Table table("quickstart: MLP on 16-core mesh CMP");
   table.set_header({"scheme", "accuracy", "traffic", "speedup", "noc-energy"});
   for (const auto& o : outcomes) {
+    std::string energy = "-";
+    energy += util::fmt_percent(o.comm_energy_reduction);
     table.add_row({o.scheme, util::fmt_percent(o.accuracy, 1),
                    util::fmt_percent(o.traffic_rate),
-                   util::fmt_speedup(o.speedup),
-                   "-" + util::fmt_percent(o.comm_energy_reduction)});
+                   util::fmt_speedup(o.speedup), energy});
   }
   table.print();
 

@@ -4,9 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdio>
-#include <functional>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <string>
 
@@ -45,14 +43,81 @@ struct Flit {
   bool tail = false;
 };
 
+// A flit on a link, headed for input slot `slot` (port * vcs + vc) of
+// `router`. Meshes have at most 65536 routers of at most 40 slots.
 struct InFlight {
-  std::uint64_t arrival = 0;
   Flit flit;
-  std::uint32_t router = 0;  ///< destination router
-  std::uint32_t slot = 0;    ///< destination input port * vcs + vc
-  friend bool operator>(const InFlight& a, const InFlight& b) {
-    return a.arrival > b.arrival;
+  std::uint16_t router = 0;
+  std::uint16_t slot = 0;
+};
+
+// In-flight heap entry: the cycle the flit lands, wrapped to 32 bits, and
+// its InFlight's index in the payload ring.
+struct Landing {
+  std::uint32_t arrival = 0;
+  std::uint32_t at = 0;
+};
+
+// Whether wrapped cycle a comes after b. Live arrivals span at most
+// router_latency + 1 <= 2^30 cycles, so the wrapped difference has the sign
+// of the true one.
+bool later(std::uint32_t a, std::uint32_t b) {
+  return static_cast<std::int32_t>(a - b) > 0;
+}
+
+// Min-heap of landings that pops equal arrivals in exactly the order
+// libstdc++'s std::priority_queue<..., std::greater<>> pops them, because
+// it runs the same algorithm: push is std::push_heap's sift-up; pop moves
+// the last entry out, walks the hole from the root to a leaf along the
+// earlier child (the right one on ties, and the lone left child at an
+// even length), then sifts the moved entry up from there (__adjust_heap).
+// The model cycles depend on that order (DESIGN.md §4b).
+class LandingHeap {
+ public:
+  /// Holds at most `capacity` entries.
+  explicit LandingHeap(std::size_t capacity) : heap_(capacity) {}
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  const Landing& top() const { return heap_[0]; }
+
+  void push(Landing v) {
+    LS_CHECK_MSG(size_ < heap_.size(), "noc: %zu flits in flight overflow "
+                 "the %zu buffer places", size_ + 1, heap_.size());
+    sift_up(size_++, v);
   }
+
+  void pop() {
+    const std::size_t len = --size_;
+    if (len == 0) return;
+    const Landing v = heap_[len];
+    std::size_t hole = 0;
+    while (hole < (len - 1) / 2) {
+      std::size_t child = 2 * hole + 2;
+      child -= later(heap_[child].arrival, heap_[child - 1].arrival);
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    if ((len & 1) == 0 && hole == (len - 2) / 2) {
+      heap_[hole] = heap_[2 * hole + 1];
+      hole = 2 * hole + 1;
+    }
+    sift_up(hole, v);
+  }
+
+ private:
+  void sift_up(std::size_t hole, Landing v) {
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / 2;
+      if (!later(heap_[parent].arrival, v.arrival)) break;
+      heap_[hole] = heap_[parent];
+      hole = parent;
+    }
+    heap_[hole] = v;
+  }
+
+  std::vector<Landing> heap_;
+  std::size_t size_ = 0;
 };
 
 // A message that puts flits on the mesh, in packetizer form.
@@ -60,6 +125,17 @@ struct Burst {
   std::uint64_t inject = 0;
   std::uint64_t flits = 0;
   std::uint32_t first_packet = 0;
+  std::uint16_t dst = 0;
+};
+
+// A source's packetizer position in its current burst: the flits left,
+// and the next flit's packet, index in that packet and VC (packet % vcs).
+struct SourceFront {
+  std::uint64_t inject = 0;
+  std::uint64_t left = 0;
+  std::uint64_t pos = 0;
+  std::uint32_t packet = 0;
+  std::uint32_t vc = 0;
   std::uint16_t dst = 0;
 };
 
@@ -73,6 +149,9 @@ MeshNocSimulator::MeshNocSimulator(MeshTopology topo, NocConfig cfg)
   }
   if (cfg_.vcs > 8) {
     throw std::invalid_argument("at most 8 virtual channels supported");
+  }
+  if (cfg_.router_latency >= std::size_t{1} << 30) {
+    throw std::invalid_argument("router latency must be under 2^30 cycles");
   }
 }
 
@@ -110,11 +189,19 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
     throw std::invalid_argument("NoC mesh of " + std::to_string(n) +
                                 " cores exceeds the 65536 flits can address");
   }
+  const std::size_t slots = kNumPorts * vcs;
+  const std::size_t depth = cfg_.vc_depth;
+  if (depth > std::numeric_limits<std::uint32_t>::max() / (n * slots)) {
+    throw std::invalid_argument(
+        "NoC buffers of " + std::to_string(n * slots) + " x " +
+        std::to_string(depth) + " flits exceed the 2^32 the in-flight ring "
+        "can address");
+  }
 
   // Packetizer: flits are generated at injection time from each source's
   // ordered burst list; a message's packets take consecutive ids.
-  // queue[s][cursor[s]] is source s's current burst and sent[s] the flits
-  // already injected from it.
+  // queue[s][cursor[s]] is source s's current burst and front[s] its
+  // position in it.
   NocStats stats;
   obs::Span phase_span;
   if (obs::trace_enabled()) phase_span.begin("noc.packetize", "noc");
@@ -142,7 +229,6 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
   if (stats.total_flits == 0) return stats;
 
   std::vector<std::size_t> cursor(n, 0);
-  std::vector<std::uint64_t> sent(n, 0);
   std::uint64_t awaiting = stats.total_flits;  // not yet injected
 
 #ifdef LS_ENABLE_CHECKS
@@ -159,6 +245,21 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
     ++awaiting;
   }
 #endif
+
+  // Sources with messages left to inject. Each source only fills its own
+  // local slots, so the order they are visited in does not matter.
+  std::vector<SourceFront> front(n);
+  auto load_front = [&](std::size_t s) {
+    const Burst& b = bursts[queue[s][cursor[s]]];
+    front[s] = {b.inject, b.flits, 0, b.first_packet,
+                static_cast<std::uint32_t>(b.first_packet % vcs), b.dst};
+  };
+  std::vector<std::uint32_t> active;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (queue[s].empty()) continue;
+    active.push_back(static_cast<std::uint32_t>(s));
+    load_front(s);
+  }
 
   if (obs::trace_enabled()) phase_span.begin("noc.drain", "noc");
 
@@ -188,41 +289,51 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
   // Input buffers: slot s = port*vcs + vc of router r is buffer r*slots + s,
   // a ring of vc_depth flits (credits bound every FIFO by vc_depth).
   // occupancy counts FIFO contents plus in-flight flits headed there
-  // (credit accounting happens at send time); nonempty[r] has bit s set
-  // while slot s of router r holds a flit.
-  const std::size_t slots = kNumPorts * vcs;
-  const std::size_t depth = cfg_.vc_depth;
+  // (credit accounting happens at send time). want[r*kNumPorts + out] has
+  // bit s set while slot s of router r is non-empty and its head flit
+  // requests output out; it changes only when a flit enters an empty slot
+  // and when a slot pops.
   std::vector<Flit> ring(n * slots * depth);
   std::vector<std::uint32_t> head(n * slots, 0);
   std::vector<std::uint32_t> size(n * slots, 0);
   std::vector<std::uint32_t> occupancy(n * slots, 0);
-  std::vector<std::uint64_t> nonempty(n, 0);
+  std::vector<std::uint64_t> want(n * kNumPorts, 0);
   const std::uint64_t all_slots = (std::uint64_t{1} << slots) - 1;
+  // vc_of[s] is slot s's VC; vc_slots[vc] has a bit set for each slot on it.
+  std::uint8_t vc_of[kNumPorts * 8];
+  std::uint64_t vc_slots[8] = {};
+  for (std::size_t s = 0; s < slots; ++s) {
+    vc_of[s] = static_cast<std::uint8_t>(s % vcs);
+    vc_slots[s % vcs] |= std::uint64_t{1} << s;
+  }
   std::size_t buffered = 0;
   auto push = [&](std::size_t r, std::size_t s, const Flit& f) {
     const std::size_t bi = r * slots + s;
-    std::size_t at = head[bi] + size[bi]++;
+    std::size_t at = head[bi] + size[bi];
     if (at >= depth) at -= depth;
     ring[bi * depth + at] = f;
-    nonempty[r] |= std::uint64_t{1} << s;
+    if (size[bi]++ == 0) {
+      want[r * kNumPorts + route[r * n + f.dst]] |= std::uint64_t{1} << s;
+    }
     ++buffered;
   };
 
   std::vector<std::uint64_t> packet_inject(stats.packets);
-  std::vector<bool> packet_done(stats.packets, false);
+  std::vector<bool> packet_done(check::kEnabled ? stats.packets : 0, false);
   for (const Burst& b : bursts) {
     std::fill_n(packet_inject.begin() + b.first_packet,
                 (b.flits + mpf - 1) / mpf, b.inject);
   }
 
-  // Flits that land in the same cycle leave in the heap's pop order, which
-  // is the standard library's (unspecified) choice among equal keys, and
-  // the model cycles depend on it. Pushes come in nondecreasing arrival
-  // order, yet a FIFO here is not equivalent: it moves BENCH_tune.json. A
-  // deterministic tie rule would be an intentional re-baseline (DESIGN.md
-  // §4b, "The in-flight heap stays").
-  std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>>
-      in_flight;
+  // Flits on links, keyed by the cycle they land. Flits that land in the
+  // same cycle leave in the heap's pop order, and the model cycles depend
+  // on it: pushes come in nondecreasing arrival order, yet a FIFO here is
+  // not equivalent (DESIGN.md §4b). Credits bound the flits in flight by
+  // the n*slots*depth buffer places, so a payload ring of that size never
+  // overwrites a flit still in flight.
+  std::vector<InFlight> payload(n * slots * depth);
+  LandingHeap in_flight(payload.size());
+  std::uint32_t next_payload = 0;
   // Flit counts per directed inter-router link (router x direction).
   std::vector<std::uint64_t> link_flits(n * kNumPorts, 0);
 
@@ -233,14 +344,15 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
   for (; delivered_flits < stats.total_flits; ++cycle) {
     // An empty network changes no state until the next landing or the next
     // ready source front; the round-robin pointer is derived from `cycle`.
+    // Every arrival still in flight is at or after `cycle`.
     if (buffered == 0) {
-      std::uint64_t next = in_flight.empty()
-                               ? std::numeric_limits<std::uint64_t>::max()
-                               : in_flight.top().arrival;
-      for (std::size_t s = 0; s < n && awaiting > 0; ++s) {
-        if (cursor[s] < queue[s].size()) {
-          next = std::min(next, bursts[queue[s][cursor[s]]].inject);
-        }
+      std::uint64_t next =
+          in_flight.empty()
+              ? std::numeric_limits<std::uint64_t>::max()
+              : cycle + (in_flight.top().arrival -
+                         static_cast<std::uint32_t>(cycle));
+      for (const std::uint32_t s : active) {
+        next = std::min(next, front[s].inject);
       }
       if (next > max_cycles) next = max_cycles + 1;
       cycle = std::max(cycle, next);
@@ -279,90 +391,124 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
 
     // 1. Land in-flight flits whose arrival time is now (occupancy was
     // already incremented at send time).
-    while (!in_flight.empty() && in_flight.top().arrival <= cycle) {
-      const InFlight& f = in_flight.top();
+    const auto now = static_cast<std::uint32_t>(cycle);
+    while (!in_flight.empty() && !later(in_flight.top().arrival, now)) {
+      const InFlight& f = payload[in_flight.top().at];
       push(f.router, f.slot, f.flit);
       in_flight.pop();
     }
 
-    // 2. Injection: packetize each source's front flits into its local
-    // input port.
-    for (std::size_t s = 0; s < n; ++s) {
+    // 2. Injection: packetize each active source's front flits into its
+    // local input port.
+    for (std::size_t i = 0; i < active.size();) {
+      const std::uint32_t s = active[i];
+      SourceFront& f = front[s];
+      bool drained = false;
       for (std::size_t injected = 0;
-           injected < cfg_.phys_channels && cursor[s] < queue[s].size();
-           ++injected) {
-        const Burst& b = bursts[queue[s][cursor[s]]];
-        if (b.inject > cycle) break;
-        const std::uint64_t k = sent[s];
-        Flit flit;
-        flit.packet = static_cast<std::uint32_t>(b.first_packet + k / mpf);
-        flit.dst = b.dst;
-        flit.tail = (k + 1) % mpf == 0 || k + 1 == b.flits;
-        const std::size_t vc = flit.packet % vcs;
-        if (occupancy[s * slots + vc] >= depth) break;
-        ++occupancy[s * slots + vc];
-        push(s, vc, flit);
+           injected < cfg_.phys_channels && f.inject <= cycle; ++injected) {
+        std::uint32_t& credit = occupancy[s * slots + f.vc];
+        if (credit >= depth) break;
+        ++credit;
+        --f.left;
+        const bool tail = ++f.pos == mpf || f.left == 0;
+        push(s, f.vc, {f.packet, f.dst, tail});
         --awaiting;
-        if (++sent[s] == b.flits) {
-          sent[s] = 0;
-          ++cursor[s];
+        if (f.pos == mpf) {
+          f.pos = 0;
+          ++f.packet;
+          if (++f.vc == vcs) f.vc = 0;
         }
+        if (f.left == 0) {
+          drained = ++cursor[s] == queue[s].size();
+          if (drained) break;
+          load_front(s);
+        }
+      }
+      if (drained) {
+        active[i] = active.back();
+        active.pop_back();
+      } else {
+        ++i;
       }
     }
 
     // 3. Switch allocation: per router, per output direction, grant up to
     // phys_channels head flits, round-robin over input port x vc from
-    // cycle % slots. FIFOs only pop during allocation, so each slot's
-    // requested output is computed once per router turn.
+    // cycle % slots. FIFOs only pop during allocation, and a router's turn
+    // serves the requests its slots made when the turn began: a slot whose
+    // new head asks for a later output waits for the next cycle. A slot
+    // whose VC has no credit at the next router is dropped from its
+    // output's requests up front, or as soon as a grant takes the last
+    // credit, so every slot the walk reaches is granted. A router's outputs
+    // touch disjoint state, except that sends must reach the in-flight heap
+    // in output order; ejection sends nothing, so it runs first on its own.
     const std::size_t ptr = cycle % slots;
+    auto rotate = [&](std::uint64_t m) {
+      return (m >> ptr | m << (slots - ptr)) & all_slots;
+    };
+    std::uint64_t vc_turn[8];
+    for (std::size_t vc = 0; vc < vcs; ++vc) vc_turn[vc] = rotate(vc_slots[vc]);
     for (std::size_t r = 0; r < n; ++r) {
-      if (nonempty[r] == 0) continue;
-      const std::size_t base = r * slots;
-      std::uint64_t want[kNumPorts] = {};
-      for (std::uint64_t m = nonempty[r]; m != 0; m &= m - 1) {
-        const std::size_t s = std::countr_zero(m);
-        const Flit& f = ring[(base + s) * depth + head[base + s]];
-        want[route[r * n + f.dst]] |= std::uint64_t{1} << s;
+      std::uint64_t turn[kNumPorts];
+      std::copy_n(want.begin() + r * kNumPorts, kNumPorts, turn);
+      // Pops slot s after a grant on `out`; its next head, if any, requests
+      // its own output.
+      auto pop = [&](std::size_t s, std::size_t out) {
+        const std::size_t bi = r * slots + s;
+        const std::uint64_t bit = std::uint64_t{1} << s;
+        --occupancy[bi];
+        head[bi] = head[bi] + 1 == depth ? 0 : head[bi] + 1;
+        const std::uint64_t more = std::uint64_t{0} - (--size[bi] != 0);
+        const Flit& next = ring[bi * depth + head[bi]];
+        want[r * kNumPorts + out] &= ~bit;
+        want[r * kNumPorts + route[r * n + next.dst]] |= bit & more;
+        --buffered;
+        ++stats.router_traversals;
+      };
+      std::uint64_t rot = rotate(turn[kLocal]);
+      for (std::size_t granted = 0; rot != 0 && granted < cfg_.phys_channels;
+           ++granted) {
+        std::size_t s = ptr + std::countr_zero(rot);
+        rot &= rot - 1;
+        if (s >= slots) s -= slots;
+        const std::size_t bi = r * slots + s;
+        const Flit& flit = ring[bi * depth + head[bi]];
+        if (flit.tail) {
+          if constexpr (check::kEnabled) packet_done[flit.packet] = true;
+          const std::uint64_t lat = cycle - packet_inject[flit.packet];
+          total_pkt_latency += lat;
+          stats.max_packet_latency = std::max(stats.max_packet_latency, lat);
+        }
+        ++delivered_flits;
+        pop(s, kLocal);
       }
-      for (std::size_t out = 0; out < kNumPorts; ++out) {
-        if (want[out] == 0) continue;
+      for (std::size_t out = kNorth; out < kNumPorts; ++out) {
+        if (turn[out] == 0) continue;
         const std::uint32_t next_r = nbr[r * kNumPorts + out];
         const std::size_t next_port = kOpposite[out] * vcs;
-        std::uint64_t rot =
-            (want[out] >> ptr | want[out] << (slots - ptr)) & all_slots;
-        std::size_t granted = 0;
-        for (; rot != 0 && granted < cfg_.phys_channels; rot &= rot - 1) {
+        std::uint32_t* credit = &occupancy[next_r * slots + next_port];
+        rot = rotate(turn[out]);
+        for (std::size_t vc = 0; vc < vcs; ++vc) {
+          rot &= ~(vc_turn[vc] & (std::uint64_t{0} - (credit[vc] >= depth)));
+        }
+        for (std::size_t granted = 0;
+             rot != 0 && granted < cfg_.phys_channels; ++granted) {
           std::size_t s = ptr + std::countr_zero(rot);
+          rot &= rot - 1;
           if (s >= slots) s -= slots;
-          const std::size_t bi = base + s;
-          const Flit flit = ring[bi * depth + head[bi]];
-          if (out == kLocal) {
-            // Ejection.
-            if (flit.tail) {
-              packet_done[flit.packet] = true;
-              const std::uint64_t lat = cycle - packet_inject[flit.packet];
-              total_pkt_latency += lat;
-              stats.max_packet_latency =
-                  std::max(stats.max_packet_latency, lat);
-            }
-            ++delivered_flits;
-          } else {
-            const auto next_s =
-                static_cast<std::uint32_t>(next_port + s % vcs);
-            std::uint32_t& credit = occupancy[next_r * slots + next_s];
-            if (credit >= depth) continue;  // no credit
-            ++credit;
-            in_flight.push({cycle + cfg_.router_latency + 1, flit, next_r,
-                            next_s});
-            ++link_flits[r * kNumPorts + out];
-            ++stats.flit_hops;
-          }
-          ++stats.router_traversals;
-          --occupancy[bi];
-          if (++head[bi] == depth) head[bi] = 0;
-          if (--size[bi] == 0) nonempty[r] &= ~(std::uint64_t{1} << s);
-          --buffered;
-          ++granted;
+          const std::size_t bi = r * slots + s;
+          const std::size_t vc = vc_of[s];
+          if (++credit[vc] == depth) rot &= ~vc_turn[vc];
+          payload[next_payload] = {ring[bi * depth + head[bi]],
+                                   static_cast<std::uint16_t>(next_r),
+                                   static_cast<std::uint16_t>(next_port + vc)};
+          in_flight.push(
+              {static_cast<std::uint32_t>(cycle + cfg_.router_latency + 1),
+               next_payload});
+          if (++next_payload == payload.size()) next_payload = 0;
+          ++link_flits[r * kNumPorts + out];
+          ++stats.flit_hops;
+          pop(s, out);
         }
       }
     }

@@ -8,10 +8,14 @@
 // partitioned inference is injected as a burst of messages and simulated
 // until delivery; the completion cycle is the "computation-blocking
 // communication" time the paper's speedup metric is built on. The drain
-// loop's shortcuts (route tables, per-output request masks, ring-buffer
-// VCs, lazy packetization, idle skipping) are exact (DESIGN.md §4b);
-// tests/noc/simulator_reference_test.cpp checks them against the
-// straightforward loop.
+// loop's shortcuts are exact (DESIGN.md §4b): route tables, per-output
+// request masks kept up to date as slots fill and pop, grants that skip
+// VCs without credit, ring-buffer VCs, lazy packetization from the
+// sources with messages left, idle skipping, and an in-tree in-flight
+// heap that pops flits landing in the same cycle in the order libstdc++'s
+// std::priority_queue does, so every standard library gives the same
+// cycles. tests/noc/simulator_reference_test.cpp checks them against the
+// straightforward loop and pins that order with hard-coded results.
 
 #include <cstdint>
 #include <vector>
@@ -26,7 +30,8 @@ namespace ls::noc {
 enum class Routing { kXY, kYX };
 
 /// `vcs` is at most 8, so a router's 5*vcs input slots fit the simulator's
-/// 64-bit per-output request masks.
+/// 64-bit per-output request masks. `router_latency` is under 2^30 cycles:
+/// the simulator keeps in-flight arrival cycles as 32-bit wrapped values.
 struct NocConfig {
   std::size_t flit_bytes = 64;       ///< 512-bit flit (TABLE II)
   std::size_t max_packet_flits = 20; ///< packet size cap (TABLE II)
@@ -89,8 +94,9 @@ class MeshNocSimulator {
   /// pending flits and up to 8 occupied buffers) if the network fails to
   /// drain within `max_cycles` — XY routing with credits cannot deadlock,
   /// so this flags a configuration/logic error. Throws std::invalid_argument
-  /// for meshes over 65536 cores or bursts of 2^32+ packets (flit
-  /// destinations are 16-bit, packet ids 32-bit).
+  /// for meshes over 65536 cores, bursts of 2^32+ packets or 2^32+ buffer
+  /// places in all (flit destinations are 16-bit, packet ids and in-flight
+  /// ring indices 32-bit).
   NocStats run(const std::vector<Message>& messages,
                std::uint64_t max_cycles = 200'000'000ull) const;
 

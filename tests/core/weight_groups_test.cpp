@@ -116,7 +116,7 @@ TEST(WeightGroups, RaggedUnitCounts) {
   util::Rng rng(7);
   nn::NetSpec spec;
   spec.name = "ragged";
-  spec.dataset = "t";
+  spec.dataset = "tiny";
   spec.input = {1, 12, 12};
   spec.layers = {nn::LayerSpec::conv("c1", 20, 3),
                  nn::LayerSpec::conv("c2", 24, 3)};

@@ -555,5 +555,75 @@ TEST(NocReference, SameMaxCyclesOutcome) {
   EXPECT_EQ(sim.run(burst, done - 1), reference_run(mesh, cfg, burst));
 }
 
+// Arrivals are kept as 32-bit cycles. A contended burst injected at
+// 2^32 - 3 drains across the wrap exactly as the same burst injected at
+// (2^32 - 3) mod slots does, shifted by the difference: the round-robin
+// pointer is cycle % slots, so only a shift by a multiple of slots keeps
+// it. The reference loop steps through every idle cycle, so it runs the
+// early burst.
+TEST(NocReference, ArrivalsWrapPast32Bits) {
+  const MeshTopology mesh(4, 4);
+  const NocConfig cfg;
+  const std::uint64_t late_inject = (std::uint64_t{1} << 32) - 3;
+  const std::uint64_t early_inject = late_inject % (5 * cfg.vcs);
+  std::vector<Message> early;
+  for (std::size_t s = 0; s < 16; ++s) {
+    for (std::size_t d = 0; d < 16; ++d) {
+      if (s != d) early.push_back({s, d, 512, early_inject});
+    }
+  }
+  std::vector<Message> late = early;
+  for (Message& m : late) m.inject_cycle = late_inject;
+  const MeshNocSimulator sim(mesh, cfg);
+  NocStats want = reference_run(mesh, cfg, early);
+  ASSERT_GT(want.completion_cycle, early_inject + 100);
+  EXPECT_EQ(sim.run(early), want);
+  want.completion_cycle += late_inject - early_inject;
+  EXPECT_EQ(sim.run(late, std::uint64_t{1} << 33), want);
+}
+
+// Flits that land in the same cycle leave the in-flight heap in the order
+// libstdc++'s std::priority_queue pops equal keys. The simulator runs that
+// heap algorithm itself, so every build reproduces the committed model
+// cycles whatever its standard library; the reference loop above still
+// uses std::priority_queue. These kernel-wise zoo bursts pin the order
+// without it: each one changes when in_flight pops ties first-in first-out
+// (the FIFO completion cycle is noted beside each).
+TEST(NocGolden, ZooBurstsKeepTheTieOrder) {
+  struct Golden {
+    const char* net;
+    std::size_t cores;
+    std::size_t burst;
+    std::uint64_t completion;
+    std::uint64_t max_latency;
+    double avg_latency;
+  };
+  const Golden cases[] = {
+      {"convnet", 16, 0, 495, 494, 232.16249999999999},  // FIFO: 517
+      {"convnet", 64, 1, 283, 282, 113.80803571428571},  // FIFO: 269
+      {"alexnet", 8, 0, 3358, 3357, 1548.9846938775511},  // FIFO: 3224
+      {"lenet", 64, 0, 405, 404, 188.51632653061225},  // FIFO: 421
+  };
+  for (const Golden& g : cases) {
+    SCOPED_TRACE(std::string(g.net) + " cores=" + std::to_string(g.cores) +
+                 " burst=" + std::to_string(g.burst));
+    sim::SystemConfig cfg;
+    cfg.cores = g.cores;
+    const sim::CmpSystem system(cfg);
+    const nn::NetSpec spec = net_named(g.net);
+    const sched::Schedule schedule = system.build_schedule(
+        spec,
+        core::traffic_dense(spec, system.topology(), cfg.bytes_per_value));
+    const std::vector<std::vector<Message>> bursts =
+        bursts_of(schedule, g.cores);
+    ASSERT_LT(g.burst, bursts.size());
+    const NocStats got =
+        MeshNocSimulator(system.topology(), cfg.noc).run(bursts[g.burst]);
+    EXPECT_EQ(got.completion_cycle, g.completion);
+    EXPECT_EQ(got.max_packet_latency, g.max_latency);
+    EXPECT_EQ(got.avg_packet_latency, g.avg_latency);
+  }
+}
+
 }  // namespace
 }  // namespace ls::noc

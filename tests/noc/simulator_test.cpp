@@ -188,6 +188,23 @@ TEST(MeshNocSimulator, RejectsDegenerateConfig) {
                std::invalid_argument);
 }
 
+TEST(MeshNocSimulator, RejectsConfigsPast32BitInFlightState) {
+  // In-flight arrivals are wrapped 32-bit cycles.
+  NocConfig cfg = small_config();
+  cfg.router_latency = std::size_t{1} << 30;
+  EXPECT_THROW(MeshNocSimulator(MeshTopology(2, 2), cfg),
+               std::invalid_argument);
+  cfg.router_latency = (std::size_t{1} << 30) - 1;
+  EXPECT_NO_THROW(MeshNocSimulator(MeshTopology(2, 2), cfg));
+  // In-flight flits are indexed by 32-bit buffer places: 2^16 routers x 5
+  // ports x 1 VC x 2^14 places is 5 * 2^30. Rejected before allocating.
+  cfg = small_config();
+  cfg.vcs = 1;
+  cfg.vc_depth = std::size_t{1} << 14;
+  const MeshNocSimulator sim(MeshTopology(256, 256), cfg);
+  EXPECT_THROW((void)sim.run({{0, 1, 64, 0}}), std::invalid_argument);
+}
+
 TEST(MeshNocSimulator, StuckNetworkReportNamesBuffers) {
   const MeshNocSimulator sim(MeshTopology(4, 4), small_config());
   // Fifteen sources converge on core 0: after 40 cycles the ejection port

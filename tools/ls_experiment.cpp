@@ -2,7 +2,7 @@
 // pipelines with every knob on the command line, for exploration beyond
 // the fixed bench configurations.
 //
-//   ls_experiment sparsified --net lenet --cores 16 --lambda 0.5 \
+//   ls_experiment sparsified --net lenet --cores 16 --lambda 0.5
 //       --epochs 4 --samples 768 --seed 42 [--exponent 1.0] [--block]
 //   ls_experiment structure --c1 32 --c2 64 --c3 128 --groups 16 --cores 16
 //   ls_experiment traffic --net alexnet --cores 16
@@ -83,11 +83,11 @@ Args parse(int argc, char** argv, int first) {
   for (int i = first; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) continue;
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.kv[key] = argv[++i];
-    } else {
-      args.kv[key] = "1";
-    }
+    // A flag followed by another flag (or nothing) is a switch set to "1".
+    const bool has_value =
+        i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0;
+    args.kv.insert_or_assign(std::move(key),
+                             std::string(has_value ? argv[++i] : "1"));
   }
   return args;
 }
