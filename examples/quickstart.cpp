@@ -32,8 +32,8 @@ int main() {
   cfg.cores = 16;
   cfg.train.epochs = 5;
   cfg.train.batch_size = 32;
-  cfg.lambda_ss = 0.6;   // group-Lasso strength; see bench_ablation_lasso
-  cfg.lambda_mask = 0.6; // for the sensitivity of the trade-off
+  cfg.lambda_ss = 0.6;   // group-Lasso strength; `bench_paper ablation-lasso`
+  cfg.lambda_mask = 0.6; // shows the sensitivity of the trade-off
   cfg.verbose = true;
 
   // 3. Run the three schemes: dense baseline, SS, SS_Mask.

@@ -1,6 +1,5 @@
 #include "nn/block_sparsity.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -159,18 +158,6 @@ const BlockMap& BlockSparsity::map(const Param& weight) {
   scanned_version_ = weight.version;
   scanned_ = true;
   return map_;
-}
-
-bool sparse_runtime_enabled() {
-  static const bool enabled = [] {
-    if (const char* env = std::getenv("LS_SPARSE")) {
-      if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) {
-        return false;
-      }
-    }
-    return true;
-  }();
-  return enabled;
 }
 
 std::size_t enable_block_sparsity(Network& net, const NetSpec& spec,

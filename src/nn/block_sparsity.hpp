@@ -90,10 +90,6 @@ class BlockSparsity {
   bool scanned_ = false;
 };
 
-/// Process-wide kill switch: LS_SPARSE=off|0 forces the dense path even on
-/// layers with a sparsity partition. Read once.
-bool sparse_runtime_enabled();
-
 /// Arms the block-sparse fast path on every eligible compute layer of
 /// `net`, mirroring core::build_group_sets eligibility: the first compute
 /// layer (replicated input — never pruned) and grouped convs are skipped.

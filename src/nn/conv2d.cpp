@@ -100,9 +100,7 @@ void Conv2D::set_sparsity_partition(std::size_t parts) {
 void Conv2D::clear_sparsity_partition() { sparsity_.reset(); }
 
 const BlockMap* Conv2D::sparse_map() {
-  if (!sparsity_ || cfg_.groups != 1 || !sparse_runtime_enabled()) {
-    return nullptr;
-  }
+  if (!sparsity_ || cfg_.groups != 1) return nullptr;
   const BlockMap& m = sparsity_->map(weight_);
   return m.engaged() ? &m : nullptr;
 }

@@ -75,8 +75,7 @@ class Conv2D final : public Layer {
   /// Arms the block-sparse fast path (DESIGN.md "Sparse execution"):
   /// in/out channels are split `parts` ways (balanced_bounds) and all-zero
   /// weight blocks are skipped by the GEMM path. Requires groups == 1.
-  /// Dense behavior is unchanged until blocks are actually pruned, and
-  /// LS_SPARSE=off force-disables the path at runtime.
+  /// Dense behavior is unchanged until blocks are actually pruned.
   void set_sparsity_partition(std::size_t parts);
   void clear_sparsity_partition();
   const BlockSparsity* sparsity() const { return sparsity_.get(); }

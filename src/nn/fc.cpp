@@ -41,7 +41,7 @@ void FullyConnected::set_sparsity_partition(std::size_t parts,
 void FullyConnected::clear_sparsity_partition() { sparsity_.reset(); }
 
 const BlockMap* FullyConnected::sparse_map() {
-  if (!sparsity_ || !sparse_runtime_enabled()) return nullptr;
+  if (!sparsity_) return nullptr;
   const BlockMap& m = sparsity_->map(weight_);
   return m.engaged() ? &m : nullptr;
 }

@@ -45,6 +45,8 @@ struct LayerSpec {
                         std::size_t stride);
   static LayerSpec relu(std::string name);
   static LayerSpec flatten(std::string name);
+
+  friend bool operator==(const LayerSpec&, const LayerSpec&) = default;
 };
 
 /// Activation volume {C, H, W} between layers (H=W=1 after flatten/fc).
@@ -53,6 +55,8 @@ struct ActShape {
   std::size_t h = 1;
   std::size_t w = 1;
   std::size_t numel() const { return c * h * w; }
+
+  friend bool operator==(const ActShape&, const ActShape&) = default;
 };
 
 /// Per-layer derived quantities computed by analyze().
@@ -74,6 +78,8 @@ struct NetSpec {
   std::string dataset;
   ActShape input;
   std::vector<LayerSpec> layers;
+
+  friend bool operator==(const NetSpec&, const NetSpec&) = default;
 };
 
 /// Propagates shapes through the network and computes per-layer MACs and

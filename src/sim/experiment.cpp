@@ -1,6 +1,8 @@
 #include "sim/experiment.hpp"
 
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "core/sparsity_profile.hpp"
 #include "core/weight_groups.hpp"
@@ -35,28 +37,93 @@ data::Dataset dataset_for(const nn::NetSpec& spec, std::size_t samples,
   return data::make_synthetic(ds);
 }
 
-namespace {
+TrainRecipe dense_recipe(const nn::NetSpec& spec,
+                         const ExperimentConfig& cfg) {
+  return TrainRecipe{spec, cfg.train, cfg.seed, std::nullopt};
+}
 
-// Lowers the strategy's inputs into the Schedule IR and executes the
-// schedule. This is where the per-strategy runners collapse: they no
-// longer own any simulation arithmetic, only the training recipe and which
-// (spec, traffic, profile) triple they hand the lowering.
-StrategyOutcome simulate_with_traffic(
-    const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
-    const ExperimentConfig& cfg, const StrategyOutcome* baseline,
-    sched::Strategy strategy,
-    const core::SparsityProfile* sparsity = nullptr) {
+TrainRecipe lasso_recipe(const nn::NetSpec& spec, const ExperimentConfig& cfg,
+                         bool distance_aware) {
+  TrainRecipe recipe = dense_recipe(spec, cfg);
+  LassoRecipe& lasso = recipe.lasso.emplace();
+  lasso.distance_aware = distance_aware;
+  lasso.lambda = distance_aware ? cfg.lambda_mask : cfg.lambda_ss;
+  lasso.mask_exponent = distance_aware ? cfg.mask_exponent : 1.0;
+  lasso.cores = cfg.cores;
+  return recipe;
+}
+
+TrainedNet train(const TrainRecipe& recipe, const data::Dataset& train_set,
+                 const data::Dataset& test_set) {
+  util::Rng rng(recipe.seed);  // every recipe of a seed shares the init:
+                               // isolates the regularizer's effect
+  TrainedNet out{recipe, nn::build_network(recipe.spec, rng), {}, {}};
+  if (!recipe.lasso) {
+    out.report =
+        train::train_classifier(out.net, train_set, test_set, recipe.train);
+    return out;
+  }
+  const LassoRecipe& lasso = *recipe.lasso;
+  // Arm the block-sparse execution path on the layers group-Lasso prunes
+  // (same eligibility as build_group_sets). Bit-exact vs dense, so the
+  // training outcome is unchanged; evaluation speeds up as blocks die.
+  nn::enable_block_sparsity(out.net, recipe.spec, lasso.cores);
+  train::StrengthMask mask =
+      lasso.distance_aware
+          ? train::distance_mask(noc::MeshTopology::for_cores(lasso.cores),
+                                 lasso.mask_exponent)
+          : train::uniform_mask(lasso.cores);
+  train::GroupLassoRegularizer reg(
+      core::build_group_sets(out.net, recipe.spec, lasso.cores),
+      std::move(mask), lasso.lambda, lasso.mode);
+  out.report = train::train_classifier(out.net, train_set, test_set,
+                                       recipe.train, &reg);
+  out.groups = std::move(reg.groups());
+  return out;
+}
+
+StrategyOutcome simulate(TrainedNet& trained, sched::Strategy strategy,
+                         const ExperimentConfig& cfg,
+                         const StrategyOutcome* baseline) {
+  const nn::NetSpec& spec = trained.recipe.spec;
+  const bool live = strategy == sched::Strategy::kSparsified ||
+                    strategy == sched::Strategy::kHybrid;
+  const auto& lasso = trained.recipe.lasso;
+  if (live && lasso && lasso->cores != cfg.cores) {
+    throw std::invalid_argument(
+        "simulate: net regularized for " + std::to_string(lasso->cores) +
+        " cores, simulated on " + std::to_string(cfg.cores));
+  }
   SystemConfig sys = cfg.system;
   sys.cores = cfg.cores;
   CmpSystem system(sys);
+  const noc::MeshTopology topo = noc::MeshTopology::for_cores(cfg.cores);
+  const core::InferenceTraffic traffic =
+      live ? core::traffic_live(trained.net, spec, topo, sys.bytes_per_value,
+                                cfg.granularity)
+           : core::traffic_dense(spec, topo, sys.bytes_per_value);
+  // The analytic model sees the same structured sparsity the kernels do.
+  std::optional<core::SparsityProfile> profile;
+  if (live) profile = core::profile_from_groups(trained.groups);
+
   sched::BuildOptions opts;
   opts.cores = sys.cores;
   opts.bytes_per_value = sys.bytes_per_value;
   opts.overlap_comm = sys.overlap_comm;
   opts.sparse_cycle_model = sys.sparse_cycle_model;
   StrategyOutcome out;
-  out.result =
-      system.execute(sched::lower(spec, traffic, opts, sparsity, strategy));
+  out.result = system.execute(sched::lower(
+      spec, traffic, opts, profile ? &*profile : nullptr, strategy));
+  out.accuracy = trained.report.test_accuracy;
+  out.weight_sparsity = trained.report.weight_sparsity;
+  double dead = 0.0;
+  for (const auto& set : trained.groups) {
+    dead += set.off_diagonal_dead_fraction();
+  }
+  out.dead_block_fraction =
+      trained.groups.empty()
+          ? 0.0
+          : dead / static_cast<double>(trained.groups.size());
   const std::size_t bytes = traffic.total_bytes();
   out.mean_traffic_hops =
       bytes ? static_cast<double>(traffic.total_byte_hops()) /
@@ -75,81 +142,27 @@ StrategyOutcome simulate_with_traffic(
   return out;
 }
 
-}  // namespace
-
 std::vector<StrategyOutcome> run_sparsified_experiment(
     const nn::NetSpec& spec, const data::Dataset& train_set,
     const data::Dataset& test_set, const ExperimentConfig& cfg) {
-  const noc::MeshTopology topo = noc::MeshTopology::for_cores(cfg.cores);
   std::vector<StrategyOutcome> outcomes;
-  outcomes.reserve(3);  // references into the vector are taken below
-
-  // --- Baseline: dense training, traditional parallelization -----------
+  outcomes.reserve(3);  // the baseline reference below must stay valid
   {
-    util::Rng rng(cfg.seed);
-    nn::Network net = nn::build_network(spec, rng);
-    const train::TrainReport report =
-        train::train_classifier(net, train_set, test_set, cfg.train);
-    const auto traffic =
-        core::traffic_dense(spec, topo, cfg.system.bytes_per_value);
-    StrategyOutcome out = simulate_with_traffic(
-        spec, traffic, cfg, nullptr, sched::Strategy::kTraditional);
-    out.scheme = "Baseline";
-    out.accuracy = report.test_accuracy;
-    out.weight_sparsity = report.weight_sparsity;
-    outcomes.push_back(std::move(out));
+    TrainedNet dense = train(dense_recipe(spec, cfg), train_set, test_set);
+    outcomes.push_back(
+        simulate(dense, sched::Strategy::kTraditional, cfg));
+    outcomes.back().scheme = "Baseline";
   }
   const StrategyOutcome& baseline = outcomes.front();
-
-  // --- SS and SS_Mask ----------------------------------------------------
-  struct SchemeDef {
-    const char* name;
-    bool distance_aware;
-    double lambda;
-  };
-  const SchemeDef schemes[] = {
-      {"SS", false, cfg.lambda_ss},
-      {"SS_Mask", true, cfg.lambda_mask},
-  };
-  for (const SchemeDef& scheme : schemes) {
-    util::Rng rng(cfg.seed);  // same init as baseline: isolates the
-                              // regularizer's effect
-    nn::Network net = nn::build_network(spec, rng);
-    // Arm the block-sparse execution path on the layers group-Lasso prunes
-    // (same eligibility as build_group_sets). Bit-exact vs dense, so the
-    // training outcome is unchanged; evaluation speeds up as blocks die.
-    nn::enable_block_sparsity(net, spec, cfg.cores);
-    auto group_sets = core::build_group_sets(net, spec, cfg.cores);
-    train::StrengthMask mask =
-        scheme.distance_aware
-            ? train::distance_mask(topo, cfg.mask_exponent)
-            : train::uniform_mask(cfg.cores);
-    train::GroupLassoRegularizer reg(std::move(group_sets), std::move(mask),
-                                     scheme.lambda);
-    const train::TrainReport report =
-        train::train_classifier(net, train_set, test_set, cfg.train, &reg);
-
-    const auto traffic = core::traffic_live(
-        net, spec, topo, cfg.system.bytes_per_value, cfg.granularity);
-    // The analytic model sees the same structured sparsity the kernels do.
-    const core::SparsityProfile profile =
-        core::profile_from_groups(reg.groups());
+  for (const bool distance_aware : {false, true}) {
+    TrainedNet net = train(lasso_recipe(spec, cfg, distance_aware),
+                           train_set, test_set);
     StrategyOutcome out =
-        simulate_with_traffic(spec, traffic, cfg, &baseline,
-                              sched::Strategy::kSparsified, &profile);
-    out.scheme = scheme.name;
-    out.accuracy = report.test_accuracy;
-    out.weight_sparsity = report.weight_sparsity;
-    double dead = 0.0;
-    std::size_t sets = 0;
-    for (const auto& set : reg.groups()) {
-      dead += set.off_diagonal_dead_fraction();
-      ++sets;
-    }
-    out.dead_block_fraction = sets ? dead / static_cast<double>(sets) : 0.0;
+        simulate(net, sched::Strategy::kSparsified, cfg, &baseline);
+    out.scheme = distance_aware ? "SS_Mask" : "SS";
     if (cfg.verbose) {
       LS_LOG_INFO("%s/%s: acc=%.3f traffic=%.2f speedup=%.2f dead=%.2f",
-                  spec.name.c_str(), scheme.name, out.accuracy,
+                  spec.name.c_str(), out.scheme.c_str(), out.accuracy,
                   out.traffic_rate, out.speedup, out.dead_block_fraction);
     }
     outcomes.push_back(std::move(out));
@@ -157,56 +170,15 @@ std::vector<StrategyOutcome> run_sparsified_experiment(
   return outcomes;
 }
 
-StrategyOutcome run_hybrid_variant(const nn::NetSpec& grouped_spec,
-                                   const data::Dataset& train_set,
-                                   const data::Dataset& test_set,
-                                   const ExperimentConfig& cfg,
-                                   const StrategyOutcome* baseline) {
-  const noc::MeshTopology topo = noc::MeshTopology::for_cores(cfg.cores);
-  util::Rng rng(cfg.seed);
-  nn::Network net = nn::build_network(grouped_spec, rng);
-  // build_group_sets skips grouped conv layers, so the regularizer only
-  // touches the still-dense layers.
-  train::GroupLassoRegularizer reg(
-      core::build_group_sets(net, grouped_spec, cfg.cores),
-      train::distance_mask(topo, cfg.mask_exponent), cfg.lambda_mask);
-  const train::TrainReport report =
-      train::train_classifier(net, train_set, test_set, cfg.train, &reg);
-  const auto traffic = core::traffic_live(
-      net, grouped_spec, topo, cfg.system.bytes_per_value, cfg.granularity);
-  const core::SparsityProfile profile =
-      core::profile_from_groups(reg.groups());
-  StrategyOutcome out =
-      simulate_with_traffic(grouped_spec, traffic, cfg, baseline,
-                            sched::Strategy::kHybrid, &profile);
-  out.scheme = "Hybrid(" + grouped_spec.name + ")";
-  out.accuracy = report.test_accuracy;
-  out.weight_sparsity = report.weight_sparsity;
-  double dead = 0.0;
-  std::size_t sets = 0;
-  for (const auto& set : reg.groups()) {
-    dead += set.off_diagonal_dead_fraction();
-    ++sets;
-  }
-  out.dead_block_fraction = sets ? dead / static_cast<double>(sets) : 0.0;
-  return out;
-}
-
 StrategyOutcome run_structure_level_variant(
     const nn::NetSpec& grouped_spec, const data::Dataset& train_set,
     const data::Dataset& test_set, const ExperimentConfig& cfg,
     const StrategyOutcome* baseline) {
-  const noc::MeshTopology topo = noc::MeshTopology::for_cores(cfg.cores);
-  util::Rng rng(cfg.seed);
-  nn::Network net = nn::build_network(grouped_spec, rng);
-  const train::TrainReport report =
-      train::train_classifier(net, train_set, test_set, cfg.train);
-  const auto traffic =
-      core::traffic_dense(grouped_spec, topo, cfg.system.bytes_per_value);
-  StrategyOutcome out = simulate_with_traffic(
-      grouped_spec, traffic, cfg, baseline, sched::Strategy::kStructureLevel);
+  TrainedNet net =
+      train(dense_recipe(grouped_spec, cfg), train_set, test_set);
+  StrategyOutcome out =
+      simulate(net, sched::Strategy::kStructureLevel, cfg, baseline);
   out.scheme = grouped_spec.name;
-  out.accuracy = report.test_accuracy;
   return out;
 }
 

@@ -15,6 +15,8 @@ struct SgdConfig {
   /// nets stable at the aggressive learning rates the short training
   /// budgets need.
   double clip_grad_norm = 5.0;
+
+  friend bool operator==(const SgdConfig&, const SgdConfig&) = default;
 };
 
 class Sgd {

@@ -19,9 +19,8 @@ struct TrainConfig {
   double lr_decay = 0.7;  ///< multiplicative per-epoch decay
   std::uint64_t seed = 7;
   bool verbose = false;
-  /// Data-parallel gradient replicas for train_classifier_parallel (1 =
-  /// the plain serial loop; see train/data_parallel.hpp).
-  std::size_t replicas = 1;
+
+  friend bool operator==(const TrainConfig&, const TrainConfig&) = default;
 };
 
 struct TrainReport {

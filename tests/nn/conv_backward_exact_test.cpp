@@ -230,7 +230,7 @@ TEST_F(ConvBackwardExact, MatchesSerialSampleLoopBitForBit) {
         ASSERT_TRUE(map.engaged());
         mask = map.mask();
       }
-      const bool armed = c.sparse_parts > 0 && sparse_runtime_enabled();
+      const bool armed = c.sparse_parts > 0;
       const Grads want = serial_reference(
           conv.config(), in, grad_out, conv.weight().value,
           {Tensor(in.shape(), 0.0f), dw0, db0}, armed ? &mask : nullptr,

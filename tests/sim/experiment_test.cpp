@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace ls::sim {
 namespace {
 
@@ -94,6 +97,78 @@ TEST(Experiment, MaskKeepsResidualTrafficLocal) {
     // Surviving SS_Mask traffic travels fewer hops on average than dense.
     EXPECT_LE(mask.mean_traffic_hops, base.mean_traffic_hops + 1e-9);
   }
+}
+
+void expect_same_outcome(const StrategyOutcome& a, const StrategyOutcome& b) {
+  EXPECT_EQ(a.scheme, b.scheme);
+  EXPECT_EQ(a.accuracy, b.accuracy) << a.scheme;
+  EXPECT_EQ(a.traffic_rate, b.traffic_rate) << a.scheme;
+  EXPECT_EQ(a.speedup, b.speedup) << a.scheme;
+  EXPECT_EQ(a.comm_energy_reduction, b.comm_energy_reduction) << a.scheme;
+  EXPECT_EQ(a.total_energy_reduction, b.total_energy_reduction) << a.scheme;
+  EXPECT_EQ(a.dead_block_fraction, b.dead_block_fraction) << a.scheme;
+  EXPECT_EQ(a.weight_sparsity, b.weight_sparsity) << a.scheme;
+  EXPECT_EQ(a.mean_traffic_hops, b.mean_traffic_hops) << a.scheme;
+  EXPECT_TRUE(a.result == b.result) << a.scheme;
+}
+
+// A dense net's training reads no core count, so one trained baseline
+// serves every scale: simulated at each count it equals the pipeline's own
+// freshly trained Baseline there.
+TEST(Experiment, DenseBaselineTrainedOnceServesEveryCoreCount) {
+  const auto train_set = micro_data(1);
+  const auto test_set = micro_data(2);
+  auto cfg = micro_cfg();
+  TrainedNet dense = train(dense_recipe(micro_spec(), cfg), train_set,
+                           test_set);
+  for (const std::size_t cores : {2u, 4u}) {
+    SCOPED_TRACE("cores " + std::to_string(cores));
+    cfg.cores = cores;
+    EXPECT_TRUE(dense_recipe(micro_spec(), cfg) == dense.recipe);
+    StrategyOutcome shared =
+        simulate(dense, sched::Strategy::kTraditional, cfg);
+    shared.scheme = "Baseline";
+    const auto fresh =
+        run_sparsified_experiment(micro_spec(), train_set, test_set, cfg);
+    expect_same_outcome(shared, fresh.at(0));
+  }
+}
+
+// SS and SS_Mask composed from train + simulate are the pipeline's rows.
+TEST(Experiment, TrainThenSimulateMatchesSparsifiedPipeline) {
+  const auto train_set = micro_data(1);
+  const auto test_set = micro_data(2);
+  const auto cfg = micro_cfg();
+  const auto rows =
+      run_sparsified_experiment(micro_spec(), train_set, test_set, cfg);
+  ASSERT_EQ(rows.size(), 3u);
+  TrainedNet dense = train(dense_recipe(micro_spec(), cfg), train_set,
+                           test_set);
+  const StrategyOutcome base =
+      simulate(dense, sched::Strategy::kTraditional, cfg);
+  for (const bool distance_aware : {false, true}) {
+    const TrainRecipe recipe = lasso_recipe(micro_spec(), cfg, distance_aware);
+    ASSERT_TRUE(recipe.lasso.has_value());
+    EXPECT_EQ(recipe.lasso->cores, cfg.cores);
+    TrainedNet net = train(recipe, train_set, test_set);
+    StrategyOutcome out =
+        simulate(net, sched::Strategy::kSparsified, cfg, &base);
+    out.scheme = distance_aware ? "SS_Mask" : "SS";
+    expect_same_outcome(out, rows[distance_aware ? 2 : 1]);
+
+    // Live traffic of a net regularized for 4 cores is meaningless on 2.
+    auto other = cfg;
+    other.cores = 2;
+    EXPECT_THROW(simulate(net, sched::Strategy::kSparsified, other, &base),
+                 std::invalid_argument);
+  }
+  // SS's uniform mask has no exponent: it is one recipe at any exponent.
+  auto steep = cfg;
+  steep.mask_exponent = 3.0;
+  EXPECT_TRUE(lasso_recipe(micro_spec(), steep, false) ==
+              lasso_recipe(micro_spec(), cfg, false));
+  EXPECT_FALSE(lasso_recipe(micro_spec(), steep, true) ==
+               lasso_recipe(micro_spec(), cfg, true));
 }
 
 TEST(Experiment, StructureLevelVariantAgainstBaseline) {

@@ -1,4 +1,5 @@
-// Tests for the hybrid (grouping + masked lasso) experiment pipeline.
+// Tests for the hybrid strategy (grouping + masked lasso): a grouped net
+// trained with the distance-masked group-Lasso, simulated as kHybrid.
 
 #include <gtest/gtest.h>
 
@@ -47,15 +48,16 @@ TEST(Hybrid, BeatsGroupingAloneOnTraffic) {
   cfg.lambda_mask = 0.8;
   cfg.seed = 11;
 
-  const auto train = micro_data(1);
-  const auto test = micro_data(2);
-  const auto base =
-      run_structure_level_variant(micro_dense(), train, test, cfg, nullptr);
+  const auto train_set = micro_data(1);
+  const auto test_set = micro_data(2);
+  const auto base = run_structure_level_variant(micro_dense(), train_set,
+                                                test_set, cfg, nullptr);
   const auto grp =
-      run_structure_level_variant(grouped, train, test, cfg, &base);
-  const auto hyb = run_hybrid_variant(grouped, train, test, cfg, &base);
+      run_structure_level_variant(grouped, train_set, test_set, cfg, &base);
+  TrainedNet hybrid_net = train(
+      lasso_recipe(grouped, cfg, /*distance_aware=*/true), train_set, test_set);
+  const auto hyb = simulate(hybrid_net, sched::Strategy::kHybrid, cfg, &base);
 
-  EXPECT_EQ(hyb.scheme.rfind("Hybrid", 0), 0u);
   // The hybrid sparsifies the FC transitions that grouping leaves dense.
   EXPECT_LE(hyb.result.traffic_bytes, grp.result.traffic_bytes);
   EXPECT_GT(hyb.dead_block_fraction, 0.0);
@@ -70,9 +72,11 @@ TEST(Hybrid, GroupedLayersStaySilent) {
   cfg.cores = 4;
   cfg.train.epochs = 2;
   cfg.lambda_mask = 0.5;
-  const auto train = micro_data(1);
-  const auto test = micro_data(2);
-  const auto hyb = run_hybrid_variant(grouped, train, test, cfg, nullptr);
+  const auto train_set = micro_data(1);
+  const auto test_set = micro_data(2);
+  TrainedNet hybrid_net = train(
+      lasso_recipe(grouped, cfg, /*distance_aware=*/true), train_set, test_set);
+  const auto hyb = simulate(hybrid_net, sched::Strategy::kHybrid, cfg);
   for (const auto& layer : hyb.result.layers) {
     if (layer.layer_name == "conv2") {
       EXPECT_EQ(layer.traffic_bytes, 0u);

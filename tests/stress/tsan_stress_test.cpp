@@ -16,8 +16,6 @@
 //     own columns) racing an external thread's inline backward;
 //   * plane-parallel pooling and chunk-parallel ReLU, forward and backward,
 //     racing an external thread's inline passes;
-//   * concurrent data-parallel training runs (replica fan-out + serial
-//     reduction) contending for the shared pool;
 //   * concurrent streamed executions each accumulating a private
 //     StreamTimeline and attributing blame over it.
 //
@@ -35,7 +33,6 @@
 #include <vector>
 
 #include "core/traffic.hpp"
-#include "data/dataset.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/fc.hpp"
@@ -48,7 +45,6 @@
 #include "sched/schedule.hpp"
 #include "sim/system.hpp"
 #include "tensor/tensor.hpp"
-#include "train/data_parallel.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -399,69 +395,6 @@ TEST(TsanStress, PoolAndReluFanOut) {
   util::ThreadPool::set_num_threads(0);
   EXPECT_TRUE(main_ok) << "pooled relu/pool diverged from serial";
   EXPECT_TRUE(external_ok) << "external relu/pool diverged from serial";
-}
-
-TEST(TsanStress, ConcurrentDataParallelTraining) {
-  // PR 8 seam: each caller's replicas fan their shards out over the shared
-  // pool while the reduction and optimizer step stay caller-serial. Racing
-  // whole training runs hammers pool handoff on both sides; the trained
-  // weights must still be byte-identical to an uncontended run.
-  constexpr std::size_t kThreads = 3;
-
-  nn::NetSpec spec;
-  spec.name = "stress_tiny";
-  spec.dataset = "stress_tiny";
-  spec.input = {1, 8, 8};
-  spec.layers = {nn::LayerSpec::conv("c1", 4, 3, 1, 1),
-                 nn::LayerSpec::relu("r0"), nn::LayerSpec::flatten("flat"),
-                 nn::LayerSpec::fc("fc1", 16), nn::LayerSpec::relu("r1"),
-                 nn::LayerSpec::fc("fc2", 4)};
-
-  data::SyntheticSpec syn;
-  syn.num_classes = 4;
-  syn.channels = 1;
-  syn.height = 8;
-  syn.width = 8;
-  syn.samples = 48;
-  syn.seed = 5;
-  syn.sample_seed = 1;
-  const data::Dataset train_set = data::make_synthetic(syn);
-  syn.sample_seed = 2;
-  const data::Dataset test_set = data::make_synthetic(syn);
-
-  train::TrainConfig cfg;
-  cfg.epochs = 1;
-  cfg.batch_size = 16;
-  cfg.replicas = 2;
-
-  const auto run_once = [&] {
-    util::Rng rng(3);
-    nn::Network net = nn::build_network(spec, rng);
-    train::train_classifier_parallel(spec, net, train_set, test_set, cfg);
-    std::vector<float> flat;
-    for (nn::Param* p : net.params()) {
-      flat.insert(flat.end(), p->value.data(),
-                  p->value.data() + p->value.numel());
-    }
-    return flat;
-  };
-  const std::vector<float> reference = run_once();
-
-  std::vector<std::thread> threads;
-  std::vector<int> ok(kThreads, 0);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &run_once, &reference, &ok] {
-      const std::vector<float> got = run_once();
-      ok[t] = got.size() == reference.size() &&
-              std::memcmp(got.data(), reference.data(),
-                          got.size() * sizeof(float)) == 0;
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    EXPECT_TRUE(ok[t]) << "thread " << t
-                       << " trained different bytes under contention";
-  }
 }
 
 TEST(TsanStress, ConcurrentStreamTimelineAttribution) {
