@@ -3,7 +3,7 @@
 // layers on one core; activations hop to the next stage's core over the
 // NoC. Stages are cut by sched::partition_stages, the same min-max cuts
 // multi-chip lowering uses. Reported against intra-layer parallelism by
-// bench_pipeline_vs_intra, reproducing the paper's §II.B argument
+// `bench_paper pipeline`, reproducing the paper's §II.B argument
 // ("pipelining layers with distinct hyper-parameters cause severe
 // load-imbalance issue on cores").
 

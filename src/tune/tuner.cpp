@@ -423,10 +423,11 @@ TuneOutcome tune(const nn::NetSpec& spec,
       }
     }
     out.validated = survivors.size();
-    if (survivors.empty()) {
-      // Every finalist was rejected by the static verifier (release builds
-      // only — checked builds abort above). Fall back to the already-priced
-      // kernel-wise baseline rather than returning garbage.
+    if (survivors.empty() || out.best_sim_cycles >= out.baseline_sim_cycles) {
+      // No finalist validated faster than the baseline (the analytic model
+      // misranked them, or the static verifier rejected all of them in a
+      // release build — checked builds abort above). The baseline, priced
+      // in the same batch, is the winner.
       out.best = base;
       out.best_est_cycles = out.baseline_est_cycles;
       out.best_sim_cycles = out.baseline_sim_cycles;

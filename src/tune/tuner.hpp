@@ -11,11 +11,11 @@
 // sched::estimate_cycles over the lowered candidate), and only the top-k
 // analytic winners are validated with the flit-level NoC simulation
 // (one batched CmpSystem::execute, with the baseline) before one is
-// declared best. The search is greedy
-// hill-climbing with random restarts over single-knob moves (one layer's
-// dim, one placement swap, the overlap flag), driven by a seeded
-// util::Rng: the same seed and budget always visit the same candidates and
-// return the same winner.
+// declared best; the baseline wins when none of them validates faster.
+// The search is greedy hill-climbing with random restarts over
+// single-knob moves (one layer's dim, one placement swap, the overlap
+// flag), driven by a seeded util::Rng: the same seed and budget always
+// visit the same candidates and return the same winner.
 
 #include <cstdint>
 #include <memory>
@@ -83,7 +83,9 @@ struct TuneRestartTrace {
 struct TuneValidationPoint {
   std::uint64_t est_cycles = 0;  ///< analytic score that shortlisted it
   std::uint64_t sim_cycles = 0;  ///< flit-level validation
-  bool is_best = false;          ///< the declared winner
+  /// The declared winner. False on every point when no finalist validated
+  /// strictly faster than the baseline, which then wins (TuneOutcome).
+  bool is_best = false;
 
   friend bool operator==(const TuneValidationPoint&,
                          const TuneValidationPoint&) = default;
@@ -103,6 +105,9 @@ struct TuneTelemetry {
 };
 
 struct TuneOutcome {
+  /// The finalist with the fewest validated cycles, or the baseline
+  /// candidate when no finalist validated strictly faster than it — so
+  /// best_sim_cycles never exceeds baseline_sim_cycles.
   Candidate best;
   /// Analytic score of `best`.
   std::uint64_t best_est_cycles = 0;

@@ -8,7 +8,6 @@
 //   4. stale block-sparsity bitmap        (nn::BlockSparsity::map)
 //   5. Param::version monotonicity        (nn::BlockSparsity::map)
 //   6. thread-pool misuse                 (util::ThreadPool::set_num_threads)
-//   7. placement bijectivity              (core::placement_cost)
 //
 // Schedule well-formedness is sched::verify's job and malformed tuning
 // knobs make sched::lower throw; both are tested in every build
@@ -26,8 +25,6 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "core/placement.hpp"
-#include "core/traffic.hpp"
 #include "nn/fc.hpp"
 #include "nn/layer.hpp"
 #include "nn/network.hpp"
@@ -173,17 +170,6 @@ TEST_F(CheckDeath, PoolResizeFromInsideTaskDies) {
         });
       },
       "set_num_threads called from inside a pool task");
-}
-
-// --- 7. placement bijectivity ------------------------------------------------
-
-TEST_F(CheckDeath, NonBijectivePlacementDies) {
-  const auto topo = noc::MeshTopology::for_cores(4);
-  core::Placement p;
-  p.partition_to_core = {0, 0, 1, 2};  // core 0 duplicated, core 3 missing
-  const core::InferenceTraffic traffic;
-  EXPECT_DEATH(core::placement_cost(traffic, p, topo),
-               "non-bijective placement");
 }
 
 }  // namespace

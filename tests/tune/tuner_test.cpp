@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
+#include <memory>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/traffic.hpp"
 #include "nn/model_zoo.hpp"
@@ -103,11 +107,49 @@ TEST(Tuner, TunedBeatsKernelWiseBaseline) {
       tune::tune(p.spec, p.traffic, p.cfg, small_search());
   EXPECT_GT(out.evals, 0u);
   EXPECT_GT(out.validated, 0u);
-  // The search space contains the baseline itself (restart 0 starts
-  // there), so the flit-validated winner can never lose to it — and with
-  // overlap in the space it strictly wins on this config.
+  // The baseline is validated in the finalists' batch and wins unless one
+  // of them beats it, so the flit-validated winner can never lose to it —
+  // and with overlap in the space it strictly wins on this config.
   EXPECT_LT(out.best_sim_cycles, out.baseline_sim_cycles);
   EXPECT_GT(out.speedup_sim(), 1.0);
+}
+
+// Ranks candidates by the negated cycle model: the search climbs towards
+// the slowest schedules it can reach, so every finalist it shortlists
+// validates slower than the baseline.
+class SlowestFirstScorer final : public tune::Scorer {
+ public:
+  using tune::Scorer::Scorer;
+  std::uint64_t score(const tune::Candidate& c) override {
+    return std::numeric_limits<std::uint64_t>::max() - tune::Scorer::score(c);
+  }
+};
+
+TEST(Tuner, BaselineWinsWhenNoFinalistValidatesFaster) {
+  const TunePoint p = convnet16();
+  tune::TuneTelemetry t;
+  const tune::TuneOutcome out =
+      tune::tune(p.spec, p.traffic, p.cfg, small_search(),
+                 sched::Strategy::kTraditional, &t,
+                 std::make_unique<SlowestFirstScorer>(p.spec, p.traffic,
+                                                      p.cfg));
+  ASSERT_GT(out.validated, 0u);
+  ASSERT_EQ(t.validations.size(), out.validated);
+  for (const tune::TuneValidationPoint& v : t.validations) {
+    EXPECT_GT(v.sim_cycles, out.baseline_sim_cycles);
+    EXPECT_FALSE(v.is_best);
+  }
+  EXPECT_EQ(out.best_sim_cycles, out.baseline_sim_cycles);
+  EXPECT_EQ(out.best_est_cycles, out.baseline_est_cycles);
+  // The winner is the baseline candidate itself: kernel-wise dims, the
+  // identity placement and the system's own overlap flag.
+  std::vector<std::size_t> identity(p.cfg.cores);
+  std::iota(identity.begin(), identity.end(), std::size_t{0});
+  EXPECT_EQ(out.best.layer_dims,
+            std::vector<sched::PartitionDim>(out.best.layer_dims.size(),
+                                             sched::PartitionDim::kKernel));
+  EXPECT_EQ(out.best.placement, identity);
+  EXPECT_EQ(out.best.overlap_comm, p.cfg.overlap_comm);
 }
 
 TEST(Tuner, ValidatedWinnerExecutesToItsReportedCycles) {
