@@ -5,9 +5,13 @@
 //
 // Schema 2 adds the vectorized backend: per layer, the simd conv wall
 // clock, plus a *direct* single-thread GEMM measurement at the layer's
-// forward GEMM shape (scalar vs simd, with GFLOP/s). The direct numbers
-// are what the >=2x tier-1 gate reads — layer forward time includes the
-// im2col packing, which dilutes the kernel speedup.
+// forward GEMM shape (with GFLOP/s). The direct numbers are what the
+// tier-1 gates read — layer forward time includes the im2col packing,
+// which dilutes the kernel speedup. Three kernels are timed there: the
+// default kernels' portable clone (`mm_scalar_ms`, the baseline the simd
+// gate has always read), the cpuid-selected clone the program runs
+// (`mm_default_ms`, its ISA stamped as `gemm_isa`) and the simd backend.
+// The layer-level `gemm_*` columns run the cpuid-selected clone.
 //
 // A second section measures the block-sparse fast path: dense GEMM vs the
 // armed sparse path on the same pruned weights at 0/25/50/75/90 % block
@@ -18,7 +22,9 @@
 // A third table times the training step's kernels at the trainer's batch
 // (32) on ConvNet-expt (json key "train_batch_bwd"): every conv backward,
 // conv1's input-gradient-free backward (what Network::backward runs on the
-// first layer), and relu1/pool1 forward and backward.
+// first layer), and relu1/pool1 forward and backward. Conv rows time the
+// default kernels' portable clone (`gemm_ms`), their cpuid-selected clone
+// (`default_ms`) and the simd backend (`simd_ms`).
 
 #include <algorithm>
 #include <chrono>
@@ -65,7 +71,7 @@ struct BenchResult {
   // Direct forward-GEMM shape (per group, per sample) and single-thread
   // kernel timings at it.
   std::size_t mm_m = 0, mm_n = 0, mm_k = 0;
-  double mm_scalar_ms = 0.0, mm_simd_ms = 0.0;
+  double mm_scalar_ms = 0.0, mm_default_ms = 0.0, mm_simd_ms = 0.0;
   double fwd_speedup() const { return naive_fwd_ms / gemm_fwd_ms; }
   double bwd_speedup() const { return naive_bwd_ms / gemm_bwd_ms; }
   double simd_fwd_speedup() const { return gemm_fwd_ms / simd_fwd_ms; }
@@ -75,8 +81,12 @@ struct BenchResult {
            static_cast<double>(mm_k);
   }
   double mm_scalar_gflops() const { return mm_flops() / mm_scalar_ms / 1e6; }
+  double mm_default_gflops() const {
+    return mm_flops() / mm_default_ms / 1e6;
+  }
   double mm_simd_gflops() const { return mm_flops() / mm_simd_ms / 1e6; }
   double mm_simd_speedup() const { return mm_scalar_ms / mm_simd_ms; }
+  double mm_default_speedup() const { return mm_scalar_ms / mm_default_ms; }
 };
 
 std::vector<BenchCase> conv_cases(
@@ -129,6 +139,15 @@ double time_ms(Fn&& fn) {
   return best / static_cast<double>(reps);
 }
 
+/// time_ms with the default kernels pinned to their portable clone.
+template <typename Fn>
+double time_portable_ms(Fn&& fn) {
+  ls::nn::gemm::testing::use_portable_kernels(true);
+  const double ms = time_ms(fn);
+  ls::nn::gemm::testing::use_portable_kernels(false);
+  return ms;
+}
+
 BenchResult run_case(const BenchCase& c) {
   BenchResult r;
   r.c = c;
@@ -170,10 +189,12 @@ BenchResult run_case(const BenchCase& c) {
   ls::util::Rng rng_mm(17);
   for (float& v : A) v = static_cast<float>(rng_mm.uniform() - 0.5);
   for (float& v : B) v = static_cast<float>(rng_mm.uniform() - 0.5);
-  r.mm_scalar_ms = time_ms([&] {
+  const auto default_mm = [&] {
     ls::nn::gemm::gemm_nn(r.mm_m, r.mm_n, r.mm_k, A.data(), r.mm_k, B.data(),
                           r.mm_n, C.data(), r.mm_n, false, false);
-  });
+  };
+  r.mm_scalar_ms = time_portable_ms(default_mm);
+  r.mm_default_ms = time_ms(default_mm);
   r.mm_simd_ms = time_ms([&] {
     ls::nn::simd::gemm_nn(r.mm_m, r.mm_n, r.mm_k, A.data(), r.mm_k, B.data(),
                           r.mm_n, C.data(), r.mm_n, false, false);
@@ -188,15 +209,18 @@ constexpr std::size_t kTrainBatch = 32;
 
 struct TrainBwdResult {
   std::string net, layer, pass;
-  double gemm_ms = 0.0, simd_ms = 0.0;  ///< 0 when not measured
+  /// Default kernels' portable and cpuid-selected clones, simd backend;
+  /// 0 when not measured.
+  double gemm_ms = 0.0, default_ms = 0.0, simd_ms = 0.0;
 };
 
-/// Conv backward per backend; `params_only` times backward_params().
+/// Conv backward per kernel; `params_only` times backward_params().
 TrainBwdResult run_train_bwd(const BenchCase& c, bool params_only) {
   TrainBwdResult r{c.net, c.layer, params_only ? "bwd (no dX)" : "bwd"};
   ls::util::Rng rng_in(5);
   const Tensor in = Tensor::uniform(c.in_shape, -1.f, 1.f, rng_in);
-  for (const bool use_simd : {false, true}) {
+  for (double* ms : {&r.gemm_ms, &r.default_ms, &r.simd_ms}) {
+    const bool use_simd = ms == &r.simd_ms;
     if (use_simd && !ls::nn::simd::vectorized()) continue;
     Conv2DConfig cfg = c.cfg;
     cfg.impl = use_simd ? ConvImpl::kSimd : ConvImpl::kGemm;
@@ -205,13 +229,14 @@ TrainBwdResult run_train_bwd(const BenchCase& c, bool params_only) {
     const Tensor grad = Tensor::uniform(conv.output_shape(c.in_shape), -1.f,
                                         1.f, rng_go);
     conv.forward(in, true);
-    (use_simd ? r.simd_ms : r.gemm_ms) = time_ms([&] {
+    const auto step = [&] {
       if (params_only) {
         conv.backward_params(grad);
       } else {
         conv.backward(grad);
       }
-    });
+    };
+    *ms = ms == &r.gemm_ms ? time_portable_ms(step) : time_ms(step);
   }
   return r;
 }
@@ -261,6 +286,7 @@ void write_json(const std::string& path, const std::vector<BenchResult>& rs,
   w.key("threads").value(static_cast<std::uint64_t>(ls::util::num_threads()));
   w.key("simd_available").value(ls::nn::simd::vectorized());
   w.key("simd_isa").value(ls::nn::simd::microkernel_isa());
+  w.key("gemm_isa").value(ls::nn::gemm::kernel_isa());
   w.key("cases").begin_array();
   for (const BenchResult& r : rs) {
     w.begin_object();
@@ -280,10 +306,13 @@ void write_json(const std::string& path, const std::vector<BenchResult>& rs,
     w.key("mm_n").value(static_cast<std::uint64_t>(r.mm_n));
     w.key("mm_k").value(static_cast<std::uint64_t>(r.mm_k));
     w.key("mm_scalar_ms").value(r.mm_scalar_ms);
+    w.key("mm_default_ms").value(r.mm_default_ms);
     w.key("mm_simd_ms").value(r.mm_simd_ms);
     w.key("mm_scalar_gflops").value(r.mm_scalar_gflops());
+    w.key("mm_default_gflops").value(r.mm_default_gflops());
     w.key("mm_simd_gflops").value(r.mm_simd_gflops());
     w.key("mm_simd_speedup").value(r.mm_simd_speedup());
+    w.key("mm_default_speedup").value(r.mm_default_speedup());
     w.end_object();
   }
   w.end_array();
@@ -296,6 +325,7 @@ void write_json(const std::string& path, const std::vector<BenchResult>& rs,
     w.key("layer").value(r.layer);
     w.key("pass").value(r.pass);
     w.key("gemm_ms").value(r.gemm_ms);
+    w.key("default_ms").value(r.default_ms);
     w.key("simd_ms").value(r.simd_ms);
     w.end_object();
   }
@@ -458,10 +488,13 @@ int main(int argc, char** argv) {
 
   ls::util::Table simd_table(
       std::string("vectorized backend (isa: ") +
-      ls::nn::simd::microkernel_isa() +
-      "): layer fwd vs scalar gemm + direct 1-thread GEMM at the fwd shape");
+      ls::nn::simd::microkernel_isa() + ") and default clones (isa: " +
+      ls::nn::gemm::kernel_isa() +
+      "): layer fwd + direct 1-thread GEMM at the fwd shape, speedups vs "
+      "the portable clone");
   simd_table.set_header({"net", "layer", "gemm fwd", "simd fwd", "fwd speedup",
-                         "MxNxK", "scalar GF/s", "simd GF/s", "mm speedup"});
+                         "MxNxK", "portable GF/s", "default GF/s",
+                         "simd GF/s", "default speedup", "simd speedup"});
   for (const BenchResult& r : results) {
     simd_table.add_row(
         {r.c.net, r.c.layer, ls::util::fmt_double(r.gemm_fwd_ms, 2) + " ms",
@@ -470,7 +503,9 @@ int main(int argc, char** argv) {
          std::to_string(r.mm_m) + "x" + std::to_string(r.mm_n) + "x" +
              std::to_string(r.mm_k),
          ls::util::fmt_double(r.mm_scalar_gflops(), 1),
+         ls::util::fmt_double(r.mm_default_gflops(), 1),
          ls::util::fmt_double(r.mm_simd_gflops(), 1),
+         ls::util::fmt_speedup(r.mm_default_speedup(), 2),
          ls::util::fmt_speedup(r.mm_simd_speedup(), 2)});
   }
   std::printf("\n");
@@ -479,12 +514,16 @@ int main(int argc, char** argv) {
   const std::vector<TrainBwdResult> train_results = run_train_step_kernels();
   ls::util::Table train_table(
       "training-step kernels per call at the trainer's batch " +
-      std::to_string(kTrainBatch) + " (relu/pool have one kernel: gemm column)");
-  train_table.set_header({"net", "layer", "pass", "gemm", "simd"});
+      std::to_string(kTrainBatch) +
+      " (gemm: portable clone, default: " + ls::nn::gemm::kernel_isa() +
+      " clone; relu/pool have one kernel: gemm column)");
+  train_table.set_header({"net", "layer", "pass", "gemm", "default", "simd"});
+  const auto ms_cell = [](double ms) {
+    return ms > 0.0 ? ls::util::fmt_double(ms, 2) + " ms" : std::string("-");
+  };
   for (const TrainBwdResult& r : train_results) {
-    train_table.add_row(
-        {r.net, r.layer, r.pass, ls::util::fmt_double(r.gemm_ms, 2) + " ms",
-         r.simd_ms > 0.0 ? ls::util::fmt_double(r.simd_ms, 2) + " ms" : "-"});
+    train_table.add_row({r.net, r.layer, r.pass, ms_cell(r.gemm_ms),
+                         ms_cell(r.default_ms), ms_cell(r.simd_ms)});
   }
   std::printf("\n");
   train_table.print();

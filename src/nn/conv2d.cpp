@@ -21,9 +21,9 @@ namespace {
 
 // Weight-gradient fan-out in gemm_backward: one task per dW tile. Tiles
 // are >= 8 rows, never fewer than the untiled call: simd's gemm_nn hands
-// M < 8 to the scalar kernel, so a thinner tile would change its bits.
+// M < 8 to the default kernel, so a thinner tile would change its bits.
 // Columns split into runs of whole 16-lane strips. Each tile repacks its
-// columns of every sample, and the scalar GEMM's per-row overhead shrinks
+// columns of every sample, and the default GEMM's per-row overhead shrinks
 // as tiles widen, so tiles stay as large as still leaves kDwMinTiles tasks:
 // rows split only when there are too few strips, and strips spread evenly
 // over the column tiles. Five was at or near the fastest dW on every
@@ -333,7 +333,7 @@ Tensor Conv2D::gemm_backward(const Tensor& grad_out, bool input_grad) {
     const gemm::Im2rowCols packer(ps, j0, cols);
     float* row = scratch::buffer(scratch::Slot::kIm2row, ohw * cols);
     // The tile accumulates in this thread's staging buffer: neighbouring
-    // tiles share cache lines of dW, and the scalar GEMM rewrites C once
+    // tiles share cache lines of dW, and the default GEMM rewrites C once
     // per k group. Copying in and out moves the same bits.
     float* wg = wg_base + i0 * ck2 + j0;
     float* acc = scratch::buffer(scratch::Slot::kBwdDrow, rows * cols);

@@ -9,10 +9,11 @@
 //
 // Three compute kernels (DESIGN.md "Performance architecture" and §4i
 // "Vectorized kernels"):
-//   * kGemm  — im2col packing + cache-blocked scalar GEMM on the shared
-//     pool: forward and the data gradient fan out over (batch, group), the
-//     weight gradient over dW tiles that each pack their own im2row columns
-//     and sum samples in ascending order.
+//   * kGemm  — im2col packing + the cache-blocked default GEMM (nn::gemm,
+//     run as the host's widest ISA clone with the portable build's bits) on
+//     the shared pool: forward and the data gradient fan out over (batch,
+//     group), the weight gradient over dW tiles that each pack their own
+//     im2row columns and sum samples in ascending order.
 //     Default; used by every trainer/bench path.
 //   * kSimd  — same im2col structure, but the GEMMs run on the packed
 //     register-tiled backend in nn::simd (LS_CONV_IMPL=simd). Falls back to

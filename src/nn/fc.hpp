@@ -34,7 +34,7 @@ class FullyConnected final : public Layer {
 
   /// Switches the GEMM backend at runtime (parity tests, benches). The
   /// default follows LS_CONV_IMPL: "simd" selects the packed vectorized
-  /// kernels, anything else the scalar ones.
+  /// kernels, anything else the default nn::gemm ones.
   void set_backend(simd::GemmBackend backend) { backend_ = backend; }
   simd::GemmBackend backend() const { return backend_; }
 

@@ -1,6 +1,7 @@
 #include "nn/gemm.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -27,9 +28,10 @@ std::size_t chunks_for(std::size_t rows) {
   return (rows + kRowBlock - 1) / kRowBlock;
 }
 
-void nn_block(std::size_t i0, std::size_t i1, std::size_t N, std::size_t K,
-              const float* A, std::size_t lda, const float* B,
-              std::size_t ldb, float* C, std::size_t ldc, bool accumulate) {
+[[gnu::always_inline]] inline void nn_block(
+    std::size_t i0, std::size_t i1, std::size_t N, std::size_t K,
+    const float* A, std::size_t lda, const float* B, std::size_t ldb,
+    float* C, std::size_t ldc, bool accumulate) {
   for (std::size_t jj = 0; jj < N; jj += kColBlock) {
     const std::size_t jend = std::min(N, jj + kColBlock);
     if (!accumulate) {
@@ -64,9 +66,10 @@ void nn_block(std::size_t i0, std::size_t i1, std::size_t N, std::size_t K,
   }
 }
 
-void tn_block(std::size_t i0, std::size_t i1, std::size_t N, std::size_t K,
-              const float* A, std::size_t lda, const float* B,
-              std::size_t ldb, float* C, std::size_t ldc, bool accumulate) {
+[[gnu::always_inline]] inline void tn_block(
+    std::size_t i0, std::size_t i1, std::size_t N, std::size_t K,
+    const float* A, std::size_t lda, const float* B, std::size_t ldb,
+    float* C, std::size_t ldc, bool accumulate) {
   if (!accumulate) {
     for (std::size_t i = i0; i < i1; ++i) {
       std::memset(C + i * ldc, 0, N * sizeof(float));
@@ -171,12 +174,12 @@ LiveIntervals build_live_intervals(const BlockMask& mask) {
   return li;
 }
 
-void nn_block_sparse(std::size_t i0, std::size_t i1, std::size_t N,
-                     std::size_t K, const float* A, std::size_t lda,
-                     const float* B, std::size_t ldb, float* C,
-                     std::size_t ldc, bool accumulate,
-                     const std::uint32_t* row_consumer,
-                     const std::uint8_t* live4, std::size_t n_groups) {
+[[gnu::always_inline]] inline void nn_block_sparse(
+    std::size_t i0, std::size_t i1, std::size_t N, std::size_t K,
+    const float* A, std::size_t lda, const float* B, std::size_t ldb,
+    float* C, std::size_t ldc, bool accumulate,
+    const std::uint32_t* row_consumer, const std::uint8_t* live4,
+    std::size_t n_groups) {
   for (std::size_t jj = 0; jj < N; jj += kColBlock) {
     const std::size_t jend = std::min(N, jj + kColBlock);
     if (!accumulate) {
@@ -246,12 +249,11 @@ LiveGroupRuns build_live_group_runs(const std::uint8_t* live4,
   return r;
 }
 
-void nt_block_sparse(std::size_t j0, std::size_t j1, std::size_t M,
-                     std::size_t K, const float* A, std::size_t lda,
-                     const float* B, std::size_t ldb, float* C,
-                     std::size_t ldc, bool accumulate,
-                     const std::uint32_t* col_consumer,
-                     const LiveGroupRuns& lr) {
+[[gnu::always_inline]] inline void nt_block_sparse(
+    std::size_t j0, std::size_t j1, std::size_t M, std::size_t K,
+    const float* A, std::size_t lda, const float* B, std::size_t ldb,
+    float* C, std::size_t ldc, bool accumulate,
+    const std::uint32_t* col_consumer, const LiveGroupRuns& lr) {
   for (std::size_t i = 0; i < M; ++i) {
     const float* a_row = A + i * lda;
     float* c_row = C + i * ldc;
@@ -290,12 +292,11 @@ void nt_block_sparse(std::size_t j0, std::size_t j1, std::size_t M,
   }
 }
 
-void tn_block_sparse(std::size_t i0, std::size_t i1, std::size_t N,
-                     std::size_t K, const float* A, std::size_t lda,
-                     const float* B, std::size_t ldb, float* C,
-                     std::size_t ldc, bool accumulate,
-                     const std::uint32_t* k_consumer,
-                     const LiveIntervals& li) {
+[[gnu::always_inline]] inline void tn_block_sparse(
+    std::size_t i0, std::size_t i1, std::size_t N, std::size_t K,
+    const float* A, std::size_t lda, const float* B, std::size_t ldb,
+    float* C, std::size_t ldc, bool accumulate,
+    const std::uint32_t* k_consumer, const LiveIntervals& li) {
   if (!accumulate) {
     for (std::size_t i = i0; i < i1; ++i) {
       std::memset(C + i * ldc, 0, N * sizeof(float));
@@ -318,9 +319,10 @@ void tn_block_sparse(std::size_t i0, std::size_t i1, std::size_t N,
   }
 }
 
-void nt_block(std::size_t j0, std::size_t j1, std::size_t M, std::size_t K,
-              const float* A, std::size_t lda, const float* B,
-              std::size_t ldb, float* C, std::size_t ldc, bool accumulate) {
+[[gnu::always_inline]] inline void nt_block(
+    std::size_t j0, std::size_t j1, std::size_t M, std::size_t K,
+    const float* A, std::size_t lda, const float* B, std::size_t ldb,
+    float* C, std::size_t ldc, bool accumulate) {
   for (std::size_t i = 0; i < M; ++i) {
     const float* a_row = A + i * lda;
     float* c_row = C + i * ldc;
@@ -342,51 +344,141 @@ void nt_block(std::size_t j0, std::size_t j1, std::size_t M, std::size_t K,
   }
 }
 
+// ---------------------------------------------------------------------------
+// ISA dispatch. The six block kernels above are always_inline bodies built
+// three times: a portable clone for the x86-64 baseline (SSE2) and, where
+// the toolchain supports `target` attributes, AVX2 and AVX-512F clones
+// (no global -march change: the rest of the binary stays portable). One
+// table is picked once by cpuid at first use.
+//
+// The clones keep every bit. Vector lanes only ever run along an output
+// dimension (nn/tn/sparse: columns j of C) or hold the four fixed partial
+// sums of the nt unroll, so each output element sees the same operations
+// in the same order at any width, and without -ffast-math the compiler
+// may not reassociate them. What a wider target could change is
+// contraction of `a * b + c` into an FMA: this file is compiled with
+// -ffp-contract=off (src/nn/CMakeLists.txt), so every host, -march=native
+// included, produces the portable build's bits. GemmGolden in
+// tests/nn/gemm_golden_test.cpp pins them for both tables.
+// ---------------------------------------------------------------------------
+
+struct KernelTable {
+  decltype(&nn_block) nn, tn, nt;  // the three dense kernels share a type
+  decltype(&nn_block_sparse) nn_sparse;
+  decltype(&nt_block_sparse) nt_sparse;
+  decltype(&tn_block_sparse) tn_sparse;
+  const char* isa;
+};
+
+// One wrapper per target; `Body` is inlined into it, and the parameter
+// types are deduced from the table slot the wrapper initializes.
+template <auto Body, typename... Args>
+void portable_clone(Args... args) {
+  Body(args...);
+}
+
+#define LS_GEMM_TABLE(clone, isa)                                      \
+  KernelTable {                                                        \
+    clone<nn_block>, clone<tn_block>, clone<nt_block>,                 \
+        clone<nn_block_sparse>, clone<nt_block_sparse>,                \
+        clone<tn_block_sparse>, isa                                    \
+  }
+
+constexpr KernelTable kPortable = LS_GEMM_TABLE(portable_clone, "portable");
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define LS_GEMM_ISA_CLONES 1
+
+template <auto Body, typename... Args>
+[[gnu::target("avx2")]] void avx2_clone(Args... args) {
+  Body(args...);
+}
+
+template <auto Body, typename... Args>
+[[gnu::target("avx512f")]] void avx512f_clone(Args... args) {
+  Body(args...);
+}
+
+constexpr KernelTable kAvx2 = LS_GEMM_TABLE(avx2_clone, "avx2");
+constexpr KernelTable kAvx512f = LS_GEMM_TABLE(avx512f_clone, "avx512f");
+#endif
+
+#undef LS_GEMM_TABLE
+
+const KernelTable& dispatched_table() {
+  static const KernelTable& table = []() -> const KernelTable& {
+#if defined(LS_GEMM_ISA_CLONES)
+    if (__builtin_cpu_supports("avx512f")) return kAvx512f;
+    if (__builtin_cpu_supports("avx2")) return kAvx2;
+#endif
+    return kPortable;
+  }();
+  return table;
+}
+
+std::atomic<bool> g_force_portable{false};
+
+const KernelTable& kernels() {
+  return g_force_portable.load(std::memory_order_relaxed) ? kPortable
+                                                          : dispatched_table();
+}
+
 }  // namespace
+
+const char* kernel_isa() { return dispatched_table().isa; }
+
+namespace testing {
+void use_portable_kernels(bool on) {
+  g_force_portable.store(on, std::memory_order_relaxed);
+}
+}  // namespace testing
 
 void gemm_nn(std::size_t M, std::size_t N, std::size_t K, const float* A,
              std::size_t lda, const float* B, std::size_t ldb, float* C,
              std::size_t ldc, bool accumulate, bool parallel) {
   if (M == 0 || N == 0) return;
+  const KernelTable& kern = kernels();
   if (parallel && M * N * K >= kParallelMinWork && M > kRowBlock) {
     util::parallel_for(0, chunks_for(M), [&](std::size_t c) {
       const std::size_t i0 = c * kRowBlock;
-      nn_block(i0, std::min(M, i0 + kRowBlock), N, K, A, lda, B, ldb, C, ldc,
-               accumulate);
+      kern.nn(i0, std::min(M, i0 + kRowBlock), N, K, A, lda, B, ldb, C, ldc,
+              accumulate);
     });
     return;
   }
-  nn_block(0, M, N, K, A, lda, B, ldb, C, ldc, accumulate);
+  kern.nn(0, M, N, K, A, lda, B, ldb, C, ldc, accumulate);
 }
 
 void gemm_tn(std::size_t M, std::size_t N, std::size_t K, const float* A,
              std::size_t lda, const float* B, std::size_t ldb, float* C,
              std::size_t ldc, bool accumulate, bool parallel) {
   if (M == 0 || N == 0) return;
+  const KernelTable& kern = kernels();
   if (parallel && M * N * K >= kParallelMinWork && M > kRowBlock) {
     util::parallel_for(0, chunks_for(M), [&](std::size_t c) {
       const std::size_t i0 = c * kRowBlock;
-      tn_block(i0, std::min(M, i0 + kRowBlock), N, K, A, lda, B, ldb, C, ldc,
-               accumulate);
+      kern.tn(i0, std::min(M, i0 + kRowBlock), N, K, A, lda, B, ldb, C, ldc,
+              accumulate);
     });
     return;
   }
-  tn_block(0, M, N, K, A, lda, B, ldb, C, ldc, accumulate);
+  kern.tn(0, M, N, K, A, lda, B, ldb, C, ldc, accumulate);
 }
 
 void gemm_nt(std::size_t M, std::size_t N, std::size_t K, const float* A,
              std::size_t lda, const float* B, std::size_t ldb, float* C,
              std::size_t ldc, bool accumulate, bool parallel) {
   if (M == 0 || N == 0) return;
+  const KernelTable& kern = kernels();
   if (parallel && M * N * K >= kParallelMinWork && N > kRowBlock) {
     util::parallel_for(0, chunks_for(N), [&](std::size_t c) {
       const std::size_t j0 = c * kRowBlock;
-      nt_block(j0, std::min(N, j0 + kRowBlock), M, K, A, lda, B, ldb, C, ldc,
-               accumulate);
+      kern.nt(j0, std::min(N, j0 + kRowBlock), M, K, A, lda, B, ldb, C, ldc,
+              accumulate);
     });
     return;
   }
-  nt_block(0, N, M, K, A, lda, B, ldb, C, ldc, accumulate);
+  kern.nt(0, N, M, K, A, lda, B, ldb, C, ldc, accumulate);
 }
 
 void gemm_nn_sparse(std::size_t M, std::size_t N, std::size_t K,
@@ -394,6 +486,7 @@ void gemm_nn_sparse(std::size_t M, std::size_t N, std::size_t K,
                     std::size_t ldb, float* C, std::size_t ldc,
                     bool accumulate, bool parallel, const BlockMask& mask) {
   if (M == 0 || N == 0) return;
+  const KernelTable& kern = kernels();
   if constexpr (check::kEnabled) check_mask_extents(mask, K, M);
   const auto row_consumer = expand_consumers(mask.out_bounds, mask.parts, M);
   const auto live4 = build_group_live(mask, K);
@@ -401,14 +494,14 @@ void gemm_nn_sparse(std::size_t M, std::size_t N, std::size_t K,
   if (parallel && M * N * K >= kParallelMinWork && M > kRowBlock) {
     util::parallel_for(0, chunks_for(M), [&](std::size_t c) {
       const std::size_t i0 = c * kRowBlock;
-      nn_block_sparse(i0, std::min(M, i0 + kRowBlock), N, K, A, lda, B, ldb,
-                      C, ldc, accumulate, row_consumer.data(), live4.data(),
-                      n_groups);
+      kern.nn_sparse(i0, std::min(M, i0 + kRowBlock), N, K, A, lda, B, ldb, C,
+                     ldc, accumulate, row_consumer.data(), live4.data(),
+                     n_groups);
     });
     return;
   }
-  nn_block_sparse(0, M, N, K, A, lda, B, ldb, C, ldc, accumulate,
-                  row_consumer.data(), live4.data(), n_groups);
+  kern.nn_sparse(0, M, N, K, A, lda, B, ldb, C, ldc, accumulate,
+                 row_consumer.data(), live4.data(), n_groups);
 }
 
 void gemm_nt_sparse(std::size_t M, std::size_t N, std::size_t K,
@@ -416,6 +509,7 @@ void gemm_nt_sparse(std::size_t M, std::size_t N, std::size_t K,
                     std::size_t ldb, float* C, std::size_t ldc,
                     bool accumulate, bool parallel, const BlockMask& mask) {
   if (M == 0 || N == 0) return;
+  const KernelTable& kern = kernels();
   if constexpr (check::kEnabled) check_mask_extents(mask, K, N);
   const auto col_consumer = expand_consumers(mask.out_bounds, mask.parts, N);
   const auto live4 = build_group_live(mask, K);
@@ -424,13 +518,13 @@ void gemm_nt_sparse(std::size_t M, std::size_t N, std::size_t K,
   if (parallel && M * N * K >= kParallelMinWork && N > kRowBlock) {
     util::parallel_for(0, chunks_for(N), [&](std::size_t c) {
       const std::size_t j0 = c * kRowBlock;
-      nt_block_sparse(j0, std::min(N, j0 + kRowBlock), M, K, A, lda, B, ldb,
-                      C, ldc, accumulate, col_consumer.data(), runs);
+      kern.nt_sparse(j0, std::min(N, j0 + kRowBlock), M, K, A, lda, B, ldb, C,
+                     ldc, accumulate, col_consumer.data(), runs);
     });
     return;
   }
-  nt_block_sparse(0, N, M, K, A, lda, B, ldb, C, ldc, accumulate,
-                  col_consumer.data(), runs);
+  kern.nt_sparse(0, N, M, K, A, lda, B, ldb, C, ldc, accumulate,
+                 col_consumer.data(), runs);
 }
 
 void gemm_tn_sparse(std::size_t M, std::size_t N, std::size_t K,
@@ -438,19 +532,20 @@ void gemm_tn_sparse(std::size_t M, std::size_t N, std::size_t K,
                     std::size_t ldb, float* C, std::size_t ldc,
                     bool accumulate, bool parallel, const BlockMask& mask) {
   if (M == 0 || N == 0) return;
+  const KernelTable& kern = kernels();
   if constexpr (check::kEnabled) check_mask_extents(mask, N, K);
   const auto k_consumer = expand_consumers(mask.out_bounds, mask.parts, K);
   const auto li = build_live_intervals(mask);
   if (parallel && M * N * K >= kParallelMinWork && M > kRowBlock) {
     util::parallel_for(0, chunks_for(M), [&](std::size_t c) {
       const std::size_t i0 = c * kRowBlock;
-      tn_block_sparse(i0, std::min(M, i0 + kRowBlock), N, K, A, lda, B, ldb,
-                      C, ldc, accumulate, k_consumer.data(), li);
+      kern.tn_sparse(i0, std::min(M, i0 + kRowBlock), N, K, A, lda, B, ldb, C,
+                     ldc, accumulate, k_consumer.data(), li);
     });
     return;
   }
-  tn_block_sparse(0, M, N, K, A, lda, B, ldb, C, ldc, accumulate,
-                  k_consumer.data(), li);
+  kern.tn_sparse(0, M, N, K, A, lda, B, ldb, C, ldc, accumulate,
+                 k_consumer.data(), li);
 }
 
 namespace {

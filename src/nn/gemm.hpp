@@ -12,12 +12,33 @@
 //
 // Leading dimensions are element strides of the row-major operands, as in
 // BLAS. `accumulate == false` overwrites C, `true` adds into it.
+//
+// These are the default kernels (the simd backend in gemm_simd.hpp is
+// opt-in). Their loops are built three times — the portable x86-64
+// baseline, AVX2 and AVX-512F — and each entry point runs the widest clone
+// the host supports, picked once by cpuid (kernel_isa()). The clones
+// compute every output element with the same operations in the same order
+// and gemm.cpp is compiled without FP contraction, so every host produces
+// the portable build's bits (DESIGN.md "Bit-semantics contract").
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace ls::nn::gemm {
+
+/// The instruction set the entry points dispatch to, chosen once by cpuid:
+/// "avx512f", "avx2" or "portable". Benches record it so a gate on the
+/// clones' speed only binds where they run.
+const char* kernel_isa();
+
+namespace testing {
+/// While `on`, every entry point in this header runs the portable clone
+/// instead of the cpuid-selected one, process-wide. Tests use it to pin
+/// both builds to the same bits; bench_kernel_micro times the portable
+/// build with it. Flip it only while no GEMM is running.
+void use_portable_kernels(bool on);
+}  // namespace testing
 
 /// C(MxN) = A(MxK) * B(KxN)   [+= when accumulate]
 void gemm_nn(std::size_t M, std::size_t N, std::size_t K, const float* A,

@@ -1,7 +1,7 @@
 #pragma once
 // Vectorized tiled GEMM backend (DESIGN.md §4i "Vectorized kernels").
 //
-// Drop-in alternative to the scalar kernels in gemm.hpp, selected at
+// Drop-in alternative to the default kernels in gemm.hpp, selected at
 // runtime via LS_CONV_IMPL=simd. Register tile Mr x Nr = 4x16: A is read
 // unpacked through four raw row pointers (a strided element walk the
 // microkernel absorbs), B is packed once per call into 16-column strips in
@@ -19,8 +19,8 @@
 // are compile-time constants, and parallelism only partitions rows/columns
 // of C — never k — so results are bit-identical for any thread count.
 //
-// Numerics vs the scalar backend: the scalar kernels fold 4 k terms into
-// one rounding chain per step, so simd and scalar outputs agree only to
+// Numerics vs the default kernels: those fold 4 k terms into one rounding
+// chain per step, so simd and default outputs agree only to
 // float tolerance (~5e-8*K relative; the parity suite in
 // tests/nn/gemm_simd_test.cpp pins 1e-5 + 3e-7*K). Within the simd
 // backend, the sparse variants are bit-exact against the dense variants on
