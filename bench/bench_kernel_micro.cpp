@@ -1,30 +1,26 @@
-// Microbenchmark: naive loop-nest conv vs im2col+GEMM fast path, forward
-// and backward, on every conv layer of the model-zoo experiment specs
-// (LeNet / ConvNet / CaffeNet). Prints a speedup table; `--json PATH`
-// additionally emits machine-readable results for the tier-1 wrapper.
+// Microbenchmark: the conv and FC layers' GEMM kernels (nn/gemm.hpp) on
+// every conv layer of the model-zoo experiment specs (LeNet / ConvNet /
+// CaffeNet). Prints tables; `--json PATH` additionally emits
+// machine-readable results for the tier-1 wrapper.
 //
-// Schema 2 adds the vectorized backend: per layer, the simd conv wall
-// clock, plus a *direct* single-thread GEMM measurement at the layer's
-// forward GEMM shape (with GFLOP/s). The direct numbers are what the
-// tier-1 gates read — layer forward time includes the im2col packing,
-// which dilutes the kernel speedup. Three kernels are timed there: the
-// default kernels' portable clone (`mm_scalar_ms`, the baseline the simd
-// gate has always read), the cpuid-selected clone the program runs
-// (`mm_default_ms`, its ISA stamped as `gemm_isa`) and the simd backend.
-// The layer-level `gemm_*` columns run the cpuid-selected clone.
+// Per layer: forward and backward wall clock at batch 8, plus a *direct*
+// single-thread GEMM at the layer's forward GEMM shape (with GFLOP/s), for
+// the kernels' portable clone (`mm_scalar_ms`) and the cpuid-selected
+// clone the program runs (`mm_default_ms`, its ISA stamped as `gemm_isa`).
+// The direct numbers are what the tier-1 gate reads — layer forward time
+// includes the im2col packing, which dilutes the kernel speedup. Schema 3
+// dropped schema 2's naive loop-nest and simd-backend columns.
 //
 // A second section measures the block-sparse fast path: dense GEMM vs the
 // armed sparse path on the same pruned weights at 0/25/50/75/90 % block
-// sparsity, for the scalar and (when available) simd backends
-// (`--sparse-json PATH` dumps it, tier-1 writes BENCH_sparse.json). The
-// 0 % rows double as the sparse-dispatch overhead probe.
+// sparsity (`--sparse-json PATH` dumps it, tier-1 writes BENCH_sparse.json).
+// The 0 % rows double as the sparse-dispatch overhead probe.
 //
 // A third table times the training step's kernels at the trainer's batch
 // (32) on ConvNet-expt (json key "train_batch_bwd"): every conv backward,
 // conv1's input-gradient-free backward (what Network::backward runs on the
 // first layer), and relu1/pool1 forward and backward. Conv rows time the
-// default kernels' portable clone (`gemm_ms`), their cpuid-selected clone
-// (`default_ms`) and the simd backend (`simd_ms`).
+// portable clone (`gemm_ms`) and the cpuid-selected clone (`default_ms`).
 
 #include <algorithm>
 #include <chrono>
@@ -38,7 +34,6 @@
 #include "nn/conv2d.hpp"
 #include "nn/fc.hpp"
 #include "nn/gemm.hpp"
-#include "nn/gemm_simd.hpp"
 #include "nn/layer_spec.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/pool.hpp"
@@ -52,7 +47,6 @@ namespace {
 
 using ls::nn::Conv2D;
 using ls::nn::Conv2DConfig;
-using ls::nn::ConvImpl;
 using ls::tensor::Shape;
 using ls::tensor::Tensor;
 
@@ -65,17 +59,11 @@ struct BenchCase {
 
 struct BenchResult {
   BenchCase c;
-  double naive_fwd_ms = 0.0, gemm_fwd_ms = 0.0;
-  double naive_bwd_ms = 0.0, gemm_bwd_ms = 0.0;
-  double simd_fwd_ms = 0.0, simd_bwd_ms = 0.0;
+  double gemm_fwd_ms = 0.0, gemm_bwd_ms = 0.0;
   // Direct forward-GEMM shape (per group, per sample) and single-thread
   // kernel timings at it.
   std::size_t mm_m = 0, mm_n = 0, mm_k = 0;
-  double mm_scalar_ms = 0.0, mm_default_ms = 0.0, mm_simd_ms = 0.0;
-  double fwd_speedup() const { return naive_fwd_ms / gemm_fwd_ms; }
-  double bwd_speedup() const { return naive_bwd_ms / gemm_bwd_ms; }
-  double simd_fwd_speedup() const { return gemm_fwd_ms / simd_fwd_ms; }
-  double simd_bwd_speedup() const { return gemm_bwd_ms / simd_bwd_ms; }
+  double mm_scalar_ms = 0.0, mm_default_ms = 0.0;
   double mm_flops() const {
     return 2.0 * static_cast<double>(mm_m) * static_cast<double>(mm_n) *
            static_cast<double>(mm_k);
@@ -84,8 +72,6 @@ struct BenchResult {
   double mm_default_gflops() const {
     return mm_flops() / mm_default_ms / 1e6;
   }
-  double mm_simd_gflops() const { return mm_flops() / mm_simd_ms / 1e6; }
-  double mm_simd_speedup() const { return mm_scalar_ms / mm_simd_ms; }
   double mm_default_speedup() const { return mm_scalar_ms / mm_default_ms; }
 };
 
@@ -152,30 +138,14 @@ BenchResult run_case(const BenchCase& c) {
   BenchResult r;
   r.c = c;
   ls::util::Rng rng_w(11), rng_in(5);
-  Conv2DConfig gemm_cfg = c.cfg;
-  gemm_cfg.impl = ConvImpl::kGemm;
-  Conv2DConfig naive_cfg = c.cfg;
-  naive_cfg.impl = ConvImpl::kNaive;
-  Conv2DConfig simd_cfg = c.cfg;
-  simd_cfg.impl = ConvImpl::kSimd;
-  Conv2D gemm("g", gemm_cfg, rng_w);
-  ls::util::Rng rng_w2(11), rng_w3(11);
-  Conv2D naive("n", naive_cfg, rng_w2);
-  Conv2D simd("v", simd_cfg, rng_w3);
+  Conv2D gemm("g", c.cfg, rng_w);
   const Tensor in = Tensor::uniform(c.in_shape, -1.f, 1.f, rng_in);
 
   r.gemm_fwd_ms = time_ms([&] { gemm.forward(in, true); });
-  r.naive_fwd_ms = time_ms([&] { naive.forward(in, true); });
-  r.simd_fwd_ms = time_ms([&] { simd.forward(in, true); });
-
   const Tensor grad = Tensor::uniform(gemm.output_shape(c.in_shape), -1.f,
                                       1.f, rng_in);
   gemm.forward(in, true);
   r.gemm_bwd_ms = time_ms([&] { gemm.backward(grad); });
-  naive.forward(in, true);
-  r.naive_bwd_ms = time_ms([&] { naive.backward(grad); });
-  simd.forward(in, true);
-  r.simd_bwd_ms = time_ms([&] { simd.backward(grad); });
 
   // Direct forward-GEMM shape: weights (Cout/g x Cin/g*K*K) times the
   // im2col matrix (rows x OH*OW), timed single-thread (parallel=false) so
@@ -195,10 +165,6 @@ BenchResult run_case(const BenchCase& c) {
   };
   r.mm_scalar_ms = time_portable_ms(default_mm);
   r.mm_default_ms = time_ms(default_mm);
-  r.mm_simd_ms = time_ms([&] {
-    ls::nn::simd::gemm_nn(r.mm_m, r.mm_n, r.mm_k, A.data(), r.mm_k, B.data(),
-                          r.mm_n, C.data(), r.mm_n, false, false);
-  });
   return r;
 }
 
@@ -209,9 +175,8 @@ constexpr std::size_t kTrainBatch = 32;
 
 struct TrainBwdResult {
   std::string net, layer, pass;
-  /// Default kernels' portable and cpuid-selected clones, simd backend;
-  /// 0 when not measured.
-  double gemm_ms = 0.0, default_ms = 0.0, simd_ms = 0.0;
+  /// The kernels' portable and cpuid-selected clones; 0 when not measured.
+  double gemm_ms = 0.0, default_ms = 0.0;
 };
 
 /// Conv backward per kernel; `params_only` times backward_params().
@@ -219,13 +184,9 @@ TrainBwdResult run_train_bwd(const BenchCase& c, bool params_only) {
   TrainBwdResult r{c.net, c.layer, params_only ? "bwd (no dX)" : "bwd"};
   ls::util::Rng rng_in(5);
   const Tensor in = Tensor::uniform(c.in_shape, -1.f, 1.f, rng_in);
-  for (double* ms : {&r.gemm_ms, &r.default_ms, &r.simd_ms}) {
-    const bool use_simd = ms == &r.simd_ms;
-    if (use_simd && !ls::nn::simd::vectorized()) continue;
-    Conv2DConfig cfg = c.cfg;
-    cfg.impl = use_simd ? ConvImpl::kSimd : ConvImpl::kGemm;
+  for (double* ms : {&r.gemm_ms, &r.default_ms}) {
     ls::util::Rng rng_w(11), rng_go(3);
-    Conv2D conv("t", cfg, rng_w);
+    Conv2D conv("t", c.cfg, rng_w);
     const Tensor grad = Tensor::uniform(conv.output_shape(c.in_shape), -1.f,
                                         1.f, rng_go);
     conv.forward(in, true);
@@ -282,36 +243,23 @@ void write_json(const std::string& path, const std::vector<BenchResult>& rs,
   ls::util::JsonWriter w;
   w.begin_object();
   w.key("bench").value("kernel_micro");
-  w.key("schema").value(static_cast<std::uint64_t>(2));
+  w.key("schema").value(static_cast<std::uint64_t>(3));
   w.key("threads").value(static_cast<std::uint64_t>(ls::util::num_threads()));
-  w.key("simd_available").value(ls::nn::simd::vectorized());
-  w.key("simd_isa").value(ls::nn::simd::microkernel_isa());
   w.key("gemm_isa").value(ls::nn::gemm::kernel_isa());
   w.key("cases").begin_array();
   for (const BenchResult& r : rs) {
     w.begin_object();
     w.key("net").value(r.c.net);
     w.key("layer").value(r.c.layer);
-    w.key("naive_fwd_ms").value(r.naive_fwd_ms);
     w.key("gemm_fwd_ms").value(r.gemm_fwd_ms);
-    w.key("simd_fwd_ms").value(r.simd_fwd_ms);
-    w.key("naive_bwd_ms").value(r.naive_bwd_ms);
     w.key("gemm_bwd_ms").value(r.gemm_bwd_ms);
-    w.key("simd_bwd_ms").value(r.simd_bwd_ms);
-    w.key("fwd_speedup").value(r.fwd_speedup());
-    w.key("bwd_speedup").value(r.bwd_speedup());
-    w.key("simd_fwd_speedup").value(r.simd_fwd_speedup());
-    w.key("simd_bwd_speedup").value(r.simd_bwd_speedup());
     w.key("mm_m").value(static_cast<std::uint64_t>(r.mm_m));
     w.key("mm_n").value(static_cast<std::uint64_t>(r.mm_n));
     w.key("mm_k").value(static_cast<std::uint64_t>(r.mm_k));
     w.key("mm_scalar_ms").value(r.mm_scalar_ms);
     w.key("mm_default_ms").value(r.mm_default_ms);
-    w.key("mm_simd_ms").value(r.mm_simd_ms);
     w.key("mm_scalar_gflops").value(r.mm_scalar_gflops());
     w.key("mm_default_gflops").value(r.mm_default_gflops());
-    w.key("mm_simd_gflops").value(r.mm_simd_gflops());
-    w.key("mm_simd_speedup").value(r.mm_simd_speedup());
     w.key("mm_default_speedup").value(r.mm_default_speedup());
     w.end_object();
   }
@@ -326,7 +274,6 @@ void write_json(const std::string& path, const std::vector<BenchResult>& rs,
     w.key("pass").value(r.pass);
     w.key("gemm_ms").value(r.gemm_ms);
     w.key("default_ms").value(r.default_ms);
-    w.key("simd_ms").value(r.simd_ms);
     w.end_object();
   }
   w.end_array();
@@ -340,7 +287,6 @@ void write_json(const std::string& path, const std::vector<BenchResult>& rs,
 
 struct SparseBenchResult {
   std::string kind;  ///< "conv" or "fc"
-  std::string impl;  ///< "gemm" (scalar) or "simd"
   int sparsity_pct = 0;
   double dense_fwd_ms = 0.0, sparse_fwd_ms = 0.0;
   double speedup() const { return dense_fwd_ms / sparse_fwd_ms; }
@@ -372,17 +318,15 @@ void kill_block_fraction(ls::nn::Param& w, std::size_t parts,
   w.bump();
 }
 
-SparseBenchResult run_sparse_conv(int pct, std::size_t parts, bool use_simd) {
+SparseBenchResult run_sparse_conv(int pct, std::size_t parts) {
   SparseBenchResult r;
   r.kind = "conv";
-  r.impl = use_simd ? "simd" : "gemm";
   r.sparsity_pct = pct;
   Conv2DConfig cfg;
   cfg.in_channels = 64;
   cfg.out_channels = 64;
   cfg.kernel = 3;
   cfg.pad = 1;
-  cfg.impl = use_simd ? ConvImpl::kSimd : ConvImpl::kGemm;
   ls::util::Rng rng_w(11), rng_w2(11), rng_in(5);
   Conv2D dense("d", cfg, rng_w);
   Conv2D sparse("s", cfg, rng_w2);
@@ -401,19 +345,14 @@ SparseBenchResult run_sparse_conv(int pct, std::size_t parts, bool use_simd) {
   return r;
 }
 
-SparseBenchResult run_sparse_fc(int pct, std::size_t parts, bool use_simd) {
+SparseBenchResult run_sparse_fc(int pct, std::size_t parts) {
   SparseBenchResult r;
   r.kind = "fc";
-  r.impl = use_simd ? "simd" : "gemm";
   r.sparsity_pct = pct;
   const std::size_t in_f = 512, out_f = 512;
   ls::util::Rng rng_w(11), rng_w2(11), rng_in(5);
   ls::nn::FullyConnected dense("d", in_f, out_f, rng_w);
   ls::nn::FullyConnected sparse("s", in_f, out_f, rng_w2);
-  const auto backend = use_simd ? ls::nn::simd::GemmBackend::kSimd
-                                : ls::nn::simd::GemmBackend::kScalar;
-  dense.set_backend(backend);
-  sparse.set_backend(backend);
   sparse.set_sparsity_partition(parts, /*in_units=*/in_f);
   const double frac = pct / 100.0;
   kill_block_fraction(dense.weight(), parts, in_f, out_f, 1, frac);
@@ -429,14 +368,12 @@ void write_sparse_json(const std::string& path,
   ls::util::JsonWriter w;
   w.begin_object();
   w.key("bench").value("kernel_sparse");
-  w.key("schema").value(static_cast<std::uint64_t>(2));
+  w.key("schema").value(static_cast<std::uint64_t>(3));
   w.key("threads").value(static_cast<std::uint64_t>(ls::util::num_threads()));
-  w.key("simd_available").value(ls::nn::simd::vectorized());
   w.key("cases").begin_array();
   for (const SparseBenchResult& r : rs) {
     w.begin_object();
     w.key("kind").value(r.kind);
-    w.key("impl").value(r.impl);
     w.key("sparsity_pct").value(static_cast<std::uint64_t>(r.sparsity_pct));
     w.key("dense_fwd_ms").value(r.dense_fwd_ms);
     w.key("sparse_fwd_ms").value(r.sparse_fwd_ms);
@@ -462,54 +399,33 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "Learn-to-Scale bench: conv kernel micro (naive loop nest vs "
-      "im2col+GEMM, %zu threads)\n\n",
-      ls::util::num_threads());
+      "Learn-to-Scale bench: conv kernel micro (im2col+GEMM, %s clone, %zu "
+      "threads)\n\n",
+      ls::nn::gemm::kernel_isa(), ls::util::num_threads());
 
   std::vector<BenchResult> results;
-  ls::util::Table table("conv fwd/bwd wall-clock per call, batch 8");
-  table.set_header({"net", "layer", "naive fwd", "gemm fwd", "fwd speedup",
-                    "naive bwd", "gemm bwd", "bwd speedup"});
+  ls::util::Table table(
+      std::string("conv fwd/bwd wall-clock per call at batch 8, and direct "
+                  "1-thread GEMM at the fwd shape: the ") +
+      ls::nn::gemm::kernel_isa() + " clone vs the portable one");
+  table.set_header({"net", "layer", "fwd", "bwd", "MxNxK", "portable GF/s",
+                    "GF/s", "speedup"});
   for (const BenchCase& c :
        conv_cases({ls::nn::lenet_expt_spec(), ls::nn::convnet_expt_spec(),
                    ls::nn::caffenet_expt_spec()},
                   8)) {
     const BenchResult r = run_case(c);
     table.add_row({r.c.net, r.c.layer,
-                   ls::util::fmt_double(r.naive_fwd_ms, 2) + " ms",
                    ls::util::fmt_double(r.gemm_fwd_ms, 2) + " ms",
-                   ls::util::fmt_speedup(r.fwd_speedup(), 1),
-                   ls::util::fmt_double(r.naive_bwd_ms, 2) + " ms",
                    ls::util::fmt_double(r.gemm_bwd_ms, 2) + " ms",
-                   ls::util::fmt_speedup(r.bwd_speedup(), 1)});
+                   std::to_string(r.mm_m) + "x" + std::to_string(r.mm_n) +
+                       "x" + std::to_string(r.mm_k),
+                   ls::util::fmt_double(r.mm_scalar_gflops(), 1),
+                   ls::util::fmt_double(r.mm_default_gflops(), 1),
+                   ls::util::fmt_speedup(r.mm_default_speedup(), 2)});
     results.push_back(r);
   }
   table.print();
-
-  ls::util::Table simd_table(
-      std::string("vectorized backend (isa: ") +
-      ls::nn::simd::microkernel_isa() + ") and default clones (isa: " +
-      ls::nn::gemm::kernel_isa() +
-      "): layer fwd + direct 1-thread GEMM at the fwd shape, speedups vs "
-      "the portable clone");
-  simd_table.set_header({"net", "layer", "gemm fwd", "simd fwd", "fwd speedup",
-                         "MxNxK", "portable GF/s", "default GF/s",
-                         "simd GF/s", "default speedup", "simd speedup"});
-  for (const BenchResult& r : results) {
-    simd_table.add_row(
-        {r.c.net, r.c.layer, ls::util::fmt_double(r.gemm_fwd_ms, 2) + " ms",
-         ls::util::fmt_double(r.simd_fwd_ms, 2) + " ms",
-         ls::util::fmt_speedup(r.simd_fwd_speedup(), 2),
-         std::to_string(r.mm_m) + "x" + std::to_string(r.mm_n) + "x" +
-             std::to_string(r.mm_k),
-         ls::util::fmt_double(r.mm_scalar_gflops(), 1),
-         ls::util::fmt_double(r.mm_default_gflops(), 1),
-         ls::util::fmt_double(r.mm_simd_gflops(), 1),
-         ls::util::fmt_speedup(r.mm_default_speedup(), 2),
-         ls::util::fmt_speedup(r.mm_simd_speedup(), 2)});
-  }
-  std::printf("\n");
-  simd_table.print();
 
   const std::vector<TrainBwdResult> train_results = run_train_step_kernels();
   ls::util::Table train_table(
@@ -517,13 +433,13 @@ int main(int argc, char** argv) {
       std::to_string(kTrainBatch) +
       " (gemm: portable clone, default: " + ls::nn::gemm::kernel_isa() +
       " clone; relu/pool have one kernel: gemm column)");
-  train_table.set_header({"net", "layer", "pass", "gemm", "default", "simd"});
+  train_table.set_header({"net", "layer", "pass", "gemm", "default"});
   const auto ms_cell = [](double ms) {
     return ms > 0.0 ? ls::util::fmt_double(ms, 2) + " ms" : std::string("-");
   };
   for (const TrainBwdResult& r : train_results) {
     train_table.add_row({r.net, r.layer, r.pass, ms_cell(r.gemm_ms),
-                         ms_cell(r.default_ms), ms_cell(r.simd_ms)});
+                         ms_cell(r.default_ms)});
   }
   std::printf("\n");
   train_table.print();
@@ -539,21 +455,16 @@ int main(int argc, char** argv) {
   ls::util::Table sparse_table(
       "block-sparse GEMM forward vs dense, P=8 partitions");
   sparse_table.set_header(
-      {"kind", "impl", "sparsity", "dense fwd", "sparse fwd", "speedup"});
+      {"kind", "sparsity", "dense fwd", "sparse fwd", "speedup"});
   for (const int pct : {0, 25, 50, 75, 90}) {
     for (const bool is_fc : {false, true}) {
-      for (const bool use_simd : {false, true}) {
-        if (use_simd && !ls::nn::simd::vectorized()) continue;
-        const SparseBenchResult r = is_fc
-                                        ? run_sparse_fc(pct, parts, use_simd)
-                                        : run_sparse_conv(pct, parts, use_simd);
-        sparse_table.add_row({r.kind, r.impl,
-                              std::to_string(r.sparsity_pct) + "%",
-                              ls::util::fmt_double(r.dense_fwd_ms, 2) + " ms",
-                              ls::util::fmt_double(r.sparse_fwd_ms, 2) + " ms",
-                              ls::util::fmt_speedup(r.speedup(), 2)});
-        sparse_results.push_back(r);
-      }
+      const SparseBenchResult r =
+          is_fc ? run_sparse_fc(pct, parts) : run_sparse_conv(pct, parts);
+      sparse_table.add_row({r.kind, std::to_string(r.sparsity_pct) + "%",
+                            ls::util::fmt_double(r.dense_fwd_ms, 2) + " ms",
+                            ls::util::fmt_double(r.sparse_fwd_ms, 2) + " ms",
+                            ls::util::fmt_speedup(r.speedup(), 2)});
+      sparse_results.push_back(r);
     }
   }
   std::printf("\n");

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
 
 #include "nn/block_sparsity.hpp"
 #include "nn/gemm.hpp"
-#include "nn/gemm_simd.hpp"
 #include "nn/scratch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,24 +17,22 @@ namespace ls::nn {
 
 namespace {
 
-// Weight-gradient fan-out in gemm_backward: one task per dW tile. Tiles
-// are >= 8 rows, never fewer than the untiled call: simd's gemm_nn hands
-// M < 8 to the default kernel, so a thinner tile would change its bits.
-// Columns split into runs of whole 16-lane strips. Each tile repacks its
-// columns of every sample, and the default GEMM's per-row overhead shrinks
-// as tiles widen, so tiles stay as large as still leaves kDwMinTiles tasks:
-// rows split only when there are too few strips, and strips spread evenly
-// over the column tiles. Five was at or near the fastest dW on every
-// ConvNet-expt layer on a 4-vCPU host (measured against 4, 6, 8, 9 and 18
-// tiles). None depends on the thread count.
+// Weight-gradient fan-out in gemm_backward: one task per dW tile, at
+// least kDwTileRows rows, columns in runs of whole 16-lane strips. Each
+// tile repacks its columns of every sample, and the GEMM's per-call
+// overhead shrinks as tiles widen, so tiles stay as large as still leaves
+// kDwMinTiles tasks: rows split only when there are too few strips, and
+// strips spread evenly over the column tiles. Five was at or near the
+// fastest dW on every ConvNet-expt layer on a 4-vCPU host (measured
+// against 4, 6, 8, 9 and 18 tiles). None depends on the thread count.
 constexpr std::size_t kDwTileRows = 8;
 constexpr std::size_t kDwStrip = 16;
 constexpr std::size_t kDwMinTiles = 5;
 
-// Kernel-span args: {"impl":...,"N":batch} — rendered only when tracing.
-std::string conv_span_args(const char* impl, std::size_t batch) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "{\"impl\":\"%s\",\"N\":%zu}", impl, batch);
+// Kernel-span args: {"N":batch} — rendered only when tracing.
+std::string conv_span_args(std::size_t batch) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "{\"N\":%zu}", batch);
   return buf;
 }
 Shape weight_shape(const Conv2DConfig& cfg) {
@@ -56,18 +52,6 @@ void validate(const Conv2DConfig& cfg) {
   }
 }
 
-ConvImpl env_default_impl() {
-  static const ConvImpl impl = [] {
-    if (const char* env = std::getenv("LS_CONV_IMPL")) {
-      if (std::strcmp(env, "naive") == 0) return ConvImpl::kNaive;
-      if (std::strcmp(env, "simd") == 0 && simd::vectorized()) {
-        return ConvImpl::kSimd;
-      }
-    }
-    return ConvImpl::kGemm;
-  }();
-  return impl;
-}
 }  // namespace
 
 Conv2D::Conv2D(std::string name, const Conv2DConfig& cfg, util::Rng& rng)
@@ -82,10 +66,6 @@ Conv2D::Conv2D(std::string name, const Conv2DConfig& cfg, util::Rng& rng)
       bias_(name_ + ".b", Tensor::zeros(Shape{cfg.out_channels})) {}
 
 Conv2D::~Conv2D() = default;
-
-ConvImpl Conv2D::resolved_impl() const {
-  return cfg_.impl == ConvImpl::kAuto ? env_default_impl() : cfg_.impl;
-}
 
 void Conv2D::set_sparsity_partition(std::size_t parts) {
   if (cfg_.groups != 1) {
@@ -119,23 +99,12 @@ Shape Conv2D::output_shape(const Shape& in) const {
   return Shape{in[0], cfg_.out_channels, oh, ow};
 }
 
-Tensor Conv2D::forward(const Tensor& in, bool training) {
-  return resolved_impl() == ConvImpl::kNaive ? naive_forward(in, training)
-                                             : gemm_forward(in, training);
-}
-
 Tensor Conv2D::backward(const Tensor& grad_out) {
-  return resolved_impl() == ConvImpl::kNaive
-             ? naive_backward(grad_out)
-             : gemm_backward(grad_out, /*input_grad=*/true);
+  return gemm_backward(grad_out, /*input_grad=*/true);
 }
 
 void Conv2D::backward_params(const Tensor& grad_out) {
-  if (resolved_impl() == ConvImpl::kNaive) {
-    naive_backward(grad_out);
-  } else {
-    gemm_backward(grad_out, /*input_grad=*/false);
-  }
+  gemm_backward(grad_out, /*input_grad=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -153,13 +122,10 @@ void Conv2D::backward_params(const Tensor& grad_out) {
 // count.
 // ---------------------------------------------------------------------------
 
-Tensor Conv2D::gemm_forward(const Tensor& in, bool training) {
-  const bool use_simd = resolved_impl() == ConvImpl::kSimd;
+Tensor Conv2D::forward(const Tensor& in, bool training) {
   obs::Span span;
   if (obs::trace_enabled()) {
-    span.begin(name_ + ".fwd", "kernel",
-               conv_span_args(use_simd ? "im2col+simd" : "im2col+gemm",
-                              in.shape()[0]));
+    span.begin(name_ + ".fwd", "kernel", conv_span_args(in.shape()[0]));
   }
   const Shape out_shape = output_shape(in.shape());
   Tensor out(out_shape);
@@ -217,18 +183,9 @@ Tensor Conv2D::gemm_forward(const Tensor& in, bool training) {
       std::fill(out_g + ocg * ohw, out_g + (ocg + 1) * ohw, b);
     }
     if (bm != nullptr) {
-      if (use_simd) {
-        simd::gemm_nn_sparse(cout_g, ohw, ck2, w_base + g * cout_g * ck2, ck2,
-                             col, ohw, out_g, ohw, /*accumulate=*/true,
-                             /*parallel=*/true, bm->mask());
-      } else {
-        gemm::gemm_nn_sparse(cout_g, ohw, ck2, w_base + g * cout_g * ck2, ck2,
-                             col, ohw, out_g, ohw, /*accumulate=*/true,
-                             /*parallel=*/true, bm->mask());
-      }
-    } else if (use_simd) {
-      simd::gemm_nn(cout_g, ohw, ck2, w_base + g * cout_g * ck2, ck2, col,
-                    ohw, out_g, ohw, /*accumulate=*/true, /*parallel=*/true);
+      gemm::gemm_nn_sparse(cout_g, ohw, ck2, w_base + g * cout_g * ck2, ck2,
+                           col, ohw, out_g, ohw, /*accumulate=*/true,
+                           /*parallel=*/true, bm->mask());
     } else {
       gemm::gemm_nn(cout_g, ohw, ck2, w_base + g * cout_g * ck2, ck2, col,
                     ohw, out_g, ohw, /*accumulate=*/true, /*parallel=*/true);
@@ -240,12 +197,9 @@ Tensor Conv2D::gemm_forward(const Tensor& in, bool training) {
 }
 
 Tensor Conv2D::gemm_backward(const Tensor& grad_out, bool input_grad) {
-  const bool use_simd = resolved_impl() == ConvImpl::kSimd;
   obs::Span span;
   if (obs::trace_enabled()) {
-    span.begin(name_ + ".bwd", "kernel",
-               conv_span_args(use_simd ? "im2col+simd" : "im2col+gemm",
-                              grad_out.shape()[0]));
+    span.begin(name_ + ".bwd", "kernel", conv_span_args(grad_out.shape()[0]));
   }
   if (cached_input_.empty()) {
     throw std::logic_error("conv2d backward without training forward");
@@ -297,13 +251,12 @@ Tensor Conv2D::gemm_backward(const Tensor& grad_out, bool input_grad) {
       const float* go_g = go_base + (n * OC + g * cout_g) * ohw;
       const float* w_g = w_base + g * cout_g * ck2;
       if (bm != nullptr) {
-        (use_simd ? simd::gemm_tn_sparse : gemm::gemm_tn_sparse)(
-            ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
-            /*accumulate=*/false, /*parallel=*/true, bm->mask());
+        gemm::gemm_tn_sparse(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow,
+                             ck2, /*accumulate=*/false, /*parallel=*/true,
+                             bm->mask());
       } else {
-        (use_simd ? simd::gemm_tn : gemm::gemm_tn)(
-            ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
-            /*accumulate=*/false, /*parallel=*/true);
+        gemm::gemm_tn(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
+                      /*accumulate=*/false, /*parallel=*/true);
       }
       gemm::row2im_add(ps, drow, gi_base + (n * C + g * cin_g) * H * W);
     });
@@ -333,8 +286,8 @@ Tensor Conv2D::gemm_backward(const Tensor& grad_out, bool input_grad) {
     const gemm::Im2rowCols packer(ps, j0, cols);
     float* row = scratch::buffer(scratch::Slot::kIm2row, ohw * cols);
     // The tile accumulates in this thread's staging buffer: neighbouring
-    // tiles share cache lines of dW, and the default GEMM rewrites C once
-    // per k group. Copying in and out moves the same bits.
+    // tiles share cache lines of dW, which the GEMM rewrites once per
+    // sample. Copying in and out moves the same bits.
     float* wg = wg_base + i0 * ck2 + j0;
     float* acc = scratch::buffer(scratch::Slot::kBwdDrow, rows * cols);
     for (std::size_t r = 0; r < rows; ++r) {
@@ -344,10 +297,8 @@ Tensor Conv2D::gemm_backward(const Tensor& grad_out, bool input_grad) {
       packer.pack(in_base + (n * C + g * cin_g) * H * W, row);
       const float* go = go_base + (n * OC + i0) * ohw;
       // acc += dOut_tile (rows x ohw) * row (ohw x cols)
-      (use_simd ? simd::gemm_nn : gemm::gemm_nn)(rows, cols, ohw, go, ohw, row,
-                                                 cols, acc, cols,
-                                                 /*accumulate=*/true,
-                                                 /*parallel=*/false);
+      gemm::gemm_nn(rows, cols, ohw, go, ohw, row, cols, acc, cols,
+                    /*accumulate=*/true, /*parallel=*/false);
       if (cfg_.bias && ct == 0) {
         for (std::size_t r = 0; r < rows; ++r) {
           float sum = 0.0f;
@@ -360,181 +311,6 @@ Tensor Conv2D::gemm_backward(const Tensor& grad_out, bool input_grad) {
       std::memcpy(wg + r * ck2, acc + r * cols, cols * sizeof(float));
     }
   });
-  return grad_in;
-}
-
-// ---------------------------------------------------------------------------
-// Naive reference path (the original loop nest).
-// ---------------------------------------------------------------------------
-
-Tensor Conv2D::naive_forward(const Tensor& in, bool training) {
-  obs::Span span;
-  if (obs::trace_enabled()) {
-    span.begin(name_ + ".fwd", "kernel",
-               conv_span_args("naive", in.shape()[0]));
-  }
-  const Shape out_shape = output_shape(in.shape());
-  Tensor out(out_shape);
-  const std::size_t N = in.shape()[0];
-  const std::size_t C = cfg_.in_channels;
-  const std::size_t H = in.shape()[2], W = in.shape()[3];
-  const std::size_t OC = cfg_.out_channels;
-  const std::size_t OH = out_shape[2], OW = out_shape[3];
-  const std::size_t K = cfg_.kernel;
-  const std::size_t S = cfg_.stride, P = cfg_.pad;
-  const std::size_t cin_g = C / cfg_.groups;
-  const std::size_t cout_g = OC / cfg_.groups;
-
-  const float* in_base = in.data();
-  const float* w_base = weight_.value.data();
-  float* out_base = out.data();
-
-  for (std::size_t n = 0; n < N; ++n) {
-    const float* in_n = in_base + n * C * H * W;
-    float* out_n = out_base + n * OC * OH * OW;
-    for (std::size_t g = 0; g < cfg_.groups; ++g) {
-      for (std::size_t ocg = 0; ocg < cout_g; ++ocg) {
-        const std::size_t oc = g * cout_g + ocg;
-        const float b = cfg_.bias ? bias_.value[oc] : 0.0f;
-        float* out_c = out_n + oc * OH * OW;
-        const float* w_oc = w_base + oc * cin_g * K * K;
-        for (std::size_t oh = 0; oh < OH; ++oh) {
-          for (std::size_t ow = 0; ow < OW; ++ow) {
-            float acc = b;
-            const std::ptrdiff_t ih0 =
-                static_cast<std::ptrdiff_t>(oh * S) -
-                static_cast<std::ptrdiff_t>(P);
-            const std::ptrdiff_t iw0 =
-                static_cast<std::ptrdiff_t>(ow * S) -
-                static_cast<std::ptrdiff_t>(P);
-            const std::size_t kh_lo =
-                ih0 < 0 ? static_cast<std::size_t>(-ih0) : 0;
-            const std::size_t kh_hi = std::min(
-                K, static_cast<std::size_t>(
-                       std::max<std::ptrdiff_t>(
-                           0, static_cast<std::ptrdiff_t>(H) - ih0)));
-            const std::size_t kw_lo =
-                iw0 < 0 ? static_cast<std::size_t>(-iw0) : 0;
-            const std::size_t kw_hi = std::min(
-                K, static_cast<std::size_t>(
-                       std::max<std::ptrdiff_t>(
-                           0, static_cast<std::ptrdiff_t>(W) - iw0)));
-            const std::size_t kw_n = kw_hi > kw_lo ? kw_hi - kw_lo : 0;
-            for (std::size_t icg = 0; icg < cin_g; ++icg) {
-              const float* in_c = in_n + (g * cin_g + icg) * H * W;
-              const float* w_ic = w_oc + icg * K * K;
-              for (std::size_t kh = kh_lo; kh < kh_hi; ++kh) {
-                const float* in_row =
-                    in_c +
-                    static_cast<std::size_t>(
-                        ih0 + static_cast<std::ptrdiff_t>(kh)) *
-                        W +
-                    static_cast<std::size_t>(
-                        iw0 + static_cast<std::ptrdiff_t>(kw_lo));
-                const float* w_row = w_ic + kh * K + kw_lo;
-                for (std::size_t kw = 0; kw < kw_n; ++kw) {
-                  acc += in_row[kw] * w_row[kw];
-                }
-              }
-            }
-            out_c[oh * OW + ow] = acc;
-          }
-        }
-      }
-    }
-  }
-  if (training) cached_input_ = in;
-  return out;
-}
-
-Tensor Conv2D::naive_backward(const Tensor& grad_out) {
-  obs::Span span;
-  if (obs::trace_enabled()) {
-    span.begin(name_ + ".bwd", "kernel",
-               conv_span_args("naive", grad_out.shape()[0]));
-  }
-  if (cached_input_.empty()) {
-    throw std::logic_error("conv2d backward without training forward");
-  }
-  const Tensor& in = cached_input_;
-  Tensor grad_in(in.shape(), 0.0f);
-  const Shape out_shape = grad_out.shape();
-  const std::size_t N = in.shape()[0];
-  const std::size_t H = in.shape()[2], W = in.shape()[3];
-  const std::size_t OH = out_shape[2], OW = out_shape[3];
-  const std::size_t K = cfg_.kernel;
-  const std::size_t cin_g = cfg_.in_channels / cfg_.groups;
-  const std::size_t cout_g = cfg_.out_channels / cfg_.groups;
-
-  const std::size_t C = cfg_.in_channels;
-  const std::size_t OC = cfg_.out_channels;
-  const std::size_t S = cfg_.stride, P = cfg_.pad;
-  const float* in_base = in.data();
-  const float* go_base = grad_out.data();
-  const float* w_base = weight_.value.data();
-  float* wg_base = weight_.grad.data();
-  float* gi_base = grad_in.data();
-
-  for (std::size_t n = 0; n < N; ++n) {
-    const float* in_n = in_base + n * C * H * W;
-    float* gi_n = gi_base + n * C * H * W;
-    const float* go_n = go_base + n * OC * OH * OW;
-    for (std::size_t g = 0; g < cfg_.groups; ++g) {
-      for (std::size_t ocg = 0; ocg < cout_g; ++ocg) {
-        const std::size_t oc = g * cout_g + ocg;
-        const float* go_c = go_n + oc * OH * OW;
-        const float* w_oc = w_base + oc * cin_g * K * K;
-        float* wg_oc = wg_base + oc * cin_g * K * K;
-        for (std::size_t oh = 0; oh < OH; ++oh) {
-          for (std::size_t ow = 0; ow < OW; ++ow) {
-            const float go = go_c[oh * OW + ow];
-            if (go == 0.0f) continue;
-            if (cfg_.bias) bias_.grad[oc] += go;
-            const std::ptrdiff_t ih0 =
-                static_cast<std::ptrdiff_t>(oh * S) -
-                static_cast<std::ptrdiff_t>(P);
-            const std::ptrdiff_t iw0 =
-                static_cast<std::ptrdiff_t>(ow * S) -
-                static_cast<std::ptrdiff_t>(P);
-            const std::size_t kh_lo =
-                ih0 < 0 ? static_cast<std::size_t>(-ih0) : 0;
-            const std::size_t kh_hi = std::min(
-                K, static_cast<std::size_t>(
-                       std::max<std::ptrdiff_t>(
-                           0, static_cast<std::ptrdiff_t>(H) - ih0)));
-            const std::size_t kw_lo =
-                iw0 < 0 ? static_cast<std::size_t>(-iw0) : 0;
-            const std::size_t kw_hi = std::min(
-                K, static_cast<std::size_t>(
-                       std::max<std::ptrdiff_t>(
-                           0, static_cast<std::ptrdiff_t>(W) - iw0)));
-            const std::size_t kw_n = kw_hi > kw_lo ? kw_hi - kw_lo : 0;
-            for (std::size_t icg = 0; icg < cin_g; ++icg) {
-              const std::size_t ic = g * cin_g + icg;
-              const float* in_c = in_n + ic * H * W;
-              float* gi_c = gi_n + ic * H * W;
-              const float* w_ic = w_oc + icg * K * K;
-              float* wg_ic = wg_oc + icg * K * K;
-              for (std::size_t kh = kh_lo; kh < kh_hi; ++kh) {
-                const std::size_t row = static_cast<std::size_t>(
-                    (ih0 + static_cast<std::ptrdiff_t>(kh)) *
-                        static_cast<std::ptrdiff_t>(W) +
-                    iw0 + static_cast<std::ptrdiff_t>(kw_lo));
-                const float* in_row = in_c + row;
-                float* gi_row = gi_c + row;
-                const float* w_row = w_ic + kh * K + kw_lo;
-                float* wg_row = wg_ic + kh * K + kw_lo;
-                for (std::size_t kw = 0; kw < kw_n; ++kw) {
-                  wg_row[kw] += go * in_row[kw];
-                  gi_row[kw] += go * w_row[kw];
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
   return grad_in;
 }
 

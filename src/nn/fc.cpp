@@ -82,22 +82,10 @@ Tensor FullyConnected::forward(const Tensor& in, bool training) {
     obs::Registry::instance()
         .gauge("sparse.layer." + name_ + ".block_density")
         .set(bm->block_density());
-    if (backend_ == simd::GemmBackend::kSimd) {
-      simd::gemm_nt_sparse(N, out_features_, in_features_, flat.data(),
-                           in_features_, weight_.value.data(), in_features_,
-                           out.data(), out_features_, /*accumulate=*/true,
-                           /*parallel=*/true, bm->mask());
-    } else {
-      gemm::gemm_nt_sparse(N, out_features_, in_features_, flat.data(),
-                           in_features_, weight_.value.data(), in_features_,
-                           out.data(), out_features_, /*accumulate=*/true,
-                           /*parallel=*/true, bm->mask());
-    }
-  } else if (backend_ == simd::GemmBackend::kSimd) {
-    simd::gemm_nt(N, out_features_, in_features_, flat.data(), in_features_,
-                  weight_.value.data(), in_features_, out.data(),
-                  out_features_,
-                  /*accumulate=*/true, /*parallel=*/true);
+    gemm::gemm_nt_sparse(N, out_features_, in_features_, flat.data(),
+                         in_features_, weight_.value.data(), in_features_,
+                         out.data(), out_features_, /*accumulate=*/true,
+                         /*parallel=*/true, bm->mask());
   } else {
     gemm::gemm_nt(N, out_features_, in_features_, flat.data(), in_features_,
                   weight_.value.data(), in_features_, out.data(),
@@ -133,20 +121,19 @@ Tensor FullyConnected::gemm_backward(const Tensor& grad_out,
       for (std::size_t o = 0; o < out_features_; ++o) bias_.grad[o] += go[o];
     }
   }
-  const bool use_simd = backend_ == simd::GemmBackend::kSimd;
   // dW (Out x In) += dOut^T (Out x N) * X (N x In); k = sample index runs
   // ascending, matching the reference accumulation order.
-  (use_simd ? simd::gemm_tn : gemm::gemm_tn)(
-      out_features_, in_features_, N, grad_out.data(), out_features_,
-      cached_input_.data(), in_features_, weight_.grad.data(), in_features_,
-      /*accumulate=*/true, /*parallel=*/true);
+  gemm::gemm_tn(out_features_, in_features_, N, grad_out.data(),
+                out_features_, cached_input_.data(), in_features_,
+                weight_.grad.data(), in_features_, /*accumulate=*/true,
+                /*parallel=*/true);
   if (!input_grad) return Tensor();
   // dX (N x In) = dOut (N x Out) * W (Out x In)
   Tensor grad_flat(Shape{N, in_features_});
-  (use_simd ? simd::gemm_nn : gemm::gemm_nn)(
-      N, in_features_, out_features_, grad_out.data(), out_features_,
-      weight_.value.data(), in_features_, grad_flat.data(), in_features_,
-      /*accumulate=*/false, /*parallel=*/true);
+  gemm::gemm_nn(N, in_features_, out_features_, grad_out.data(),
+                out_features_, weight_.value.data(), in_features_,
+                grad_flat.data(), in_features_, /*accumulate=*/false,
+                /*parallel=*/true);
   return grad_flat.reshaped(cached_input_shape_);
 }
 

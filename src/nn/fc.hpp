@@ -1,10 +1,10 @@
 #pragma once
 // Fully-connected (inner-product) layer. Accepts {N, In} or any 4D input
-// which it treats as flattened per sample.
+// which it treats as flattened per sample. Forward is one gemm_nt (sparse
+// when armed), backward one gemm_tn for dW and one gemm_nn for dX.
 
 #include <memory>
 
-#include "nn/gemm_simd.hpp"
 #include "nn/layer.hpp"
 #include "util/rng.hpp"
 
@@ -32,12 +32,6 @@ class FullyConnected final : public Layer {
   Param& weight() { return weight_; }
   const Param& weight() const { return weight_; }
 
-  /// Switches the GEMM backend at runtime (parity tests, benches). The
-  /// default follows LS_CONV_IMPL: "simd" selects the packed vectorized
-  /// kernels, anything else the default nn::gemm ones.
-  void set_backend(simd::GemmBackend backend) { backend_ = backend; }
-  simd::GemmBackend backend() const { return backend_; }
-
   /// Arms the block-sparse forward path: `in_units` is the producer
   /// feature-map count (in_features must be a multiple of it — each unit
   /// spans the flattened H*W footprint of one map, matching
@@ -56,7 +50,6 @@ class FullyConnected final : public Layer {
   std::size_t in_features_;
   std::size_t out_features_;
   bool has_bias_;
-  simd::GemmBackend backend_ = simd::default_backend();
   Param weight_;
   Param bias_;
   Tensor cached_input_;  ///< flattened {N, In}

@@ -6,367 +6,388 @@
 #include <vector>
 
 #include "check/check.hpp"
+#include "nn/scratch.hpp"
 #include "util/parallel.hpp"
 
 namespace ls::nn::gemm {
 
 namespace {
 
-// Blocking constants. IB (rows per parallel chunk) is part of the
-// determinism contract only in that it is a compile-time constant: chunk
-// boundaries never depend on the thread count. KC groups the k reduction
-// for cache reuse; because k blocks are visited in ascending order the
-// per-element accumulation order is fixed.
-constexpr std::size_t kRowBlock = 16;   // IB: C rows per parallel chunk
-constexpr std::size_t kColBlock = 512;  // NC: C columns per cache block
-constexpr std::size_t kRedBlock = 128;  // KC: k elements per cache block
+// Register tiles. The nn and tn kernels keep a kMr x kNr tile of C in
+// registers for its whole reduction: the kNr columns are one strip of B,
+// packed (lane tail zeroed) into the thread's scratch slot unless B
+// already stores it contiguously. The nt kernel computes C^T: its tile
+// rows are rows of B and its kNr lanes are rows of A, packed transposed,
+// with four partial sums per output.
+constexpr std::size_t kMr = 4;
+constexpr std::size_t kNr = 16;
+
+// Task blocks: one task owns at most kBlockRows x kBlockCols of C (of C^T
+// for nt). Blocks only split rows and columns of C, never k, so every
+// output element sees the same operations at any block size and thread
+// count.
+constexpr std::size_t kBlockRows = 64;
+constexpr std::size_t kBlockCols = 128;
 
 // Work below this many MACs is not worth a pool dispatch.
 constexpr std::size_t kParallelMinWork = 1 << 14;
 
-std::size_t chunks_for(std::size_t rows) {
-  return (rows + kRowBlock - 1) / kRowBlock;
-}
+// The register each table is built for. A tile row is kNr floats: four
+// SSE registers in the portable clone, two AVX2 ones, one AVX-512F one.
+typedef float Vec4 __attribute__((vector_size(16)));
+typedef float Vec8 __attribute__((vector_size(32)));
+typedef float Vec16 __attribute__((vector_size(64)));
 
-[[gnu::always_inline]] inline void nn_block(
-    std::size_t i0, std::size_t i1, std::size_t N, std::size_t K,
-    const float* A, std::size_t lda, const float* B, std::size_t ldb,
-    float* C, std::size_t ldc, bool accumulate) {
-  for (std::size_t jj = 0; jj < N; jj += kColBlock) {
-    const std::size_t jend = std::min(N, jj + kColBlock);
-    if (!accumulate) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        std::memset(C + i * ldc + jj, 0, (jend - jj) * sizeof(float));
-      }
-    }
-    for (std::size_t kk = 0; kk < K; kk += kRedBlock) {
-      const std::size_t kend = std::min(K, kk + kRedBlock);
-      for (std::size_t i = i0; i < i1; ++i) {
-        const float* a_row = A + i * lda;
-        float* c_row = C + i * ldc;
-        std::size_t k = kk;
-        for (; k + 4 <= kend; k += 4) {
-          const float a0 = a_row[k], a1 = a_row[k + 1];
-          const float a2 = a_row[k + 2], a3 = a_row[k + 3];
-          const float* b0 = B + k * ldb;
-          const float* b1 = b0 + ldb;
-          const float* b2 = b1 + ldb;
-          const float* b3 = b2 + ldb;
-          for (std::size_t j = jj; j < jend; ++j) {
-            c_row[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-          }
-        }
-        for (; k < kend; ++k) {
-          const float a = a_row[k];
-          const float* b = B + k * ldb;
-          for (std::size_t j = jj; j < jend; ++j) c_row[j] += a * b[j];
-        }
-      }
-    }
-  }
-}
+template <class V>
+constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+template <class V>
+constexpr std::size_t kVecs = kNr / kLanes<V>;  // registers per tile row
 
-[[gnu::always_inline]] inline void tn_block(
-    std::size_t i0, std::size_t i1, std::size_t N, std::size_t K,
-    const float* A, std::size_t lda, const float* B, std::size_t ldb,
-    float* C, std::size_t ldc, bool accumulate) {
-  if (!accumulate) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      std::memset(C + i * ldc, 0, N * sizeof(float));
-    }
-  }
-  // k outermost keeps the per-element reduction in ascending k order; the
-  // C chunk (<= kRowBlock rows) stays cache-resident across k.
-  for (std::size_t k = 0; k < K; ++k) {
-    const float* a_col = A + k * lda;
-    const float* b_row = B + k * ldb;
-    for (std::size_t i = i0; i < i1; ++i) {
-      const float a = a_col[i];
-      float* c_row = C + i * ldc;
-      for (std::size_t j = 0; j < N; ++j) c_row[j] += a * b_row[j];
-    }
-  }
-}
-
-// Checked-build probe at every sparse entry point: the mask's panel bounds
-// must be monotonic and span exactly the reduction/output extents the call
-// is using — a mismatched mask silently skips (or double-counts) k spans.
-void check_mask_extents(const BlockMask& mask, std::size_t red_extent,
-                        std::size_t out_extent) {
-  LS_CHECK(mask.parts > 0);
-  LS_CHECK_MSG(mask.k_bounds[mask.parts] == red_extent,
-               "block mask k extent %zu != gemm reduction extent %zu",
-               mask.k_bounds[mask.parts], red_extent);
-  LS_CHECK_MSG(mask.out_bounds[mask.parts] == out_extent,
-               "block mask out extent %zu != gemm output extent %zu",
-               mask.out_bounds[mask.parts], out_extent);
-  for (std::size_t p = 0; p < mask.parts; ++p) {
-    LS_CHECK_MSG(mask.k_bounds[p] <= mask.k_bounds[p + 1] &&
-                     mask.out_bounds[p] <= mask.out_bounds[p + 1],
-                 "block mask bounds not monotonic at panel %zu", p);
-  }
-}
-
-// --- Block-sparse helpers --------------------------------------------------
-//
-// live4[c * n_groups + m] != 0 iff the absolute 4-aligned k group
-// [4m, 4m+4) intersects a producer panel p that is live for consumer c.
-// Groups wholly inside pruned panels are skipped by the sparse kernels;
-// straddling groups are computed in full — their pruned members are exact
-// zeros in memory, so the unroll expression matches the dense kernel's.
-std::size_t groups_of(std::size_t K) { return (K + 3) / 4; }
-
-std::vector<std::uint8_t> build_group_live(const BlockMask& mask,
-                                           std::size_t K) {
-  const std::size_t n_groups = groups_of(K);
-  std::vector<std::uint8_t> live(mask.parts * n_groups, 0);
-  for (std::size_t c = 0; c < mask.parts; ++c) {
-    std::uint8_t* row = live.data() + c * n_groups;
-    for (std::size_t p = 0; p < mask.parts; ++p) {
-      if (mask.zero[p * mask.parts + c]) continue;
-      const std::size_t lo = mask.k_bounds[p], hi = mask.k_bounds[p + 1];
-      if (lo >= hi) continue;
-      for (std::size_t m = lo / 4; m <= (hi - 1) / 4; ++m) row[m] = 1;
-    }
-  }
-  return live;
-}
-
-// Expands consumer panel bounds into a per-index consumer id.
-std::vector<std::uint32_t> expand_consumers(const std::size_t* bounds,
-                                            std::size_t parts,
-                                            std::size_t n) {
-  std::vector<std::uint32_t> owner(n, 0);
-  for (std::size_t c = 0; c < parts; ++c) {
-    for (std::size_t i = bounds[c]; i < bounds[c + 1] && i < n; ++i) {
-      owner[i] = static_cast<std::uint32_t>(c);
-    }
-  }
-  return owner;
-}
-
-// Merged live [begin, end) column intervals per consumer, for the tn
-// variant (flat accumulation — no alignment needed).
-struct LiveIntervals {
-  std::vector<std::size_t> offsets;  ///< parts + 1 into spans
-  std::vector<std::size_t> spans;    ///< begin/end pairs
+// Ascending, disjoint [begin, end) k ranges a tile reduces over.
+struct Spans {
+  const std::size_t* pairs = nullptr;
+  std::size_t count = 0;
+  std::size_t end() const { return pairs[2 * count - 1]; }
 };
 
-LiveIntervals build_live_intervals(const BlockMask& mask) {
-  LiveIntervals li;
-  li.offsets.assign(mask.parts + 1, 0);
-  for (std::size_t c = 0; c < mask.parts; ++c) {
-    li.offsets[c] = li.spans.size();
-    for (std::size_t p = 0; p < mask.parts; ++p) {
-      if (mask.zero[p * mask.parts + c]) continue;
-      const std::size_t lo = mask.k_bounds[p], hi = mask.k_bounds[p + 1];
-      if (lo >= hi) continue;
-      if (!li.spans.empty() && li.spans.size() > li.offsets[c] &&
-          li.spans[li.spans.size() - 1] == lo) {
-        li.spans[li.spans.size() - 1] = hi;  // merge contiguous panels
-      } else {
-        li.spans.push_back(lo);
-        li.spans.push_back(hi);
-      }
-    }
-  }
-  li.offsets[mask.parts] = li.spans.size();
-  return li;
-}
+// The spans of every tile in a call. They vary by panel along one
+// dimension of C: rows for nn and nt (the consumer owning each weight
+// row), columns for tn (the producer owning each weight column). A tile
+// never straddles a panel, so each tile reduces over one list. A dense
+// call has one panel and one span, [0, K).
+struct SpanMap {
+  const std::size_t* bounds = nullptr;   ///< parts + 1 panel bounds
+  std::size_t parts = 0;
+  const std::size_t* offsets = nullptr;  ///< parts + 1 indices into pairs
+  const std::size_t* pairs = nullptr;    ///< begin/end pairs
+  Spans pack;  ///< union over panels: the k rows nn and nt pack
 
-[[gnu::always_inline]] inline void nn_block_sparse(
-    std::size_t i0, std::size_t i1, std::size_t N, std::size_t K,
-    const float* A, std::size_t lda, const float* B, std::size_t ldb,
-    float* C, std::size_t ldc, bool accumulate,
-    const std::uint32_t* row_consumer, const std::uint8_t* live4,
-    std::size_t n_groups) {
-  for (std::size_t jj = 0; jj < N; jj += kColBlock) {
-    const std::size_t jend = std::min(N, jj + kColBlock);
-    if (!accumulate) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        std::memset(C + i * ldc + jj, 0, (jend - jj) * sizeof(float));
-      }
-    }
-    for (std::size_t kk = 0; kk < K; kk += kRedBlock) {
-      const std::size_t kend = std::min(K, kk + kRedBlock);
-      for (std::size_t i = i0; i < i1; ++i) {
-        const float* a_row = A + i * lda;
-        float* c_row = C + i * ldc;
-        const std::uint8_t* live = live4 + row_consumer[i] * n_groups;
-        std::size_t k = kk;
-        for (; k + 4 <= kend; k += 4) {
-          if (!live[k >> 2]) continue;
-          const float a0 = a_row[k], a1 = a_row[k + 1];
-          const float a2 = a_row[k + 2], a3 = a_row[k + 3];
-          const float* b0 = B + k * ldb;
-          const float* b1 = b0 + ldb;
-          const float* b2 = b1 + ldb;
-          const float* b3 = b2 + ldb;
-          for (std::size_t j = jj; j < jend; ++j) {
-            c_row[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-          }
-        }
-        for (; k < kend; ++k) {
-          if (!live[k >> 2]) continue;
-          const float a = a_row[k];
-          const float* b = B + k * ldb;
-          for (std::size_t j = jj; j < jend; ++j) c_row[j] += a * b[j];
-        }
-      }
-    }
+  Spans of(std::size_t panel) const {
+    return {pairs + offsets[panel],
+            (offsets[panel + 1] - offsets[panel]) / 2};
   }
-}
-
-// Merged runs of consecutive live 4-aligned k groups per consumer, so the
-// nt inner reduction iterates contiguous spans (vectorizable) instead of
-// branching on liveness per group of 4.
-struct LiveGroupRuns {
-  std::vector<std::size_t> offsets;  ///< parts + 1 into runs
-  std::vector<std::size_t> runs;     ///< begin/end group-index pairs
 };
 
-LiveGroupRuns build_live_group_runs(const std::uint8_t* live4,
-                                    std::size_t parts, std::size_t n_groups) {
-  LiveGroupRuns r;
-  r.offsets.assign(parts + 1, 0);
-  for (std::size_t c = 0; c < parts; ++c) {
-    r.offsets[c] = r.runs.size();
-    const std::uint8_t* row = live4 + c * n_groups;
-    std::size_t g = 0;
-    while (g < n_groups) {
-      if (!row[g]) {
-        ++g;
-        continue;
-      }
-      std::size_t e = g;
-      while (e < n_groups && row[e]) ++e;
-      r.runs.push_back(g);
-      r.runs.push_back(e);
-      g = e;
-    }
-  }
-  r.offsets[parts] = r.runs.size();
-  return r;
-}
-
-[[gnu::always_inline]] inline void nt_block_sparse(
-    std::size_t j0, std::size_t j1, std::size_t M, std::size_t K,
-    const float* A, std::size_t lda, const float* B, std::size_t ldb,
-    float* C, std::size_t ldc, bool accumulate,
-    const std::uint32_t* col_consumer, const LiveGroupRuns& lr) {
-  for (std::size_t i = 0; i < M; ++i) {
-    const float* a_row = A + i * lda;
-    float* c_row = C + i * ldc;
-    for (std::size_t j = j0; j < j1; ++j) {
-      const float* b_row = B + j * ldb;
-      const std::size_t c = col_consumer[j];
-      const std::size_t s0 = lr.offsets[c], s1 = lr.offsets[c + 1];
-      // Ascending live runs with the dense kernel's accumulator structure:
-      // acc0..3 over whole 4-aligned groups, `tail` over the final partial
-      // group. Skipped groups added exact zeros in the dense kernel, so
-      // the result is bit-identical.
-      float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-      float tail = 0.0f;
-      for (std::size_t s = s0; s < s1; s += 2) {
-        const std::size_t kb = lr.runs[s] * 4;
-        const std::size_t klim = std::min(K, lr.runs[s + 1] * 4);
-        // Counted loop over whole groups with run-base pointers: gcc emits
-        // the same SIMD reduction as the dense kernel; the open-coded
-        // `k + 4 <= klim` form stays scalar.
-        const std::size_t n_full = (klim - kb) / 4;
-        const float* ap = a_row + kb;
-        const float* bp = b_row + kb;
-        for (std::size_t m = 0; m < n_full; ++m) {
-          acc0 += ap[4 * m] * bp[4 * m];
-          acc1 += ap[4 * m + 1] * bp[4 * m + 1];
-          acc2 += ap[4 * m + 2] * bp[4 * m + 2];
-          acc3 += ap[4 * m + 3] * bp[4 * m + 3];
-        }
-        for (std::size_t k = kb + 4 * n_full; k < klim; ++k) {
-          tail += a_row[k] * b_row[k];
-        }
-      }
-      const float sum = ((acc0 + acc1) + (acc2 + acc3)) + tail;
-      c_row[j] = accumulate ? c_row[j] + sum : sum;
-    }
-  }
-}
-
-[[gnu::always_inline]] inline void tn_block_sparse(
-    std::size_t i0, std::size_t i1, std::size_t N, std::size_t K,
-    const float* A, std::size_t lda, const float* B, std::size_t ldb,
-    float* C, std::size_t ldc, bool accumulate,
-    const std::uint32_t* k_consumer, const LiveIntervals& li) {
-  if (!accumulate) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      std::memset(C + i * ldc, 0, N * sizeof(float));
-    }
-  }
-  for (std::size_t k = 0; k < K; ++k) {
-    const float* a_col = A + k * lda;
-    const float* b_row = B + k * ldb;
-    const std::size_t c = k_consumer[k];
-    const std::size_t s0 = li.offsets[c], s1 = li.offsets[c + 1];
-    if (s0 == s1) continue;  // every producer pruned for this consumer
-    for (std::size_t i = i0; i < i1; ++i) {
-      const float a = a_col[i];
-      float* c_row = C + i * ldc;
-      for (std::size_t s = s0; s < s1; s += 2) {
-        const std::size_t jb = li.spans[s], je = li.spans[s + 1];
-        for (std::size_t j = jb; j < je; ++j) c_row[j] += a * b_row[j];
-      }
-    }
-  }
-}
-
-[[gnu::always_inline]] inline void nt_block(
-    std::size_t j0, std::size_t j1, std::size_t M, std::size_t K,
-    const float* A, std::size_t lda, const float* B, std::size_t ldb,
-    float* C, std::size_t ldc, bool accumulate) {
-  for (std::size_t i = 0; i < M; ++i) {
-    const float* a_row = A + i * lda;
-    float* c_row = C + i * ldc;
-    for (std::size_t j = j0; j < j1; ++j) {
-      const float* b_row = B + j * ldb;
-      float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-      std::size_t k = 0;
-      for (; k + 4 <= K; k += 4) {
-        acc0 += a_row[k] * b_row[k];
-        acc1 += a_row[k + 1] * b_row[k + 1];
-        acc2 += a_row[k + 2] * b_row[k + 2];
-        acc3 += a_row[k + 3] * b_row[k + 3];
-      }
-      float tail = 0.0f;
-      for (; k < K; ++k) tail += a_row[k] * b_row[k];
-      const float sum = ((acc0 + acc1) + (acc2 + acc3)) + tail;
-      c_row[j] = accumulate ? c_row[j] + sum : sum;
-    }
+// Calls fn(lo, hi, panel) for each panel's nonempty share of [b0, b1).
+template <class Fn>
+[[gnu::always_inline]] inline void for_panels(const SpanMap& m,
+                                              std::size_t b0, std::size_t b1,
+                                              Fn&& fn) {
+  for (std::size_t p = 0; p < m.parts; ++p) {
+    const std::size_t lo = std::max(b0, m.bounds[p]);
+    const std::size_t hi = std::min(b1, m.bounds[p + 1]);
+    if (lo < hi) fn(lo, hi, p);
   }
 }
 
 // ---------------------------------------------------------------------------
-// ISA dispatch. The six block kernels above are always_inline bodies built
-// three times: a portable clone for the x86-64 baseline (SSE2) and, where
-// the toolchain supports `target` attributes, AVX2 and AVX-512F clones
-// (no global -march change: the rest of the binary stays portable). One
-// table is picked once by cpuid at first use.
+// Per-element operation order (the bits GemmGolden pins):
+//   nn: C += ((a0*b0 + a1*b1) + a2*b2) + a3*b3 for each 4-aligned group of
+//       k, then C += a*b for each k of the K % 4 tail;
+//   tn: C += a*b for each k, ascending;
+//   nt: four partial sums over k % 4 and a tail sum, all from +0, then
+//       C = ((acc0 + acc1) + (acc2 + acc3)) + tail (added into C when
+//       accumulating).
+// The sparse forms skip whole groups (nn, nt) or single k (tn) whose
+// weights are pruned for the element's consumer. Vector lanes only run
+// along an output dimension, so every lane performs its own element's
+// operations in this order at any register width.
+// ---------------------------------------------------------------------------
+
+template <class V>
+[[gnu::always_inline]] inline void load(V& v, const float* p) {
+  std::memcpy(&v, p, sizeof(V));
+}
+
+template <class V>
+[[gnu::always_inline]] inline void store(float* p, const V& v) {
+  std::memcpy(p, &v, sizeof(V));
+}
+
+// Loads the rows x w corner of a C tile (zeros when overwriting). Memory
+// past the corner is never touched.
+template <class V>
+[[gnu::always_inline]] inline void load_tile(V (&acc)[kMr][kVecs<V>],
+                                             const float* c, std::size_t ldc,
+                                             std::size_t rows, std::size_t w,
+                                             bool accumulate) {
+  float buf[kMr][kNr] = {};
+  const bool whole = rows == kMr && w == kNr;
+  if (accumulate && !whole) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::memcpy(buf[r], c + r * ldc, w * sizeof(float));
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < kMr; ++r) {
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < kVecs<V>; ++v) {
+      load(acc[r][v], accumulate && whole ? c + r * ldc + v * kLanes<V>
+                                          : &buf[r][v * kLanes<V>]);
+    }
+  }
+}
+
+template <class V>
+[[gnu::always_inline]] inline void store_tile(
+    const V (&acc)[kMr][kVecs<V>], float* c, std::size_t ldc,
+    std::size_t rows, std::size_t w) {
+  if (rows == kMr && w == kNr) {
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < kMr; ++r) {
+#pragma GCC unroll 4
+      for (std::size_t v = 0; v < kVecs<V>; ++v) {
+        store(c + r * ldc + v * kLanes<V>, acc[r][v]);
+      }
+    }
+    return;
+  }
+  float buf[kMr][kNr];
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t v = 0; v < kVecs<V>; ++v) {
+      store(&buf[r][v * kLanes<V>], acc[r][v]);
+    }
+    std::memcpy(c + r * ldc, buf[r], w * sizeof(float));
+  }
+}
+
+// One nn (kGroups) or tn tile. Tile row r of A is pa[r], its element k at
+// pa[r][k * ka] (ka == 1 for nn); row k of the B strip is at bp + k * bs.
+template <class V, bool kGroups>
+[[gnu::always_inline]] inline void mm_tile(const float* const pa[kMr],
+                                           std::size_t ka, const float* bp,
+                                           std::size_t bs, Spans sp,
+                                           float* c, std::size_t ldc,
+                                           std::size_t rows, std::size_t w,
+                                           bool accumulate) {
+  constexpr std::size_t NV = kVecs<V>, L = kLanes<V>;
+  V acc[kMr][NV];
+  load_tile(acc, c, ldc, rows, w, accumulate);
+  for (std::size_t s = 0; s < sp.count; ++s) {
+    std::size_t k = sp.pairs[2 * s];
+    const std::size_t ke = sp.pairs[2 * s + 1];
+    if constexpr (kGroups) {
+      for (; k + 4 <= ke; k += 4) {
+        V b[4][NV];
+#pragma GCC unroll 4
+        for (std::size_t q = 0; q < 4; ++q) {
+#pragma GCC unroll 4
+          for (std::size_t v = 0; v < NV; ++v) {
+            load(b[q][v], bp + (k + q) * bs + v * L);
+          }
+        }
+#pragma GCC unroll 4
+        for (std::size_t r = 0; r < kMr; ++r) {
+          const float* a = pa[r] + k;
+          const float a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3];
+#pragma GCC unroll 4
+          for (std::size_t v = 0; v < NV; ++v) {
+            acc[r][v] +=
+                ((a0 * b[0][v] + a1 * b[1][v]) + a2 * b[2][v]) + a3 * b[3][v];
+          }
+        }
+      }
+    }
+    for (; k < ke; ++k) {
+      V b[NV];
+#pragma GCC unroll 4
+      for (std::size_t v = 0; v < NV; ++v) load(b[v], bp + k * bs + v * L);
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < kMr; ++r) {
+        const float a = pa[r][k * ka];
+#pragma GCC unroll 4
+        for (std::size_t v = 0; v < NV; ++v) acc[r][v] += a * b[v];
+      }
+    }
+  }
+  store_tile(acc, c, ldc, rows, w);
+}
+
+// Packs columns [0, w) of B's rows in `sp` into a kNr-wide strip with row
+// stride kNr, lanes past w zeroed. Rows outside the spans are neither read
+// nor written: im2col_masked leaves rows no consumer reduces over unfilled.
+const float* pack_strip(const float* B, std::size_t ldb, std::size_t w,
+                        Spans sp) {
+  if (sp.count == 0) return nullptr;
+  float* dst = scratch::buffer(scratch::Slot::kPackB, sp.end() * kNr);
+  for (std::size_t s = 0; s < sp.count; ++s) {
+    for (std::size_t k = sp.pairs[2 * s]; k < sp.pairs[2 * s + 1]; ++k) {
+      float* d = dst + k * kNr;
+      std::memcpy(d, B + k * ldb, w * sizeof(float));
+      std::fill(d + w, d + kNr, 0.0f);
+    }
+  }
+  return dst;
+}
+
+// C[i0, i1) x [j0, j1) for nn (kGroups: A row i at A + i * a_row,
+// contiguous in k; spans by row panel) and tn (A stored K x M, so a_row ==
+// 1 and a_k == lda; spans by column panel). Strips are packed unless B
+// already holds them contiguously: a power-of-two ldb would otherwise map
+// a strip's rows onto a few cache sets. Strip-major, so a packed strip is
+// reused by every row tile of the block.
+template <class V, bool kGroups>
+[[gnu::always_inline]] inline void mm_block(
+    const float* A, std::size_t a_row, std::size_t a_k, std::size_t i0,
+    std::size_t i1, const float* B, std::size_t ldb, std::size_t j0,
+    std::size_t j1, const SpanMap& m, float* C, std::size_t ldc,
+    bool accumulate) {
+  const auto strips = [&](std::size_t jlo, std::size_t jhi, Spans pack,
+                          auto&& spans_of_rows) {
+    for (std::size_t j = jlo; j < jhi; j += kNr) {
+      const std::size_t w = std::min(kNr, jhi - j);
+      const bool direct = w == kNr && ldb == kNr;
+      const float* bp = direct ? B + j : pack_strip(B + j, ldb, w, pack);
+      const std::size_t bs = direct ? ldb : kNr;
+      spans_of_rows([&](std::size_t ilo, std::size_t ihi, Spans sp) {
+        for (std::size_t i = ilo; i < ihi; i += kMr) {
+          // A short tile repeats its last row; those lanes are not stored.
+          const float* pa[kMr];
+          for (std::size_t r = 0; r < kMr; ++r) {
+            pa[r] = A + std::min(i + r, ihi - 1) * a_row;
+          }
+          mm_tile<V, kGroups>(pa, a_k, bp, bs, sp, C + i * ldc + j, ldc,
+                              std::min(kMr, ihi - i), w, accumulate);
+        }
+      });
+    }
+  };
+  if constexpr (kGroups) {
+    strips(j0, j1, m.pack, [&](auto&& tiles) {
+      for_panels(m, i0, i1, [&](std::size_t lo, std::size_t hi,
+                                std::size_t p) { tiles(lo, hi, m.of(p)); });
+    });
+  } else {
+    for_panels(m, j0, j1, [&](std::size_t lo, std::size_t hi, std::size_t p) {
+      const Spans sp = m.of(p);
+      strips(lo, hi, sp, [&](auto&& tiles) { tiles(i0, i1, sp); });
+    });
+  }
+}
+
+// Rows of B per nt tile: each holds four partial-sum registers and a tail
+// per register of its kNr lanes, which must fit the register file.
+template <class V>
+constexpr std::size_t kNtRows = kVecs<V> == 1 ? 2 : 1;
+
+// Packs rows [0, w) of A, k in the spans, transposed into a strip: element
+// k of row `lane` at dst[k * kNr + lane], lanes past w zeroed.
+const float* pack_lanes(const float* A, std::size_t lda, std::size_t w,
+                        Spans sp) {
+  if (sp.count == 0) return nullptr;
+  float* dst = scratch::buffer(scratch::Slot::kPackB, sp.end() * kNr);
+  for (std::size_t s = 0; s < sp.count; ++s) {
+    for (std::size_t k = sp.pairs[2 * s]; k < sp.pairs[2 * s + 1]; ++k) {
+      float* d = dst + k * kNr;
+      for (std::size_t lane = 0; lane < kNr; ++lane) {
+        d[lane] = lane < w ? A[lane * lda + k] : 0.0f;
+      }
+    }
+  }
+  return dst;
+}
+
+// One nt tile: kNtRows rows of B (pb) against the kNr packed rows of A;
+// output (lane, r) lands at c[lane * ldc + r].
+template <class V>
+[[gnu::always_inline]] inline void nt_tile(const float* const pb[],
+                                           const float* ap, Spans sp,
+                                           float* c, std::size_t ldc,
+                                           std::size_t rows, std::size_t w,
+                                           bool accumulate) {
+  constexpr std::size_t NV = kVecs<V>, L = kLanes<V>, R = kNtRows<V>;
+  V acc[R][4][NV] = {};
+  V tail[R][NV] = {};
+  for (std::size_t s = 0; s < sp.count; ++s) {
+    std::size_t k = sp.pairs[2 * s];
+    const std::size_t ke = sp.pairs[2 * s + 1];
+    for (; k + 4 <= ke; k += 4) {
+      V a[4][NV];
+#pragma GCC unroll 4
+      for (std::size_t q = 0; q < 4; ++q) {
+#pragma GCC unroll 4
+        for (std::size_t v = 0; v < NV; ++v) {
+          load(a[q][v], ap + (k + q) * kNr + v * L);
+        }
+      }
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+        for (std::size_t q = 0; q < 4; ++q) {
+          const float b = pb[r][k + q];
+#pragma GCC unroll 4
+          for (std::size_t v = 0; v < NV; ++v) acc[r][q][v] += a[q][v] * b;
+        }
+      }
+    }
+    for (; k < ke; ++k) {
+      V a[NV];
+#pragma GCC unroll 4
+      for (std::size_t v = 0; v < NV; ++v) load(a[v], ap + k * kNr + v * L);
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < R; ++r) {
+        const float b = pb[r][k];
+#pragma GCC unroll 4
+        for (std::size_t v = 0; v < NV; ++v) tail[r][v] += a[v] * b;
+      }
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    float sum[kNr];
+    for (std::size_t v = 0; v < NV; ++v) {
+      store(sum + v * L,
+            ((acc[r][0][v] + acc[r][1][v]) + (acc[r][2][v] + acc[r][3][v])) +
+                tail[r][v]);
+    }
+    for (std::size_t lane = 0; lane < w; ++lane) {
+      float& out = c[lane * ldc + r];
+      out = accumulate ? out + sum[lane] : sum[lane];
+    }
+  }
+}
+
+// C^T[j0, j1) x [i0, i1): rows of B (N x K, spans by row panel) against
+// rows of A (M x K), packed one kNr-lane strip at a time.
+template <class V>
+[[gnu::always_inline]] inline void nt_block(
+    const float* B, std::size_t ldb, std::size_t j0, std::size_t j1,
+    const float* A, std::size_t lda, std::size_t i0, std::size_t i1,
+    const SpanMap& m, float* C, std::size_t ldc, bool accumulate) {
+  constexpr std::size_t R = kNtRows<V>;
+  for (std::size_t i = i0; i < i1; i += kNr) {
+    const std::size_t w = std::min(kNr, i1 - i);
+    const float* ap = pack_lanes(A + i * lda, lda, w, m.pack);
+    for_panels(m, j0, j1, [&](std::size_t lo, std::size_t hi, std::size_t p) {
+      for (std::size_t j = lo; j < hi; j += R) {
+        const float* pb[R];
+        for (std::size_t r = 0; r < R; ++r) {
+          pb[r] = B + std::min(j + r, hi - 1) * ldb;
+        }
+        nt_tile<V>(pb, ap, m.of(p), C + i * ldc + j, ldc,
+                   std::min(R, hi - j), w, accumulate);
+      }
+    });
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ISA dispatch. The block kernels above are built three times: a portable
+// clone for the x86-64 baseline (SSE2) and, where the toolchain supports
+// `target` attributes, AVX2 and AVX-512F clones (no global -march change:
+// the rest of the binary stays portable), each on its own register width.
+// One table is picked once by cpuid at first use.
 //
-// The clones keep every bit. Vector lanes only ever run along an output
-// dimension (nn/tn/sparse: columns j of C) or hold the four fixed partial
-// sums of the nt unroll, so each output element sees the same operations
-// in the same order at any width, and without -ffast-math the compiler
-// may not reassociate them. What a wider target could change is
-// contraction of `a * b + c` into an FMA: this file is compiled with
-// -ffp-contract=off (src/nn/CMakeLists.txt), so every host, -march=native
-// included, produces the portable build's bits. GemmGolden in
-// tests/nn/gemm_golden_test.cpp pins them for both tables.
+// The clones keep every bit: lanes run along output dimensions only, and
+// without -ffast-math the compiler may not reassociate. What a wider target
+// could change is contraction of `a * b + c` into an FMA: this file is
+// compiled with -ffp-contract=off (src/nn/CMakeLists.txt), so every host,
+// -march=native included, produces the portable build's bits. GemmGolden
+// in tests/nn/gemm_golden_test.cpp pins them for every table.
 // ---------------------------------------------------------------------------
 
 struct KernelTable {
-  decltype(&nn_block) nn, tn, nt;  // the three dense kernels share a type
-  decltype(&nn_block_sparse) nn_sparse;
-  decltype(&nt_block_sparse) nt_sparse;
-  decltype(&tn_block_sparse) tn_sparse;
+  decltype(&mm_block<Vec4, true>) nn, tn;
+  decltype(&nt_block<Vec4>) nt;
   const char* isa;
 };
 
@@ -377,14 +398,14 @@ void portable_clone(Args... args) {
   Body(args...);
 }
 
-#define LS_GEMM_TABLE(clone, isa)                                      \
-  KernelTable {                                                        \
-    clone<nn_block>, clone<tn_block>, clone<nt_block>,                 \
-        clone<nn_block_sparse>, clone<nt_block_sparse>,                \
-        clone<tn_block_sparse>, isa                                    \
+#define LS_GEMM_TABLE(clone, V, isa)                                  \
+  KernelTable {                                                       \
+    clone<mm_block<V, true>>, clone<mm_block<V, false>>,              \
+        clone<nt_block<V>>, isa                                       \
   }
 
-constexpr KernelTable kPortable = LS_GEMM_TABLE(portable_clone, "portable");
+constexpr KernelTable kPortable =
+    LS_GEMM_TABLE(portable_clone, Vec4, "portable");
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define LS_GEMM_ISA_CLONES 1
@@ -399,8 +420,9 @@ template <auto Body, typename... Args>
   Body(args...);
 }
 
-constexpr KernelTable kAvx2 = LS_GEMM_TABLE(avx2_clone, "avx2");
-constexpr KernelTable kAvx512f = LS_GEMM_TABLE(avx512f_clone, "avx512f");
+constexpr KernelTable kAvx2 = LS_GEMM_TABLE(avx2_clone, Vec8, "avx2");
+constexpr KernelTable kAvx512f =
+    LS_GEMM_TABLE(avx512f_clone, Vec16, "avx512f");
 #endif
 
 #undef LS_GEMM_TABLE
@@ -423,6 +445,154 @@ const KernelTable& kernels() {
                                                           : dispatched_table();
 }
 
+// ---------------------------------------------------------------------------
+// Span tables and the task grid.
+// ---------------------------------------------------------------------------
+
+// Owns a SpanMap's lists.
+struct SpanTable {
+  std::vector<std::size_t> offsets, pairs, pack;
+
+  SpanMap view(const std::size_t* bounds, std::size_t parts) const {
+    return {bounds, parts, offsets.data(), pairs.data(),
+            {pack.data(), pack.size() / 2}};
+  }
+};
+
+// Appends [lo, hi) to the span list `to` that starts at index `first`,
+// merging it into a range it touches.
+void append(std::vector<std::size_t>& to, std::size_t first, std::size_t lo,
+            std::size_t hi) {
+  if (to.size() > first && to.back() == lo) {
+    to.back() = hi;
+  } else {
+    to.push_back(lo);
+    to.push_back(hi);
+  }
+}
+
+// nn, nt: per consumer c, the maximal runs of 4-aligned groups [4m, 4m + 4)
+// that meet a producer panel live for c, clipped to K. A group straddling a
+// dead panel runs whole (its pruned weights are exact zeros in memory), so
+// each element keeps the dense kernel's groups and only drops groups that
+// add nothing but +/-0 terms. `pack` is the union over consumers: the rows
+// im2col_masked fills.
+SpanTable consumer_runs(const BlockMask& mask, std::size_t K) {
+  const std::size_t n_groups = (K + 3) / 4;
+  const auto group_end = [K](std::size_t g) { return std::min(K, 4 * g + 4); };
+  std::vector<std::uint8_t> live(n_groups), any(n_groups, 0);
+  SpanTable t;
+  for (std::size_t c = 0; c < mask.parts; ++c) {
+    std::fill(live.begin(), live.end(), 0);
+    for (std::size_t p = 0; p < mask.parts; ++p) {
+      const std::size_t lo = mask.k_bounds[p], hi = mask.k_bounds[p + 1];
+      if (mask.zero[p * mask.parts + c] || lo >= hi) continue;
+      std::fill(live.begin() + lo / 4, live.begin() + (hi - 1) / 4 + 1, 1);
+    }
+    t.offsets.push_back(t.pairs.size());
+    for (std::size_t g = 0; g < n_groups; ++g) {
+      if (live[g]) append(t.pairs, t.offsets.back(), 4 * g, group_end(g));
+      any[g] |= live[g];
+    }
+  }
+  t.offsets.push_back(t.pairs.size());
+  for (std::size_t g = 0; g < n_groups; ++g) {
+    if (any[g]) append(t.pack, 0, 4 * g, group_end(g));
+  }
+  return t;
+}
+
+// tn: per producer p, the k ranges of the reduction (K is the consumer
+// partition, mask.out_bounds) whose block (p, c) is live.
+SpanTable producer_spans(const BlockMask& mask) {
+  SpanTable t;
+  for (std::size_t p = 0; p < mask.parts; ++p) {
+    t.offsets.push_back(t.pairs.size());
+    for (std::size_t c = 0; c < mask.parts; ++c) {
+      const std::size_t lo = mask.out_bounds[c], hi = mask.out_bounds[c + 1];
+      if (mask.zero[p * mask.parts + c] || lo >= hi) continue;
+      append(t.pairs, t.offsets.back(), lo, hi);
+    }
+  }
+  t.offsets.push_back(t.pairs.size());
+  return t;
+}
+
+// The span map of a dense call: one panel over [0, extent), one span.
+struct DenseMap {
+  std::size_t bounds[2], offsets[2], pairs[2];
+  DenseMap(std::size_t extent, std::size_t K)
+      : bounds{0, extent}, offsets{0, K > 0 ? 2u : 0u}, pairs{0, K} {}
+  SpanMap view() const {
+    return {bounds, 1, offsets, pairs, {pairs, offsets[1] / 2}};
+  }
+};
+
+// Runs task(i0, i1, j0, j1) over the rows x cols grid of kBlockRows x
+// kBlockCols blocks, on the pool when worthwhile.
+template <class Task>
+void run_grid(std::size_t rows, std::size_t cols, bool parallel,
+              std::size_t work, const Task& task) {
+  const std::size_t nr = (rows + kBlockRows - 1) / kBlockRows;
+  const std::size_t nc = (cols + kBlockCols - 1) / kBlockCols;
+  const auto cell = [&](std::size_t t) {
+    const std::size_t i0 = t / nc * kBlockRows, j0 = t % nc * kBlockCols;
+    task(i0, std::min(rows, i0 + kBlockRows), j0,
+         std::min(cols, j0 + kBlockCols));
+  };
+  if (parallel && nr * nc > 1 && work >= kParallelMinWork) {
+    util::parallel_for(0, nr * nc, cell);
+    return;
+  }
+  for (std::size_t t = 0; t < nr * nc; ++t) cell(t);
+}
+
+// The two shapes every entry point reduces to: C (M x N) by nn or tn, A
+// row i at A + i * a_row with element k at stride a_k; and C^T (N x M) by
+// nt.
+void run_mm(decltype(KernelTable::nn) kernel, const SpanMap& m,
+            std::size_t M, std::size_t N, std::size_t K, const float* A,
+            std::size_t a_row, std::size_t a_k, const float* B,
+            std::size_t ldb, float* C, std::size_t ldc, bool accumulate,
+            bool parallel) {
+  run_grid(M, N, parallel, M * N * K,
+           [&](std::size_t i0, std::size_t i1, std::size_t j0,
+               std::size_t j1) {
+             kernel(A, a_row, a_k, i0, i1, B, ldb, j0, j1, m, C, ldc,
+                    accumulate);
+           });
+}
+
+void run_nt(const SpanMap& m, std::size_t M, std::size_t N, std::size_t K,
+            const float* A, std::size_t lda, const float* B, std::size_t ldb,
+            float* C, std::size_t ldc, bool accumulate, bool parallel) {
+  const auto nt = kernels().nt;
+  run_grid(N, M, parallel, M * N * K,
+           [&](std::size_t j0, std::size_t j1, std::size_t i0,
+               std::size_t i1) {
+             nt(B, ldb, j0, j1, A, lda, i0, i1, m, C, ldc, accumulate);
+           });
+}
+
+// Checked-build probe at every sparse entry point: the mask's panel bounds
+// must be monotonic and span exactly the reduction/output extents the call
+// is using — a mismatched mask silently skips (or double-counts) k spans.
+void check_mask_extents(const BlockMask& mask, std::size_t red_extent,
+                        std::size_t out_extent) {
+  LS_CHECK(mask.parts > 0);
+  LS_CHECK_MSG(mask.k_bounds[mask.parts] == red_extent,
+               "block mask k extent %zu != gemm reduction extent %zu",
+               mask.k_bounds[mask.parts], red_extent);
+  LS_CHECK_MSG(mask.out_bounds[mask.parts] == out_extent,
+               "block mask out extent %zu != gemm output extent %zu",
+               mask.out_bounds[mask.parts], out_extent);
+  for (std::size_t p = 0; p < mask.parts; ++p) {
+    LS_CHECK_MSG(mask.k_bounds[p] <= mask.k_bounds[p + 1] &&
+                     mask.out_bounds[p] <= mask.out_bounds[p + 1],
+                 "block mask bounds not monotonic at panel %zu", p);
+  }
+}
+
 }  // namespace
 
 const char* kernel_isa() { return dispatched_table().isa; }
@@ -437,48 +607,24 @@ void gemm_nn(std::size_t M, std::size_t N, std::size_t K, const float* A,
              std::size_t lda, const float* B, std::size_t ldb, float* C,
              std::size_t ldc, bool accumulate, bool parallel) {
   if (M == 0 || N == 0) return;
-  const KernelTable& kern = kernels();
-  if (parallel && M * N * K >= kParallelMinWork && M > kRowBlock) {
-    util::parallel_for(0, chunks_for(M), [&](std::size_t c) {
-      const std::size_t i0 = c * kRowBlock;
-      kern.nn(i0, std::min(M, i0 + kRowBlock), N, K, A, lda, B, ldb, C, ldc,
-              accumulate);
-    });
-    return;
-  }
-  kern.nn(0, M, N, K, A, lda, B, ldb, C, ldc, accumulate);
+  run_mm(kernels().nn, DenseMap(M, K).view(), M, N, K, A, lda, 1, B, ldb, C,
+         ldc, accumulate, parallel);
 }
 
 void gemm_tn(std::size_t M, std::size_t N, std::size_t K, const float* A,
              std::size_t lda, const float* B, std::size_t ldb, float* C,
              std::size_t ldc, bool accumulate, bool parallel) {
   if (M == 0 || N == 0) return;
-  const KernelTable& kern = kernels();
-  if (parallel && M * N * K >= kParallelMinWork && M > kRowBlock) {
-    util::parallel_for(0, chunks_for(M), [&](std::size_t c) {
-      const std::size_t i0 = c * kRowBlock;
-      kern.tn(i0, std::min(M, i0 + kRowBlock), N, K, A, lda, B, ldb, C, ldc,
-              accumulate);
-    });
-    return;
-  }
-  kern.tn(0, M, N, K, A, lda, B, ldb, C, ldc, accumulate);
+  run_mm(kernels().tn, DenseMap(N, K).view(), M, N, K, A, 1, lda, B, ldb, C,
+         ldc, accumulate, parallel);
 }
 
 void gemm_nt(std::size_t M, std::size_t N, std::size_t K, const float* A,
              std::size_t lda, const float* B, std::size_t ldb, float* C,
              std::size_t ldc, bool accumulate, bool parallel) {
   if (M == 0 || N == 0) return;
-  const KernelTable& kern = kernels();
-  if (parallel && M * N * K >= kParallelMinWork && N > kRowBlock) {
-    util::parallel_for(0, chunks_for(N), [&](std::size_t c) {
-      const std::size_t j0 = c * kRowBlock;
-      kern.nt(j0, std::min(N, j0 + kRowBlock), M, K, A, lda, B, ldb, C, ldc,
-              accumulate);
-    });
-    return;
-  }
-  kern.nt(0, N, M, K, A, lda, B, ldb, C, ldc, accumulate);
+  run_nt(DenseMap(N, K).view(), M, N, K, A, lda, B, ldb, C, ldc, accumulate,
+         parallel);
 }
 
 void gemm_nn_sparse(std::size_t M, std::size_t N, std::size_t K,
@@ -486,22 +632,10 @@ void gemm_nn_sparse(std::size_t M, std::size_t N, std::size_t K,
                     std::size_t ldb, float* C, std::size_t ldc,
                     bool accumulate, bool parallel, const BlockMask& mask) {
   if (M == 0 || N == 0) return;
-  const KernelTable& kern = kernels();
   if constexpr (check::kEnabled) check_mask_extents(mask, K, M);
-  const auto row_consumer = expand_consumers(mask.out_bounds, mask.parts, M);
-  const auto live4 = build_group_live(mask, K);
-  const std::size_t n_groups = groups_of(K);
-  if (parallel && M * N * K >= kParallelMinWork && M > kRowBlock) {
-    util::parallel_for(0, chunks_for(M), [&](std::size_t c) {
-      const std::size_t i0 = c * kRowBlock;
-      kern.nn_sparse(i0, std::min(M, i0 + kRowBlock), N, K, A, lda, B, ldb, C,
-                     ldc, accumulate, row_consumer.data(), live4.data(),
-                     n_groups);
-    });
-    return;
-  }
-  kern.nn_sparse(0, M, N, K, A, lda, B, ldb, C, ldc, accumulate,
-                 row_consumer.data(), live4.data(), n_groups);
+  const SpanTable t = consumer_runs(mask, K);
+  run_mm(kernels().nn, t.view(mask.out_bounds, mask.parts), M, N, K, A, lda,
+         1, B, ldb, C, ldc, accumulate, parallel);
 }
 
 void gemm_nt_sparse(std::size_t M, std::size_t N, std::size_t K,
@@ -509,22 +643,10 @@ void gemm_nt_sparse(std::size_t M, std::size_t N, std::size_t K,
                     std::size_t ldb, float* C, std::size_t ldc,
                     bool accumulate, bool parallel, const BlockMask& mask) {
   if (M == 0 || N == 0) return;
-  const KernelTable& kern = kernels();
   if constexpr (check::kEnabled) check_mask_extents(mask, K, N);
-  const auto col_consumer = expand_consumers(mask.out_bounds, mask.parts, N);
-  const auto live4 = build_group_live(mask, K);
-  const auto runs =
-      build_live_group_runs(live4.data(), mask.parts, groups_of(K));
-  if (parallel && M * N * K >= kParallelMinWork && N > kRowBlock) {
-    util::parallel_for(0, chunks_for(N), [&](std::size_t c) {
-      const std::size_t j0 = c * kRowBlock;
-      kern.nt_sparse(j0, std::min(N, j0 + kRowBlock), M, K, A, lda, B, ldb, C,
-                     ldc, accumulate, col_consumer.data(), runs);
-    });
-    return;
-  }
-  kern.nt_sparse(0, N, M, K, A, lda, B, ldb, C, ldc, accumulate,
-                 col_consumer.data(), runs);
+  const SpanTable t = consumer_runs(mask, K);
+  run_nt(t.view(mask.out_bounds, mask.parts), M, N, K, A, lda, B, ldb, C,
+         ldc, accumulate, parallel);
 }
 
 void gemm_tn_sparse(std::size_t M, std::size_t N, std::size_t K,
@@ -532,20 +654,10 @@ void gemm_tn_sparse(std::size_t M, std::size_t N, std::size_t K,
                     std::size_t ldb, float* C, std::size_t ldc,
                     bool accumulate, bool parallel, const BlockMask& mask) {
   if (M == 0 || N == 0) return;
-  const KernelTable& kern = kernels();
   if constexpr (check::kEnabled) check_mask_extents(mask, N, K);
-  const auto k_consumer = expand_consumers(mask.out_bounds, mask.parts, K);
-  const auto li = build_live_intervals(mask);
-  if (parallel && M * N * K >= kParallelMinWork && M > kRowBlock) {
-    util::parallel_for(0, chunks_for(M), [&](std::size_t c) {
-      const std::size_t i0 = c * kRowBlock;
-      kern.tn_sparse(i0, std::min(M, i0 + kRowBlock), N, K, A, lda, B, ldb, C,
-                     ldc, accumulate, k_consumer.data(), li);
-    });
-    return;
-  }
-  kern.tn_sparse(0, M, N, K, A, lda, B, ldb, C, ldc, accumulate,
-                 k_consumer.data(), li);
+  const SpanTable t = producer_spans(mask);
+  run_mm(kernels().tn, t.view(mask.k_bounds, mask.parts), M, N, K, A, 1,
+         lda, B, ldb, C, ldc, accumulate, parallel);
 }
 
 namespace {

@@ -1,25 +1,26 @@
 #pragma once
-// Cache-blocked GEMM micro-kernels + im2col/im2row packing for the conv
-// and FC fast paths (DESIGN.md "Performance architecture").
+// Register-tiled GEMM kernels + im2col/im2row packing for the conv and FC
+// paths (DESIGN.md "Performance architecture" and §4i). These are the
+// repo's only GEMM kernels.
 //
 // All three variants share the determinism contract the parity and
 // partitioned-inference bit-exactness suites rely on: for every output
 // element C[i][j] the reduction over k runs in ascending k order with a
-// fixed unroll grouping, independent of matrix blocking and of how many
-// threads the pool splits the row range across. Parallelism only ever
-// partitions *rows (or columns) of C*, never the k dimension, so a given
-// (shape, input) pair produces bit-identical output for any thread count.
+// fixed grouping, independent of tiling and of how many threads the pool
+// splits the work across. Parallelism only ever partitions rows and
+// columns of C, never the k dimension, so a given (shape, input) pair
+// produces bit-identical output for any thread count.
 //
 // Leading dimensions are element strides of the row-major operands, as in
 // BLAS. `accumulate == false` overwrites C, `true` adds into it.
 //
-// These are the default kernels (the simd backend in gemm_simd.hpp is
-// opt-in). Their loops are built three times — the portable x86-64
-// baseline, AVX2 and AVX-512F — and each entry point runs the widest clone
-// the host supports, picked once by cpuid (kernel_isa()). The clones
-// compute every output element with the same operations in the same order
-// and gemm.cpp is compiled without FP contraction, so every host produces
-// the portable build's bits (DESIGN.md "Bit-semantics contract").
+// The kernels are built three times — the portable x86-64 baseline, AVX2
+// and AVX-512F, each on its own register width — and each entry point runs
+// the widest clone the host supports, picked once by cpuid (kernel_isa()).
+// The clones compute every output element with the same operations in the
+// same order and gemm.cpp is compiled without FP contraction, so every
+// host produces the portable build's bits (DESIGN.md "Bit-semantics
+// contract").
 
 #include <cstddef>
 #include <cstdint>
@@ -66,13 +67,13 @@ void gemm_nt(std::size_t M, std::size_t N, std::size_t K, const float* A,
 //
 // Bit-exactness contract: the sparse kernels replicate the dense kernels'
 // per-element accumulation structure (ascending k, the same absolute
-// 4-aligned unroll groups) and only skip an unroll group when every k in it
-// lies in panels pruned for that element's consumer. A skipped group's
-// contribution in the dense kernel is a sum of products with exact 0.0f
-// weights, i.e. +/-0.0, and x + (+/-0.0) == x for every finite x — so the
-// sparse and dense paths agree to the last bit, up to the sign of exact
-// zeros (outputs compare equal under ==; see
-// tests/nn/sparse_parity_test.cpp).
+// 4-aligned groups) and only skip a group when every k in it lies in panels
+// pruned for that element's consumer. A skipped group's contribution in
+// the dense kernel is a sum of products with exact 0.0f weights, i.e.
+// +/-0.0, and x + (+/-0.0) == x for every finite x — so the sparse and
+// dense paths agree to the last bit, up to the sign of exact zeros
+// (outputs compare equal under ==; see tests/nn/sparse_parity_test.cpp).
+// B rows no consumer reduces over are never read.
 // ---------------------------------------------------------------------------
 
 /// Block-zero descriptor shared by the sparse kernels. Bounds are cumulative
@@ -137,7 +138,7 @@ void im2col(const PackShape& s, const float* in, float* col);
 
 /// im2col that skips packing input channels whose entire weight-block
 /// column is pruned (`channel_skip[c] != 0`). Skipped channels' col rows
-/// are left untouched *except* the rows a 4-aligned unroll group of
+/// are left untouched *except* the rows a 4-aligned group of
 /// gemm_nn_sparse could still read (group straddling a live/dead boundary,
 /// or the K%4 tail): those are zero-filled so the sparse GEMM never
 /// multiplies garbage. Packing is ~30% of conv forward time, so fully

@@ -3,10 +3,9 @@
 // gemm_nn, add the bias sums, compute dRow with gemm_tn (sparse when armed)
 // and scatter it with row2im_add. The sample-parallel kernel must only
 // change which thread computes an element, never its arithmetic, so
-// grad_in, weight.grad and bias.grad are compared with memcmp — for both
-// GEMM backends and several pool sizes. backward_params(), the first
-// layer's input-gradient-free backward, must leave the same weight and bias
-// gradients. Lives in test_simd so the LS_CONV_IMPL=simd CI leg runs it.
+// grad_in, weight.grad and bias.grad are compared with memcmp at several
+// pool sizes. backward_params(), the first layer's input-gradient-free
+// backward, must leave the same weight and bias gradients.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +18,6 @@
 #include "nn/block_sparsity.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
-#include "nn/gemm_simd.hpp"
 #include "tensor/tensor.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -62,7 +60,7 @@ const std::vector<ExactCase> kCases = {
     {"sparse_convnet_conv2", 32, 16, 16, 16, 32, 3, 1, 1, 1, 4},
 };
 
-Conv2DConfig make_cfg(const ExactCase& c, ConvImpl impl) {
+Conv2DConfig make_cfg(const ExactCase& c) {
   Conv2DConfig cfg;
   cfg.in_channels = c.cin;
   cfg.out_channels = c.cout;
@@ -70,7 +68,6 @@ Conv2DConfig make_cfg(const ExactCase& c, ConvImpl impl) {
   cfg.stride = c.stride;
   cfg.pad = c.pad;
   cfg.groups = c.groups;
-  cfg.impl = impl;
   return cfg;
 }
 
@@ -124,7 +121,7 @@ void im2row(const gemm::PackShape& s, const float* in, float* row) {
 // The serial per-sample backward the sample-parallel kernel replaced.
 Grads serial_reference(const Conv2DConfig& cfg, const Tensor& in,
                        const Tensor& grad_out, const Tensor& weight,
-                       Grads g0, const gemm::BlockMask* mask, bool use_simd) {
+                       Grads g0, const gemm::BlockMask* mask) {
   const std::size_t N = in.shape()[0];
   const std::size_t C = cfg.in_channels, OC = cfg.out_channels;
   const std::size_t H = in.shape()[2], W = in.shape()[3];
@@ -148,13 +145,8 @@ Grads serial_reference(const Conv2DConfig& cfg, const Tensor& in,
       const float* go_g = grad_out.data() + (n * OC + g * cout_g) * ohw;
       float* wg_g = wg_base + g * cout_g * ck2;
       const float* w_g = w_base + g * cout_g * ck2;
-      if (use_simd) {
-        simd::gemm_nn(cout_g, ck2, ohw, go_g, ohw, row.data(), ck2, wg_g, ck2,
-                      true, true);
-      } else {
-        gemm::gemm_nn(cout_g, ck2, ohw, go_g, ohw, row.data(), ck2, wg_g, ck2,
-                      true, true);
-      }
+      gemm::gemm_nn(cout_g, ck2, ohw, go_g, ohw, row.data(), ck2, wg_g, ck2,
+                    true, true);
       if (cfg.bias) {
         for (std::size_t ocg = 0; ocg < cout_g; ++ocg) {
           float acc = 0.0f;
@@ -162,15 +154,9 @@ Grads serial_reference(const Conv2DConfig& cfg, const Tensor& in,
           g0.bias_grad[g * cout_g + ocg] += acc;
         }
       }
-      if (mask != nullptr && use_simd) {
-        simd::gemm_tn_sparse(ohw, ck2, cout_g, go_g, ohw, w_g, ck2,
-                             drow.data(), ck2, false, true, *mask);
-      } else if (mask != nullptr) {
+      if (mask != nullptr) {
         gemm::gemm_tn_sparse(ohw, ck2, cout_g, go_g, ohw, w_g, ck2,
                              drow.data(), ck2, false, true, *mask);
-      } else if (use_simd) {
-        simd::gemm_tn(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow.data(), ck2,
-                      false, true);
       } else {
         gemm::gemm_tn(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow.data(), ck2,
                       false, true);
@@ -187,12 +173,6 @@ bool same_bits(const Tensor& a, const Tensor& b) {
          std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
 }
 
-std::vector<ConvImpl> impls() {
-  std::vector<ConvImpl> v{ConvImpl::kGemm};
-  if (simd::vectorized()) v.push_back(ConvImpl::kSimd);
-  return v;
-}
-
 class ConvBackwardExact : public ::testing::Test {
  protected:
   void TearDown() override { util::ThreadPool::set_num_threads(0); }
@@ -200,64 +180,59 @@ class ConvBackwardExact : public ::testing::Test {
 
 TEST_F(ConvBackwardExact, MatchesSerialSampleLoopBitForBit) {
   for (const ExactCase& c : kCases) {
-    for (const ConvImpl impl : impls()) {
-      const bool use_simd = impl == ConvImpl::kSimd;
-      SCOPED_TRACE(c.name + (use_simd ? " simd" : " gemm"));
-      util::Rng rng_w(99), rng_in(7), rng_go(13), rng_g0(5);
-      Conv2D conv("c", make_cfg(c, impl), rng_w);
-      ASSERT_EQ(conv.resolved_impl(), impl);
-      if (c.sparse_parts > 0) {
-        conv.set_sparsity_partition(c.sparse_parts);
-        kill_blocks(conv.weight(), c);
-      }
-      const Tensor in =
-          Tensor::uniform(Shape{c.N, c.cin, c.H, c.W}, -1.f, 1.f, rng_in);
-      const Shape out_shape = conv.output_shape(in.shape());
-      const Tensor grad_out = Tensor::uniform(out_shape, -1.f, 1.f, rng_go);
-      // Non-zero starting gradients so accumulation is exercised.
-      const Tensor dw0 =
-          Tensor::uniform(conv.weight().value.shape(), -1.f, 1.f, rng_g0);
-      const Tensor db0 =
-          Tensor::uniform(conv.bias().value.shape(), -1.f, 1.f, rng_g0);
+    SCOPED_TRACE(c.name);
+    util::Rng rng_w(99), rng_in(7), rng_go(13), rng_g0(5);
+    Conv2D conv("c", make_cfg(c), rng_w);
+    if (c.sparse_parts > 0) {
+      conv.set_sparsity_partition(c.sparse_parts);
+      kill_blocks(conv.weight(), c);
+    }
+    const Tensor in =
+        Tensor::uniform(Shape{c.N, c.cin, c.H, c.W}, -1.f, 1.f, rng_in);
+    const Shape out_shape = conv.output_shape(in.shape());
+    const Tensor grad_out = Tensor::uniform(out_shape, -1.f, 1.f, rng_go);
+    // Non-zero starting gradients so accumulation is exercised.
+    const Tensor dw0 =
+        Tensor::uniform(conv.weight().value.shape(), -1.f, 1.f, rng_g0);
+    const Tensor db0 =
+        Tensor::uniform(conv.bias().value.shape(), -1.f, 1.f, rng_g0);
 
-      // The reference uses the same dead-block bitmap the layer resolves.
-      gemm::BlockMask mask;
-      std::unique_ptr<BlockSparsity> sparsity;
-      if (c.sparse_parts > 0) {
-        sparsity = std::make_unique<BlockSparsity>(c.sparse_parts, c.cin,
-                                                   c.cout, c.k * c.k);
-        const BlockMap& map = sparsity->map(conv.weight());
-        ASSERT_TRUE(map.engaged());
-        mask = map.mask();
-      }
-      const bool armed = c.sparse_parts > 0;
-      const Grads want = serial_reference(
-          conv.config(), in, grad_out, conv.weight().value,
-          {Tensor(in.shape(), 0.0f), dw0, db0}, armed ? &mask : nullptr,
-          use_simd);
+    // The reference uses the same dead-block bitmap the layer resolves.
+    gemm::BlockMask mask;
+    std::unique_ptr<BlockSparsity> sparsity;
+    if (c.sparse_parts > 0) {
+      sparsity = std::make_unique<BlockSparsity>(c.sparse_parts, c.cin,
+                                                 c.cout, c.k * c.k);
+      const BlockMap& map = sparsity->map(conv.weight());
+      ASSERT_TRUE(map.engaged());
+      mask = map.mask();
+    }
+    const bool armed = c.sparse_parts > 0;
+    const Grads want = serial_reference(
+        conv.config(), in, grad_out, conv.weight().value,
+        {Tensor(in.shape(), 0.0f), dw0, db0}, armed ? &mask : nullptr);
 
-      for (const std::size_t threads : {1u, 3u, 4u}) {
-        SCOPED_TRACE("pool " + std::to_string(threads));
-        util::ThreadPool::set_num_threads(threads);
-        conv.weight().grad = dw0;
-        conv.bias().grad = db0;
-        conv.forward(in, /*training=*/true);
-        const Tensor grad_in = conv.backward(grad_out);
-        EXPECT_TRUE(same_bits(grad_in, want.grad_in)) << "grad_in";
-        EXPECT_TRUE(same_bits(conv.weight().grad, want.weight_grad))
-            << "weight.grad";
-        EXPECT_TRUE(same_bits(conv.bias().grad, want.bias_grad))
-            << "bias.grad";
+    for (const std::size_t threads : {1u, 3u, 4u}) {
+      SCOPED_TRACE("pool " + std::to_string(threads));
+      util::ThreadPool::set_num_threads(threads);
+      conv.weight().grad = dw0;
+      conv.bias().grad = db0;
+      conv.forward(in, /*training=*/true);
+      const Tensor grad_in = conv.backward(grad_out);
+      EXPECT_TRUE(same_bits(grad_in, want.grad_in)) << "grad_in";
+      EXPECT_TRUE(same_bits(conv.weight().grad, want.weight_grad))
+          << "weight.grad";
+      EXPECT_TRUE(same_bits(conv.bias().grad, want.bias_grad))
+          << "bias.grad";
 
-        conv.weight().grad = dw0;
-        conv.bias().grad = db0;
-        conv.forward(in, /*training=*/true);
-        conv.backward_params(grad_out);
-        EXPECT_TRUE(same_bits(conv.weight().grad, want.weight_grad))
-            << "weight.grad without input gradient";
-        EXPECT_TRUE(same_bits(conv.bias().grad, want.bias_grad))
-            << "bias.grad without input gradient";
-      }
+      conv.weight().grad = dw0;
+      conv.bias().grad = db0;
+      conv.forward(in, /*training=*/true);
+      conv.backward_params(grad_out);
+      EXPECT_TRUE(same_bits(conv.weight().grad, want.weight_grad))
+          << "weight.grad without input gradient";
+      EXPECT_TRUE(same_bits(conv.bias().grad, want.bias_grad))
+          << "bias.grad without input gradient";
     }
   }
 }

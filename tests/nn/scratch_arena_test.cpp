@@ -1,5 +1,5 @@
 // Pins the scratch-arena contract: after a warmup call at a given shape,
-// steady-state conv forward/backward and SIMD GEMM calls perform zero
+// steady-state conv forward/backward and packing GEMM calls perform zero
 // scratch reallocations (the grow-only buffers are already large enough),
 // and repeated calls never grow the footprint. A regression here means a
 // kernel went back to per-call allocation churn.
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "nn/conv2d.hpp"
-#include "nn/gemm_simd.hpp"
+#include "nn/gemm.hpp"
 #include "tensor/tensor.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -60,7 +60,6 @@ TEST_F(ScratchArena, ConvSteadyStateDoesNotReallocate) {
   cc.kernel = 3;
   cc.stride = 1;
   cc.pad = 1;
-  cc.impl = ConvImpl::kGemm;
   Conv2D conv("c", cc, rng);
   tensor::Tensor in(tensor::Shape{2, 3, 12, 12});
   util::Rng fill(12);
@@ -84,16 +83,16 @@ TEST_F(ScratchArena, ConvSteadyStateDoesNotReallocate) {
 TEST_F(ScratchArena, SimdGemmSteadyStateDoesNotReallocate) {
   const std::size_t M = 32, N = 50, K = 40;
   std::vector<float> A(M * K, 0.5f), B(N * K, 0.25f), C(M * N);
-  // nt packs strips (nn's full strips stream direct) — warm it, then loop.
-  simd::gemm_nt(M, N, K, A.data(), K, B.data(), K, C.data(), N, false, false);
+  // nt packs its A strips into the scratch slot — warm it, then loop.
+  gemm::gemm_nt(M, N, K, A.data(), K, B.data(), K, C.data(), N, false, false);
   const auto warm = scratch::thread_stats();
   for (int it = 0; it < 5; ++it) {
-    simd::gemm_nt(M, N, K, A.data(), K, B.data(), K, C.data(), N, false,
+    gemm::gemm_nt(M, N, K, A.data(), K, B.data(), K, C.data(), N, false,
                   false);
   }
   const auto after = scratch::thread_stats();
   EXPECT_EQ(warm.reallocs, after.reallocs)
-      << "simd gemm steady state reallocated scratch";
+      << "gemm steady state reallocated scratch";
   EXPECT_EQ(warm.bytes, after.bytes);
 }
 

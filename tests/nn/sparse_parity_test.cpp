@@ -330,7 +330,6 @@ TEST(BlockSparsityCache, RescanOnVersionBump) {
   cfg.in_channels = 8;
   cfg.out_channels = 8;
   cfg.kernel = 3;
-  cfg.impl = ConvImpl::kGemm;
   Conv2D conv("c", cfg, rng);
   conv.set_sparsity_partition(4);
   ASSERT_NE(conv.sparsity(), nullptr);

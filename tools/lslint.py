@@ -68,8 +68,7 @@ RULES = {
 }
 
 # Files whose inner loops are the raw-alloc-in-kernel surface.
-KERNEL_FILES = ("nn/gemm.cpp", "nn/gemm_simd.cpp", "nn/scratch.cpp",
-                "nn/scratch.hpp")
+KERNEL_FILES = ("nn/gemm.cpp", "nn/scratch.cpp", "nn/scratch.hpp")
 
 ALLOC_BAN = re.compile(
     r"\bnew\s|\bmalloc\s*\(|\.push_back\s*\(|\.emplace_back\s*\(|"

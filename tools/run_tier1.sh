@@ -54,77 +54,45 @@ done
 "$build_dir/bench/bench_kernel_micro" --json "$repo_root/BENCH_kernels.json" \
   --sparse-json "$repo_root/BENCH_sparse.json"
 
-# Vectorized-backend hard gate (ISSUE 8): where the AVX2+FMA clones run,
-# the direct single-thread GEMM must beat the default kernels' portable
-# clone (mm_scalar_ms) by >=2x in geomean over the ConvNet/CaffeNet conv
-# shapes, with a 1.6x per-layer floor (per-layer numbers sit near 2x and
-# jitter ~10% on shared runners).
-# The 0%-sparsity simd rows double as the sparse-dispatch overhead probe:
-# arming the mask machinery on dense weights must stay within noise.
+# GEMM clone hard gate: where an AVX2 or AVX-512F clone of the GEMM
+# kernels is dispatched (gemm_isa), the direct single-thread GEMM must beat
+# the portable clone (mm_scalar_ms) by >=1.8x in geomean over the
+# ConvNet/CaffeNet conv shapes. The floor sits ~15% under the lowest
+# geomean measured on a shared 4-vCPU AVX-512 host (AVX-512F 2.69x, AVX2
+# forced in a scratch build 2.14x; see CHANGES.md): a clone that stops
+# vectorizing wider than SSE2 lands near 1.0x and fails.
+# The 0%-sparsity rows of BENCH_sparse.json double as the sparse-dispatch
+# overhead probe: arming the mask machinery on dense weights must stay
+# within noise (speedup >= 0.85).
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$repo_root/BENCH_kernels.json" "$repo_root/BENCH_sparse.json" <<'PYEOF'
 import json, math, sys
+FLOOR = 1.8
 kern = json.load(open(sys.argv[1]))
-if not (kern.get("simd_available") and kern.get("simd_isa") == "avx2+fma"):
-    print("simd gate: skipped (isa=%s)" % kern.get("simd_isa"))
-    sys.exit(0)
 fails = []
-speedups = []
-for c in kern["cases"]:
-    if c["net"] not in ("ConvNet", "CaffeNet"):
-        continue
-    s = c["mm_simd_speedup"]
-    speedups.append(s)
-    if s < 1.6:
-        fails.append("%s.%s mm_simd_speedup %.2f < 1.6" %
-                     (c["net"], c["layer"], s))
-if not speedups:
-    print("simd gate FAILED:\n  no ConvNet/CaffeNet conv shapes in %s"
-          % sys.argv[1], file=sys.stderr)
-    sys.exit(1)
-geomean = math.exp(sum(map(math.log, speedups)) / len(speedups))
-if geomean < 2.0:
-    fails.append("geomean mm_simd_speedup %.2f < 2.0" % geomean)
 for c in json.load(open(sys.argv[2]))["cases"]:
-    if c["impl"] == "simd" and c["sparsity_pct"] == 0 and c["speedup"] < 0.85:
-        fails.append("sparse %s impl=simd 0%% overhead: speedup %.2f < 0.85" %
+    if c["sparsity_pct"] == 0 and c["speedup"] < 0.85:
+        fails.append("sparse %s 0%% overhead: speedup %.2f < 0.85" %
                      (c["kind"], c["speedup"]))
-if fails:
-    print("simd gate FAILED:\n  " + "\n  ".join(fails), file=sys.stderr)
-    sys.exit(1)
-print("simd gate OK: geomean mm speedup %.2fx over %d conv shapes" %
-      (geomean, len(speedups)))
-PYEOF
-fi
-
-# Default-kernel clone hard gate: where an AVX2 or AVX-512F clone of the
-# default kernels is dispatched (gemm_isa), the direct single-thread GEMM
-# must beat the portable clone (mm_scalar_ms) by >=1.2x in geomean over the
-# ConvNet/CaffeNet conv shapes. The floor sits ~15% under the lowest
-# geomean measured on a shared 4-vCPU host (AVX-512F 1.44x, AVX2 1.41x;
-# see CHANGES.md): a clone that stops vectorizing wider than SSE2 lands
-# near 1.0x and fails.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$repo_root/BENCH_kernels.json" <<'PYEOF'
-import json, math, sys
-kern = json.load(open(sys.argv[1]))
 isa = kern.get("gemm_isa")
-if isa not in ("avx512f", "avx2"):
-    print("default-clone gate: skipped (gemm_isa=%s)" % isa)
-    sys.exit(0)
-speedups = [c["mm_default_speedup"] for c in kern["cases"]
-            if c["net"] in ("ConvNet", "CaffeNet")]
-if not speedups:
-    print("default-clone gate FAILED:\n  no ConvNet/CaffeNet conv shapes in %s"
-          % sys.argv[1], file=sys.stderr)
+if isa in ("avx512f", "avx2"):
+    speedups = [c["mm_default_speedup"] for c in kern["cases"]
+                if c["net"] in ("ConvNet", "CaffeNet")]
+    if not speedups:
+        fails.append("no ConvNet/CaffeNet conv shapes in %s" % sys.argv[1])
+    else:
+        geomean = math.exp(sum(map(math.log, speedups)) / len(speedups))
+        if geomean < FLOOR:
+            fails.append("gemm_isa %s geomean mm_default_speedup %.2f < %.2f"
+                         % (isa, geomean, FLOOR))
+        else:
+            print("GEMM clone gate OK: %s clone %.2fx the portable one over "
+                  "%d conv shapes" % (isa, geomean, len(speedups)))
+else:
+    print("GEMM clone gate: skipped (gemm_isa=%s)" % isa)
+if fails:
+    print("GEMM gate FAILED:\n  " + "\n  ".join(fails), file=sys.stderr)
     sys.exit(1)
-geomean = math.exp(sum(map(math.log, speedups)) / len(speedups))
-if geomean < 1.2:
-    print("default-clone gate FAILED:\n  gemm_isa %s geomean "
-          "mm_default_speedup %.2f < 1.2" % (isa, geomean), file=sys.stderr)
-    sys.exit(1)
-print("default-clone gate OK: %s clone %.2fx the portable one over %d conv "
-      "shapes" % (isa, geomean, len(speedups)))
 PYEOF
 fi
 
@@ -335,17 +303,6 @@ for net in convnet alexnet; do
 done
 grep -q '"blame"' "$profile_dir/profile_convnet_16.json"
 grep -q '"model_error"' "$profile_dir/profile_alexnet_64.json"
-
-# The blame decomposition is cycle-domain: wall-clock kernels never feed
-# the cost model, so swapping the GEMM backend must not move a single
-# byte of the profile (the compute tripwire would fire inside otherwise).
-LS_CONV_IMPL=simd "$build_dir/tools/ls_experiment" profile --net convnet \
-  --cores 16 --requests 8 --tune-budget 0 --no-tuned \
-  --out "$profile_dir/profile_convnet_16_simd.json" >/dev/null
-cmp "$profile_dir/profile_convnet_16.json" \
-    "$profile_dir/profile_convnet_16_simd.json" || {
-  echo "profile smoke: simd backend changed the cycle-domain profile" >&2
-  exit 1; }
 
 # Observability smoke: an AlexNet 16-core inference must produce a valid
 # Perfetto trace and metrics dump (validated with python3 when available).
