@@ -21,6 +21,13 @@
 // conv1's input-gradient-free backward (what Network::backward runs on the
 // first layer), and relu1/pool1 forward and backward. Conv rows time the
 // portable clone (`gemm_ms`) and the cpuid-selected clone (`default_ms`).
+//
+// A fourth table (json key "packers", new in schema 4) times the conv
+// packers single-thread, per sample and group, on every ConvNet-expt and
+// CaffeNet-expt conv: im2col (forward), im2row into 16-lane strips (the
+// weight gradient's B operand) and row2im_add (the data-gradient scatter).
+// Each moves the layer's patch x pixels matrix; floats/ns is its size over
+// the time.
 
 #include <algorithm>
 #include <chrono>
@@ -238,12 +245,54 @@ std::vector<TrainBwdResult> run_train_step_kernels() {
   return rs;
 }
 
+struct PackerResult {
+  std::string net, layer, packer;
+  double us = 0.0;
+  double floats = 0.0;  ///< size of the packed matrix
+  double floats_per_ns() const { return floats / us / 1e3; }
+};
+
+std::vector<PackerResult> run_packers() {
+  std::vector<PackerResult> rs;
+  for (const BenchCase& c : conv_cases(
+           {ls::nn::convnet_expt_spec(), ls::nn::caffenet_expt_spec()}, 1)) {
+    ls::nn::gemm::PackShape s;
+    s.channels = c.cfg.in_channels / c.cfg.groups;
+    s.H = c.in_shape[2];
+    s.W = c.in_shape[3];
+    s.K = c.cfg.kernel;
+    s.stride = c.cfg.stride;
+    s.pad = c.cfg.pad;
+    s.OH = (s.H + 2 * s.pad - s.K) / s.stride + 1;
+    s.OW = (s.W + 2 * s.pad - s.K) / s.stride + 1;
+    ls::util::Rng rng(5);
+    const Tensor in =
+        Tensor::uniform(Shape{s.channels, s.H, s.W}, -1.f, 1.f, rng);
+    const ls::nn::gemm::Im2rowCols im2row(s, 0, s.patch());
+    std::vector<float> col(s.patch() * s.cols()), strips(im2row.size());
+    std::vector<float> grad(in.numel());
+    const double floats = static_cast<double>(col.size());
+    const auto add = [&](const char* packer, double ms) {
+      rs.push_back({c.net, c.layer, packer, ms * 1e3, floats});
+    };
+    add("im2col", time_ms([&] {
+          ls::nn::gemm::im2col(s, in.data(), col.data());
+        }));
+    add("im2row", time_ms([&] { im2row.pack(in.data(), strips.data()); }));
+    add("row2im_add", time_ms([&] {
+          ls::nn::gemm::row2im_add(s, col.data(), grad.data());
+        }));
+  }
+  return rs;
+}
+
 void write_json(const std::string& path, const std::vector<BenchResult>& rs,
-                const std::vector<TrainBwdResult>& train_rs) {
+                const std::vector<TrainBwdResult>& train_rs,
+                const std::vector<PackerResult>& packer_rs) {
   ls::util::JsonWriter w;
   w.begin_object();
   w.key("bench").value("kernel_micro");
-  w.key("schema").value(static_cast<std::uint64_t>(3));
+  w.key("schema").value(static_cast<std::uint64_t>(4));
   w.key("threads").value(static_cast<std::uint64_t>(ls::util::num_threads()));
   w.key("gemm_isa").value(ls::nn::gemm::kernel_isa());
   w.key("cases").begin_array();
@@ -278,6 +327,17 @@ void write_json(const std::string& path, const std::vector<BenchResult>& rs,
   }
   w.end_array();
   w.end_object();
+  w.key("packers").begin_array();
+  for (const PackerResult& r : packer_rs) {
+    w.begin_object();
+    w.key("net").value(r.net);
+    w.key("layer").value(r.layer);
+    w.key("packer").value(r.packer);
+    w.key("us").value(r.us);
+    w.key("floats_per_ns").value(r.floats_per_ns());
+    w.end_object();
+  }
+  w.end_array();
   w.end_object();
   w.write_file(path);
 }
@@ -368,7 +428,7 @@ void write_sparse_json(const std::string& path,
   ls::util::JsonWriter w;
   w.begin_object();
   w.key("bench").value("kernel_sparse");
-  w.key("schema").value(static_cast<std::uint64_t>(3));
+  w.key("schema").value(static_cast<std::uint64_t>(4));
   w.key("threads").value(static_cast<std::uint64_t>(ls::util::num_threads()));
   w.key("cases").begin_array();
   for (const SparseBenchResult& r : rs) {
@@ -444,8 +504,21 @@ int main(int argc, char** argv) {
   std::printf("\n");
   train_table.print();
 
+  const std::vector<PackerResult> packer_results = run_packers();
+  ls::util::Table packer_table(
+      "conv packers per sample, single thread (floats/ns: packed matrix "
+      "size over time)");
+  packer_table.set_header({"net", "layer", "packer", "time", "floats/ns"});
+  for (const PackerResult& r : packer_results) {
+    packer_table.add_row({r.net, r.layer, r.packer,
+                          ls::util::fmt_double(r.us, 1) + " us",
+                          ls::util::fmt_double(r.floats_per_ns(), 2)});
+  }
+  std::printf("\n");
+  packer_table.print();
+
   if (!json_path.empty()) {
-    write_json(json_path, results, train_results);
+    write_json(json_path, results, train_results, packer_results);
     std::printf("\nwrote %s\n", json_path.c_str());
   }
 

@@ -22,11 +22,14 @@ namespace {
 // tile repacks its columns of every sample, and the GEMM's per-call
 // overhead shrinks as tiles widen, so tiles stay as large as still leaves
 // kDwMinTiles tasks: rows split only when there are too few strips, and
-// strips spread evenly over the column tiles. Five was at or near the
-// fastest dW on every ConvNet-expt layer on a 4-vCPU host (measured
-// against 4, 6, 8, 9 and 18 tiles). None depends on the thread count.
+// strips spread evenly over the column tiles. With the strip packer,
+// ConvNet-expt's dW-only backward at batch 32 on 4 threads (4-vCPU
+// AVX-512 host, median of 5 runs, ms for conv1 / conv2 / conv3) took
+// 1.47 / 0.80 / 0.69 at 4 tiles, 1.34 / 0.82 / 0.77 at 5, 1.64 / 0.89 /
+// 0.86 at 8 and 1.87 / 1.25 / 0.95 at 12. No count beat five on all
+// three layers, so it stays. None depends on the thread count.
 constexpr std::size_t kDwTileRows = 8;
-constexpr std::size_t kDwStrip = 16;
+constexpr std::size_t kDwStrip = gemm::Im2rowCols::kLanes;
 constexpr std::size_t kDwMinTiles = 5;
 
 // Kernel-span args: {"N":batch} — rendered only when tracing.
@@ -120,6 +123,12 @@ void Conv2D::backward_params(const Tensor& grad_out) {
 // and summing its samples in ascending order — the accumulation order of a
 // serial sample loop, so the result is bit-identical to it for any thread
 // count.
+//
+// Packing share, ConvNet-expt on a 4-vCPU AVX-512 host, single thread per
+// sample against a direct GEMM of the same MACs (DESIGN.md §4i): im2col
+// is 15-22% of pack + GEMM, im2row 12-30% and row2im_add 23-38%. In a
+// gprof profile of the train-sparsify benchmark the three packers take
+// 18% of CPU samples and the GEMM 47%.
 // ---------------------------------------------------------------------------
 
 Tensor Conv2D::forward(const Tensor& in, bool training) {
@@ -263,8 +272,9 @@ Tensor Conv2D::gemm_backward(const Tensor& grad_out, bool input_grad) {
   }
 
   // Phase 2 — weight and bias gradients, one task per dW tile. A tile packs
-  // only its own im2row columns of each sample into this thread's buffer
-  // and runs the same per-sample GEMM on its sub-range, samples ascending.
+  // only its own im2row columns of each sample, in 16-lane strips, into
+  // this thread's buffer and runs the per-sample GEMM on each strip,
+  // samples ascending.
   // Every dW element therefore still reduces over n ascending, then k
   // ascending in the same absolute groups — bit-identical to a serial
   // sample loop. Bias sums ride along in each row range's first tile.
@@ -284,7 +294,7 @@ Tensor Conv2D::gemm_backward(const Tensor& grad_out, bool input_grad) {
     const std::size_t cols =
         std::min(ck2, kDwStrip * (strips * (ct + 1) / col_tiles)) - j0;
     const gemm::Im2rowCols packer(ps, j0, cols);
-    float* row = scratch::buffer(scratch::Slot::kIm2row, ohw * cols);
+    float* im2row = scratch::buffer(scratch::Slot::kIm2row, packer.size());
     // The tile accumulates in this thread's staging buffer: neighbouring
     // tiles share cache lines of dW, which the GEMM rewrites once per
     // sample. Copying in and out moves the same bits.
@@ -294,11 +304,16 @@ Tensor Conv2D::gemm_backward(const Tensor& grad_out, bool input_grad) {
       std::memcpy(acc + r * cols, wg + r * ck2, cols * sizeof(float));
     }
     for (std::size_t n = 0; n < N; ++n) {
-      packer.pack(in_base + (n * C + g * cin_g) * H * W, row);
+      packer.pack(in_base + (n * C + g * cin_g) * H * W, im2row);
       const float* go = go_base + (n * OC + i0) * ohw;
-      // acc += dOut_tile (rows x ohw) * row (ohw x cols)
-      gemm::gemm_nn(rows, cols, ohw, go, ohw, row, cols, acc, cols,
-                    /*accumulate=*/true, /*parallel=*/false);
+      // acc += dOut_tile (rows x ohw) * im2row (ohw x cols), one strip at a
+      // time: a full strip is read in place.
+      for (std::size_t s = 0; s < packer.strips(); ++s) {
+        gemm::gemm_nn(rows, std::min(kDwStrip, cols - s * kDwStrip), ohw, go,
+                      ohw, im2row + s * ohw * kDwStrip, kDwStrip,
+                      acc + s * kDwStrip, cols, /*accumulate=*/true,
+                      /*parallel=*/false);
+      }
       if (cfg_.bias && ct == 0) {
         for (std::size_t r = 0; r < rows; ++r) {
           float sum = 0.0f;

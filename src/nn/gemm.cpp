@@ -662,33 +662,71 @@ void gemm_tn_sparse(std::size_t M, std::size_t N, std::size_t K,
 
 namespace {
 
+// Floats a packer may read past the last tap of a padded image.
+constexpr std::size_t kSlack = 8;
+
+// The first `channels` planes of `in`, zero-padded by s.pad on every side
+// and followed by kSlack zeros, in this thread's kPadded scratch.
+const float* padded(const PackShape& s, const float* in,
+                    std::size_t channels) {
+  const std::size_t Wp = s.W + 2 * s.pad;
+  float* out = scratch::buffer(scratch::Slot::kPadded,
+                               channels * (s.H + 2 * s.pad) * Wp + kSlack);
+  float* p = out;
+  for (std::size_t c = 0; c < channels; ++c) {
+    p = std::fill_n(p, s.pad * Wp, 0.0f);
+    for (std::size_t h = 0; h < s.H; ++h) {
+      p = std::fill_n(p, s.pad, 0.0f);
+      p = std::copy_n(in + (c * s.H + h) * s.W, s.W, p);
+      p = std::fill_n(p, s.pad, 0.0f);
+    }
+    p = std::fill_n(p, s.pad * Wp, 0.0f);
+  }
+  std::fill_n(p, kSlack, 0.0f);
+  return out;
+}
+
+// Each col row (c, kh, kw) is, per output row oh, every stride-th float of
+// a run of the padded channel. Stride-1 runs move in whole 8-float chunks
+// while the overhang lands in the plane's later rows, which are written
+// after it; the last rows copy their tails one float at a time.
 void pack_channel(const PackShape& s, const float* in_c, float* col,
                   std::size_t c) {
-  const std::size_t cols = s.cols();
+  const std::size_t Wp = s.W + 2 * s.pad;
+  const float* image = padded(s, in_c, 1);
   for (std::size_t kh = 0; kh < s.K; ++kh) {
     for (std::size_t kw = 0; kw < s.K; ++kw) {
-      float* dst = col + ((c * s.K + kh) * s.K + kw) * cols;
+      float* dst = col + ((c * s.K + kh) * s.K + kw) * s.cols();
       for (std::size_t oh = 0; oh < s.OH; ++oh) {
-        const std::ptrdiff_t ih =
-            static_cast<std::ptrdiff_t>(oh * s.stride + kh) -
-            static_cast<std::ptrdiff_t>(s.pad);
-        float* dst_row = dst + oh * s.OW;
-        if (ih < 0 || ih >= static_cast<std::ptrdiff_t>(s.H)) {
-          std::memset(dst_row, 0, s.OW * sizeof(float));
-          continue;
+        const float* src = image + (oh * s.stride + kh) * Wp + kw;
+        float* d = dst + oh * s.OW;
+        std::size_t ow = 0;
+        if (s.stride == 1) {
+          const bool room = (s.OH - oh) * s.OW >= (s.OW + 7) / 8 * 8;
+          const std::size_t chunks = room ? s.OW : s.OW / 8 * 8;
+          for (; ow < chunks; ow += 8) {
+            std::memcpy(d + ow, src + ow, 8 * sizeof(float));
+          }
         }
-        const float* in_row = in_c + static_cast<std::size_t>(ih) * s.W;
-        for (std::size_t ow = 0; ow < s.OW; ++ow) {
-          const std::ptrdiff_t iw =
-              static_cast<std::ptrdiff_t>(ow * s.stride + kw) -
-              static_cast<std::ptrdiff_t>(s.pad);
-          dst_row[ow] = (iw < 0 || iw >= static_cast<std::ptrdiff_t>(s.W))
-                            ? 0.0f
-                            : in_row[static_cast<std::size_t>(iw)];
-        }
+        for (; ow < s.OW; ++ow) d[ow] = src[ow * s.stride];
       }
     }
   }
+}
+
+// The output positions o in [0, n) whose input coordinate o * stride + k -
+// pad lies inside [0, extent), as [lo, hi): k is a tap's kh (over OH rows)
+// or kw (over OW columns).
+struct Inside {
+  std::size_t lo, hi;
+};
+
+Inside inside(std::size_t k, std::size_t pad, std::size_t stride,
+              std::size_t extent, std::size_t n) {
+  if (extent + pad <= k) return {0, 0};
+  const std::size_t lo =
+      std::min(n, k >= pad ? 0 : (pad - k + stride - 1) / stride);
+  return {lo, std::clamp((extent - 1 + pad - k) / stride + 1, lo, n)};
 }
 
 }  // namespace
@@ -730,68 +768,65 @@ void im2col_masked(const PackShape& s, const float* in, float* col,
   }
 }
 
+// Lanes are grouped into pieces of at most kPiece columns whose offsets
+// into the zero-padded image are consecutive, so a piece is one fixed-size
+// copy per pixel (a (c, kh) run of kw taps, cut at strip and kPiece ends).
 Im2rowCols::Im2rowCols(const PackShape& s, std::size_t j0, std::size_t n)
-    : s_(s), off_(n), kh_(n), kw_(n) {
+    : s_(s) {
   const std::size_t k2 = s.K * s.K;
+  const std::size_t Hp = s.H + 2 * s.pad, Wp = s.W + 2 * s.pad;
   for (std::size_t t = 0; t < n; ++t) {
-    const std::size_t j = j0 + t;
-    kh_[t] = static_cast<std::uint32_t>(j % k2 / s.K);
-    kw_[t] = static_cast<std::uint32_t>(j % s.K);
-    off_[t] = static_cast<std::ptrdiff_t>(j / k2 * s.H * s.W +
-                                          kh_[t] * s.W + kw_[t]);
+    const std::size_t j = j0 + t, lane = t % kLanes;
+    const std::size_t off = (j / k2 * Hp + j % k2 / s.K) * Wp + j % s.K;
+    if (lane == 0) first_.push_back(pieces_.size());
+    const bool extends = lane != 0 && lane - pieces_.back().lane < kPiece &&
+                         off == pieces_.back().off + lane - pieces_.back().lane;
+    if (!extends) pieces_.push_back({lane, off});
   }
+  first_.push_back(pieces_.size());
 }
 
-void Im2rowCols::pack(const float* in, float* row) const {
-  const std::size_t n = off_.size();
-  const std::ptrdiff_t H = static_cast<std::ptrdiff_t>(s_.H);
-  const std::ptrdiff_t W = static_cast<std::ptrdiff_t>(s_.W);
-  const std::ptrdiff_t K = static_cast<std::ptrdiff_t>(s_.K);
-  const std::ptrdiff_t* off = off_.data();
-  for (std::size_t oh = 0; oh < s_.OH; ++oh) {
-    const std::ptrdiff_t ih0 = static_cast<std::ptrdiff_t>(oh * s_.stride) -
-                               static_cast<std::ptrdiff_t>(s_.pad);
-    const bool rows_inside = ih0 >= 0 && ih0 + K <= H;
-    for (std::size_t ow = 0; ow < s_.OW; ++ow) {
-      const std::ptrdiff_t iw0 = static_cast<std::ptrdiff_t>(ow * s_.stride) -
-                                 static_cast<std::ptrdiff_t>(s_.pad);
-      float* dst = row + (oh * s_.OW + ow) * n;
-      const std::ptrdiff_t base = ih0 * W + iw0;
-      if (rows_inside && iw0 >= 0 && iw0 + K <= W) {
-        // Every tap of this window is inside the image.
-        const float* src = in + base;
-        for (std::size_t t = 0; t < n; ++t) dst[t] = src[off[t]];
-        continue;
-      }
-      for (std::size_t t = 0; t < n; ++t) {
-        const std::ptrdiff_t ih = ih0 + kh_[t], iw = iw0 + kw_[t];
-        dst[t] = (ih < 0 || ih >= H || iw < 0 || iw >= W) ? 0.0f
-                                                          : in[base + off[t]];
+void Im2rowCols::pack(const float* in, float* out) const {
+  static_assert(kPiece <= kSlack + 1);
+  const std::size_t Wp = s_.W + 2 * s_.pad;
+  const float* image = padded(s_, in, s_.channels);
+  // Pixels ascend and each row's pieces ascend, so what a piece writes past
+  // its own lanes is rewritten by the next piece or the next pixel's row;
+  // only lanes past n and size()'s slack keep it.
+  float* dst = out;
+  for (std::size_t st = 0; st + 1 < first_.size(); ++st) {
+    for (std::size_t oh = 0; oh < s_.OH; ++oh) {
+      for (std::size_t ow = 0; ow < s_.OW; ++ow, dst += kLanes) {
+        const float* src = image + (oh * Wp + ow) * s_.stride;
+        for (std::size_t q = first_[st]; q < first_[st + 1]; ++q) {
+          std::memcpy(dst + pieces_[q].lane, src + pieces_[q].off,
+                      kPiece * sizeof(float));
+        }
       }
     }
   }
 }
 
+// Loops (c, kh descending, oh, kw descending, ow): one input cell's terms
+// come from distinct output pixels, and in ascending (oh, ow) order they
+// are its terms in descending (kh, kw) order, so each cell sums in the
+// order of a loop over output pixels.
 void row2im_add(const PackShape& s, const float* row, float* in_grad) {
   const std::size_t patch = s.patch();
-  for (std::size_t oh = 0; oh < s.OH; ++oh) {
-    for (std::size_t ow = 0; ow < s.OW; ++ow) {
-      const float* src = row + (oh * s.OW + ow) * patch;
-      for (std::size_t c = 0; c < s.channels; ++c) {
-        float* in_c = in_grad + c * s.H * s.W;
-        for (std::size_t kh = 0; kh < s.K; ++kh) {
-          const std::ptrdiff_t ih =
-              static_cast<std::ptrdiff_t>(oh * s.stride + kh) -
-              static_cast<std::ptrdiff_t>(s.pad);
-          if (ih < 0 || ih >= static_cast<std::ptrdiff_t>(s.H)) continue;
-          const float* sr = src + (c * s.K + kh) * s.K;
-          float* in_row = in_c + static_cast<std::size_t>(ih) * s.W;
-          for (std::size_t kw = 0; kw < s.K; ++kw) {
-            const std::ptrdiff_t iw =
-                static_cast<std::ptrdiff_t>(ow * s.stride + kw) -
-                static_cast<std::ptrdiff_t>(s.pad);
-            if (iw < 0 || iw >= static_cast<std::ptrdiff_t>(s.W)) continue;
-            in_row[static_cast<std::size_t>(iw)] += sr[kw];
+  for (std::size_t c = 0; c < s.channels; ++c) {
+    float* in_c = in_grad + c * s.H * s.W;
+    for (std::size_t kh = s.K; kh-- > 0;) {
+      const Inside rows = inside(kh, s.pad, s.stride, s.H, s.OH);
+      for (std::size_t oh = rows.lo; oh < rows.hi; ++oh) {
+        float* in_row = in_c + (oh * s.stride + kh - s.pad) * s.W;
+        const float* src = row + oh * s.OW * patch + (c * s.K + kh) * s.K;
+        for (std::size_t kw = s.K; kw-- > 0;) {
+          const Inside run = inside(kw, s.pad, s.stride, s.W, s.OW);
+          if (run.lo == run.hi) continue;
+          float* d = in_row + run.lo * s.stride + kw - s.pad;
+          const float* sp = src + run.lo * patch + kw;
+          for (std::size_t i = 0; i < run.hi - run.lo; ++i) {
+            d[i * s.stride] += sp[i * patch];
           }
         }
       }

@@ -141,26 +141,40 @@ void im2col(const PackShape& s, const float* in, float* col);
 /// are left untouched *except* the rows a 4-aligned group of
 /// gemm_nn_sparse could still read (group straddling a live/dead boundary,
 /// or the K%4 tail): those are zero-filled so the sparse GEMM never
-/// multiplies garbage. Packing is ~30% of conv forward time, so fully
-/// pruned columns skip that share too.
+/// multiplies garbage. On ConvNet-expt's convs im2col is 15-22% of
+/// im2col plus the forward GEMM (single thread, 4-vCPU AVX-512 host), so
+/// fully pruned columns skip that share too.
 void im2col_masked(const PackShape& s, const float* in, float* col,
                    const std::uint8_t* channel_skip);
 
-/// Transposed packing of a column range: the im2row matrix is
-/// (cols() x patch()), im2row[oh*OW+ow][(c*K+kh)*K+kw], zero in padding.
-/// Packs its columns [j0, j0 + n) into `row` (cols() x n, leading
-/// dimension n), one pixel's n values contiguous. The (c, kh, kw) offset
-/// table is built once per range; pack() then runs once per sample. Used
-/// by the conv weight gradient, where each dW tile packs only its columns.
+/// Transposed packing of a column range into the GEMM's 16-lane strips.
+/// The im2row matrix is (cols() x patch()), im2row[oh*OW+ow][(c*K+kh)*K+kw],
+/// zero in padding. pack() writes its columns [j0, j0 + n) as strips():
+/// strip i holds columns j0 + 16i .. j0 + 16i + 15 as a cols() x 16 block
+/// (row stride 16, one pixel per row) at out + i * cols() * 16, so a
+/// full strip is a B operand gemm_nn reads in place. pack() may write up
+/// to size() floats; lanes past column j0 + n are unspecified. The
+/// per-column offsets are built once per range; pack() then runs once per
+/// sample. Used by the conv weight gradient, where each dW tile packs only
+/// its columns.
 class Im2rowCols {
  public:
+  static constexpr std::size_t kLanes = 16;
+
   Im2rowCols(const PackShape& s, std::size_t j0, std::size_t n);
-  void pack(const float* in, float* row) const;
+  std::size_t strips() const { return first_.size() - 1; }
+  std::size_t size() const { return strips() * s_.cols() * kLanes + kPiece; }
+  void pack(const float* in, float* out) const;
 
  private:
+  static constexpr std::size_t kPiece = 4;  ///< floats per copy
+  struct Piece {
+    std::size_t lane;  ///< first lane in the strip
+    std::size_t off;   ///< its first tap's offset in the padded sample
+  };
   PackShape s_;
-  std::vector<std::ptrdiff_t> off_;  ///< c*H*W + kh*W + kw per column
-  std::vector<std::uint32_t> kh_, kw_;
+  std::vector<Piece> pieces_;      ///< per strip, ascending lanes
+  std::vector<std::size_t> first_;  ///< strips() + 1 indices into pieces_
 };
 
 /// Scatter-adds `row` (the full im2row layout, cols() x patch()) into

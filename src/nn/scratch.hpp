@@ -30,6 +30,7 @@ enum class Slot : std::size_t {
   kIm2row,       ///< conv backward: one dW tile's im2row columns (worker)
   kBwdDrow,      ///< conv backward dRow, then dW tile staging
   kPackB,        ///< SIMD GEMM packed B panels (caller, read by workers)
+  kPadded,       ///< conv packers: the zero-padded input they read
   kSlotCount,
 };
 

@@ -100,7 +100,6 @@ TrainReport train_classifier(nn::Network& net, const data::Dataset& train_set,
   if (reg != nullptr) {
     report.dead_blocks_killed = reg->enforce_dead_blocks();
   }
-  report.train_accuracy = evaluate(net, train_set);
   report.test_accuracy = evaluate(net, test_set);
   report.weight_sparsity = net.sparsity();
   return report;

@@ -26,7 +26,6 @@ struct TrainConfig {
 struct TrainReport {
   std::vector<double> epoch_loss;
   std::vector<double> epoch_penalty;  ///< group-Lasso penalty trajectory
-  double train_accuracy = 0.0;
   double test_accuracy = 0.0;
   double weight_sparsity = 0.0;       ///< exact-zero fraction after training
   std::size_t dead_blocks_killed = 0;

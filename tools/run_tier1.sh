@@ -42,12 +42,11 @@ if [ "$sanitized" -eq 1 ]; then
   exit 0
 fi
 
-# Snapshot the committed bench results before the benches overwrite them:
-# they are this run's regression baseline for the bench_diff soft gate.
+# Snapshot the model-cycle bench results before the benches overwrite
+# them: the tune and multichip hard gates below cmp against them.
 baseline_dir="$build_dir/bench_baseline"
 mkdir -p "$baseline_dir"
-for f in BENCH_kernels.json BENCH_stream.json BENCH_tune.json \
-         BENCH_multichip.json; do
+for f in BENCH_tune.json BENCH_multichip.json; do
   [ -s "$repo_root/$f" ] && cp "$repo_root/$f" "$baseline_dir/$f"
 done
 
@@ -270,15 +269,24 @@ for bad in "placement 16 1" "layer_dims 16 1" "stage_end 32 2" \
   fi
 done
 
-# Bench regression soft gate: diff the fresh dumps against the committed
-# baselines snapshotted above. Timing-sensitive metrics (wall-clock ms)
-# vary across runners, so a regression here warns loudly but does not
+# Bench regression soft gate: diff the fresh dumps against the versions
+# committed at HEAD (git show HEAD:<file>). A file git does not track has
+# no committed baseline (a copy an earlier local run left behind is not
+# one), so it is skipped with a note. Timing-sensitive metrics (wall-clock
+# ms) vary across runners, so a regression here warns loudly but does not
 # fail tier-1 — the hard gates above (speedup > 1, structure greps) still
 # do. Structure mismatches (renamed/missing metrics) also surface here.
+committed_dir="$build_dir/bench_committed"
+mkdir -p "$committed_dir"
 for f in BENCH_kernels.json BENCH_stream.json BENCH_tune.json \
          BENCH_multichip.json; do
-  [ -s "$baseline_dir/$f" ] || continue
-  if ! "$build_dir/tools/bench_diff" "$baseline_dir/$f" "$repo_root/$f" \
+  if ! git -C "$repo_root" ls-files --error-unmatch "$f" >/dev/null 2>&1 ||
+     ! git -C "$repo_root" show "HEAD:$f" >"$committed_dir/$f" 2>/dev/null
+  then
+    echo "bench_diff: $f has no committed version at HEAD; skipped"
+    continue
+  fi
+  if ! "$build_dir/tools/bench_diff" "$committed_dir/$f" "$repo_root/$f" \
       --threshold 0.25; then
     echo "bench_diff: WARNING — $f drifted beyond threshold vs committed baseline" >&2
   fi
