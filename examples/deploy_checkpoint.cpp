@@ -3,7 +3,8 @@
 // fresh network, quantize to the accelerator's 16-bit fixed point, and
 // execute it *functionally partitioned* across the 16 cores, verifying
 // that accuracy survives and that the exchanges on the (simulated) NoC
-// match what the traffic model promised.
+// match what the traffic model promised (exit 1 if they do not). The
+// checkpoint is written to the working directory.
 
 #include <cstdio>
 
@@ -20,7 +21,7 @@ int main() {
   const std::size_t cores = 16;
   const nn::NetSpec spec = nn::mlp_expt_spec();
   const noc::MeshTopology topo = noc::MeshTopology::for_cores(cores);
-  const std::string ckpt = "/tmp/learn_to_scale_mlp.lsnn";
+  const std::string ckpt = "learn_to_scale_mlp.lsnn";
 
   // --- Training side ------------------------------------------------------
   const data::Dataset train_set = sim::dataset_for(spec, 768, 1);
@@ -69,6 +70,11 @@ int main() {
   for (const auto& e : exec.exchanges()) {
     std::printf("  into %-6s %6zu B in %zu transfers\n",
                 e.layer_name.c_str(), e.bytes, e.transfers);
+  }
+  if (exec.total_bytes() != model.total_bytes()) {
+    std::fprintf(stderr, "exchanged %zu B, but the traffic model says %zu B\n",
+                 exec.total_bytes(), model.total_bytes());
+    return 1;
   }
   return 0;
 }

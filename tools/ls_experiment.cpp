@@ -2,11 +2,6 @@
 // pipelines with every knob on the command line, for exploration beyond
 // the fixed bench configurations.
 //
-//   ls_experiment sparsified --net lenet --cores 16 --lambda 0.5
-//       --epochs 4 --samples 768 --seed 42 [--exponent 1.0] [--block]
-//   ls_experiment structure --c1 32 --c2 64 --c3 128 --groups 16 --cores 16
-//   ls_experiment traffic --net alexnet --cores 16
-//   ls_experiment pipeline --net alexnet --cores 16
 //   ls_experiment infer --net alexnet --cores 16 [--overlap] [--no-cache]
 //       [--schedule-dump plan.json]
 //   ls_experiment stream --net convnet --cores 16 --requests 8
@@ -44,7 +39,6 @@
 #include "core/traffic.hpp"
 #include "nn/layer_spec.hpp"
 #include "nn/model_zoo.hpp"
-#include "noc/topology.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "prof/attribution.hpp"
@@ -53,8 +47,6 @@
 #include "sched/cost_model.hpp"
 #include "sched/schedule.hpp"
 #include "sched/verify.hpp"
-#include "sim/experiment.hpp"
-#include "sim/pipeline_model.hpp"
 #include "sim/system.hpp"
 #include "tune/schedule_cache.hpp"
 #include "tune/tuner.hpp"
@@ -92,15 +84,6 @@ Args parse(int argc, char** argv, int first) {
   return args;
 }
 
-nn::NetSpec expt_net(const std::string& name) {
-  if (name == "mlp") return nn::mlp_expt_spec();
-  if (name == "lenet") return nn::lenet_expt_spec();
-  if (name == "convnet") return nn::convnet_expt_spec();
-  if (name == "caffenet") return nn::caffenet_expt_spec();
-  throw std::invalid_argument("unknown experiment net: " + name +
-                              " (mlp|lenet|convnet|caffenet)");
-}
-
 nn::NetSpec analytic_net(const std::string& name) {
   if (name == "mlp") return nn::mlp_spec();
   if (name == "lenet") return nn::lenet_spec();
@@ -109,116 +92,6 @@ nn::NetSpec analytic_net(const std::string& name) {
   if (name == "vgg19") return nn::vgg19_spec();
   throw std::invalid_argument("unknown analytic net: " + name +
                               " (mlp|lenet|convnet|alexnet|vgg19)");
-}
-
-int cmd_sparsified(const Args& args) {
-  const nn::NetSpec spec = expt_net(args.str("net", "mlp"));
-  sim::ExperimentConfig cfg;
-  cfg.cores = static_cast<std::size_t>(args.num("cores", 16));
-  cfg.train.epochs = static_cast<std::size_t>(args.num("epochs", 4));
-  cfg.lambda_ss = args.num("lambda", 0.5);
-  cfg.lambda_mask = args.num("lambda", 0.5);
-  cfg.mask_exponent = args.num("exponent", 1.0);
-  cfg.granularity = args.flag("block") ? core::Granularity::kBlock
-                                       : core::Granularity::kFeatureMap;
-  cfg.seed = static_cast<std::uint64_t>(args.num("seed", 42));
-  cfg.verbose = args.flag("verbose");
-  const auto samples = static_cast<std::size_t>(args.num("samples", 768));
-
-  const auto train_set = sim::dataset_for(spec, samples, 1);
-  const auto test_set = sim::dataset_for(spec, samples / 3, 2);
-  const auto outcomes =
-      sim::run_sparsified_experiment(spec, train_set, test_set, cfg);
-
-  util::Table t(spec.name + " on " + std::to_string(cfg.cores) + " cores");
-  t.set_header({"scheme", "accuracy", "traffic", "speedup", "energy-red",
-                "avg-hops", "dead-blocks"});
-  for (const auto& o : outcomes) {
-    t.add_row({o.scheme, util::fmt_percent(o.accuracy, 1),
-               util::fmt_percent(o.traffic_rate), util::fmt_speedup(o.speedup),
-               util::fmt_percent(o.comm_energy_reduction),
-               util::fmt_double(o.mean_traffic_hops, 2),
-               util::fmt_percent(o.dead_block_fraction)});
-  }
-  t.print();
-  return 0;
-}
-
-int cmd_structure(const Args& args) {
-  const auto c1 = static_cast<std::size_t>(args.num("c1", 32));
-  const auto c2 = static_cast<std::size_t>(args.num("c2", 64));
-  const auto c3 = static_cast<std::size_t>(args.num("c3", 128));
-  const auto groups = static_cast<std::size_t>(args.num("groups", 16));
-  sim::ExperimentConfig cfg;
-  cfg.cores = static_cast<std::size_t>(args.num("cores", 16));
-  cfg.train.epochs = static_cast<std::size_t>(args.num("epochs", 3));
-  cfg.seed = static_cast<std::uint64_t>(args.num("seed", 42));
-
-  const nn::NetSpec dense = nn::convnet_variant_expt_spec(c1, c2, c3, 1);
-  const nn::NetSpec grouped =
-      nn::convnet_variant_expt_spec(c1, c2, c3, groups);
-  const auto samples = static_cast<std::size_t>(args.num("samples", 768));
-  const auto train_set = sim::dataset_for(dense, samples, 1);
-  const auto test_set = sim::dataset_for(dense, samples / 3, 2);
-
-  const auto base = sim::run_structure_level_variant(dense, train_set,
-                                                     test_set, cfg, nullptr);
-  const auto var = sim::run_structure_level_variant(grouped, train_set,
-                                                    test_set, cfg, &base);
-  util::Table t("structure-level: " + grouped.name);
-  t.set_header({"variant", "accuracy", "speedup", "energy-red"});
-  t.add_row({"n=1", util::fmt_double(base.accuracy, 3), "1x", "0%"});
-  t.add_row({"n=" + std::to_string(groups), util::fmt_double(var.accuracy, 3),
-             util::fmt_speedup(var.speedup, 1),
-             util::fmt_percent(var.comm_energy_reduction)});
-  t.print();
-  return 0;
-}
-
-int cmd_traffic(const Args& args) {
-  const nn::NetSpec spec = analytic_net(args.str("net", "alexnet"));
-  const auto cores = static_cast<std::size_t>(args.num("cores", 16));
-  const noc::MeshTopology topo = noc::MeshTopology::for_cores(cores);
-  const auto traffic = core::traffic_dense(spec, topo, 2);
-  util::Table t(spec.name + " dense traffic, " + std::to_string(cores) +
-                " cores (16-bit values)");
-  t.set_header({"transition into", "bytes", "byte-hops", "messages"});
-  for (const auto& tr : traffic.transitions) {
-    t.add_row({tr.layer_name, util::fmt_bytes(double(tr.total_bytes)),
-               util::fmt_bytes(double(tr.total_byte_hops)),
-               std::to_string(tr.messages.size())});
-  }
-  t.print();
-  std::printf("total: %s\n",
-              util::fmt_bytes(double(traffic.total_bytes())).c_str());
-  return 0;
-}
-
-int cmd_pipeline(const Args& args) {
-  const nn::NetSpec spec = analytic_net(args.str("net", "alexnet"));
-  sim::SystemConfig cfg;
-  cfg.cores = static_cast<std::size_t>(args.num("cores", 16));
-  const auto r = sim::run_pipeline(spec, cfg);
-  util::Table t(spec.name + " pipeline on " + std::to_string(cfg.cores) +
-                " cores");
-  t.set_header({"stage", "layers", "compute-cyc", "transfer-cyc"});
-  // Stage s covers compute layers [begin, end).
-  std::size_t begin = 0;
-  for (std::size_t s = 0; s < r.stage_compute_cycles.size(); ++s) {
-    std::size_t end = begin;
-    while (end < r.stages.size() && r.stages[end] == s) ++end;
-    t.add_row({std::to_string(s),
-               std::to_string(begin) + ".." + std::to_string(end),
-               std::to_string(r.stage_compute_cycles[s]),
-               std::to_string(r.stage_transfer_cycles[s])});
-    begin = end;
-  }
-  t.print();
-  std::printf("single-pass %llu cyc, interval %llu cyc, imbalance %.2f\n",
-              static_cast<unsigned long long>(r.single_pass_cycles),
-              static_cast<unsigned long long>(r.initiation_interval),
-              r.load_imbalance);
-  return 0;
 }
 
 /// Applies the shared --cores / --chips / --no-cache knobs. CmpSystem's
@@ -668,12 +541,6 @@ int cmd_profile(const Args& args) {
 void usage() {
   std::puts(
       "usage: ls_experiment <command> [--key value ...]\n"
-      "  sparsified --net mlp|lenet|convnet|caffenet --cores N --lambda X\n"
-      "             [--epochs N] [--samples N] [--seed N] [--exponent X]\n"
-      "             [--block] [--verbose]\n"
-      "  structure  --c1 N --c2 N --c3 N --groups N --cores N\n"
-      "  traffic    --net mlp|lenet|convnet|alexnet|vgg19 --cores N\n"
-      "  pipeline   --net mlp|lenet|convnet|alexnet|vgg19 --cores N\n"
       "  infer      --net mlp|lenet|convnet|alexnet|vgg19 --cores N\n"
       "             [--chips C] [--overlap] [--no-cache]\n"
       "             [--schedule-dump out.json]\n"
@@ -717,15 +584,7 @@ int main(int argc, char** argv) {
   }
   int rc = 2;
   try {
-    if (cmd == "sparsified") {
-      rc = cmd_sparsified(args);
-    } else if (cmd == "structure") {
-      rc = cmd_structure(args);
-    } else if (cmd == "traffic") {
-      rc = cmd_traffic(args);
-    } else if (cmd == "pipeline") {
-      rc = cmd_pipeline(args);
-    } else if (cmd == "infer") {
+    if (cmd == "infer") {
       rc = cmd_infer(args);
     } else if (cmd == "stream") {
       rc = cmd_stream(args);

@@ -42,14 +42,6 @@ if [ "$sanitized" -eq 1 ]; then
   exit 0
 fi
 
-# Snapshot the model-cycle bench results before the benches overwrite
-# them: the tune and multichip hard gates below cmp against them.
-baseline_dir="$build_dir/bench_baseline"
-mkdir -p "$baseline_dir"
-for f in BENCH_tune.json BENCH_multichip.json; do
-  [ -s "$repo_root/$f" ] && cp "$repo_root/$f" "$baseline_dir/$f"
-done
-
 "$build_dir/bench/bench_kernel_micro" --json "$repo_root/BENCH_kernels.json" \
   --sparse-json "$repo_root/BENCH_sparse.json"
 
@@ -95,15 +87,69 @@ if fails:
 PYEOF
 fi
 
-# Streaming engine bench (model cycles, deterministic): BENCH_stream.json
-# must show the software pipeline beating back-to-back execution on the
-# headline 16-core ConvNet config.
-"$build_dir/bench/bench_stream_throughput" --requests 16 \
-  --json "$repo_root/BENCH_stream.json"
-[ -s "$repo_root/BENCH_stream.json" ] || {
-  echo "stream bench: missing BENCH_stream.json" >&2; exit 1; }
-grep -q '"stream_throughput"' "$repo_root/BENCH_stream.json"
-grep -q '"speedup_vs_back_to_back"' "$repo_root/BENCH_stream.json"
+# Cycle-domain bench dumps: model cycles only (seeded lowering, search and
+# flit-level simulation, no wall clock), byte-identical at any thread count.
+# Each is committed. A fresh run goes to the build tree and must equal the
+# committed copy byte for byte (cmp also fails on a missing or truncated
+# dump). A change that means to move one re-baselines the committed file
+# with the fresh dump and says so in CHANGES.md.
+fresh_dir="$build_dir/bench_fresh"
+mkdir -p "$fresh_dir"
+for bench in "tune bench_tune --budget 2000" \
+             "multichip bench_multichip --requests 32" \
+             "stream bench_stream_throughput --requests 16"; do
+  read -r name exe flags <<< "$bench"
+  f="BENCH_$name.json"
+  # $flags is unquoted on purpose: it holds the bench's flag words.
+  "$build_dir/bench/$exe" $flags --json "$fresh_dir/$f"
+  cmp "$repo_root/$f" "$fresh_dir/$f" || {
+    echo "$name bench: $fresh_dir/$f differs from the committed $f" >&2
+    exit 1; }
+done
+
+# The claims those dumps carry, read from their values so that a
+# re-baseline cannot drop one unnoticed:
+# - tune: on ConvNet and AlexNet at 16 and 64 cores no tuned schedule is
+#   slower than the kernel-wise baseline in flit-level cycles;
+# - multichip: at the embedded-NoC operating point, pipelining ConvNet
+#   stages across 4 x 16-core chips beats one flat 64-core mesh by >= 1.3x;
+# - stream: with two or more requests in flight, the software pipeline
+#   beats back-to-back execution on every row.
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$repo_root" <<'PYEOF'
+import json, os, sys
+def rows(name):
+    path = os.path.join(sys.argv[1], "BENCH_%s.json" % name)
+    return json.load(open(path))["rows"]
+fails = []
+for r in rows("tune"):
+    if r["speedup_sim"] < 1:
+        fails.append("tune: %s on %d cores: tuned schedule %.3fx the "
+                     "baseline" % (r["net"], r["cores"], r["speedup_sim"]))
+multichip = [r for r in rows("multichip")
+             if r["net"] == "ConvNet" and r["chips"] == 4]
+if not multichip:
+    fails.append("multichip: no ConvNet 4-chip row")
+elif multichip[0]["speedup_vs_one_chip"] < 1.3:
+    fails.append("multichip: ConvNet 4x16 speedup %.2fx < 1.3x vs one "
+                 "64-core mesh" % multichip[0]["speedup_vs_one_chip"])
+piped = [r for r in rows("stream") if r["requests"] >= 2]
+if not piped:
+    fails.append("stream: no row with 2 or more requests")
+for r in piped:
+    if r["speedup_vs_back_to_back"] <= 1:
+        fails.append("stream: %s on %d cores, %d requests: pipeline %.3fx "
+                     "back-to-back" % (r["net"], r["cores"], r["requests"],
+                                       r["speedup_vs_back_to_back"]))
+if fails:
+    print("bench claims FAILED:\n  " + "\n  ".join(fails), file=sys.stderr)
+    sys.exit(1)
+print("bench claims OK: multichip ConvNet 4x16 %.2fx vs one 64-core mesh; "
+      "stream pipeline >= %.3fx back-to-back over %d rows"
+      % (multichip[0]["speedup_vs_one_chip"],
+         min(r["speedup_vs_back_to_back"] for r in piped), len(piped)))
+PYEOF
+fi
 
 # Stream scaling smoke: dispatch is linear in the request count, so 65536
 # AlexNet requests on 4 x 16 cores finish in well under a second. A
@@ -121,27 +167,6 @@ timeout 10 "$build_dir/tools/ls_experiment" stream --net alexnet \
 grep -q '"kernel_sparse"' "$repo_root/BENCH_sparse.json"
 grep -q '"sparsity_pct":75' "$repo_root/BENCH_sparse.json"
 
-# Autotuner bench (analytic cycles, deterministic; winners flit-validated):
-# BENCH_tune.json must show tuned schedules beating the kernel-wise baseline
-# on ConvNet and AlexNet at 16 and 64 cores.
-"$build_dir/bench/bench_tune" --budget 2000 \
-  --json "$repo_root/BENCH_tune.json"
-[ -s "$repo_root/BENCH_tune.json" ] || {
-  echo "tune bench: missing BENCH_tune.json" >&2; exit 1; }
-grep -q '"bench":"tune"' "$repo_root/BENCH_tune.json"
-grep -q '"speedup_sim"' "$repo_root/BENCH_tune.json"
-if grep -q '"speedup_sim":0\.' "$repo_root/BENCH_tune.json"; then
-  echo "tune bench: a tuned schedule regressed below the baseline" >&2
-  exit 1
-fi
-# BENCH_tune.json holds model cycles only (seeded search, analytic and
-# flit-level cycles, no wall clock), so it is committed and any byte of
-# drift from the committed copy fails tier-1. A change that means to move
-# it re-baselines the committed file and says so in CHANGES.md.
-cmp "$baseline_dir/BENCH_tune.json" "$repo_root/BENCH_tune.json" || {
-  echo "tune bench: BENCH_tune.json drifted from the committed baseline" >&2
-  exit 1; }
-
 # Tune scaling smoke: the scorer prices only the layers a move touches, so
 # 10000 AlexNet evaluations on 64 cores (plus flit validation) finish in
 # ~2 s. A scorer that relowers the whole net per evaluation needs ~30 s
@@ -153,43 +178,6 @@ timeout 10 "$build_dir/tools/ls_experiment" tune --net alexnet --cores 64 \
   --budget 10000 --tuned-cache "$tune_scale_dir/tuned_schedules.json" \
   >/dev/null || {
   echo "tune scaling smoke: 10000 evaluations did not finish within 10 s" >&2
-  exit 1; }
-
-# Multi-chip scale-out bench (model cycles, deterministic): at the
-# embedded-NoC operating point, pipelining ConvNet stages across 4 x 16-core
-# chips must beat one flat 64-core mesh by >= 1.3x — the ISSUE 10
-# acceptance gate, read from the json so the table and the gate cannot
-# diverge.
-"$build_dir/bench/bench_multichip" --requests 32 \
-  --json "$repo_root/BENCH_multichip.json"
-[ -s "$repo_root/BENCH_multichip.json" ] || {
-  echo "multichip bench: missing BENCH_multichip.json" >&2; exit 1; }
-grep -q '"bench":"multichip"' "$repo_root/BENCH_multichip.json"
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$repo_root/BENCH_multichip.json" <<'PYEOF'
-import json, sys
-rows = json.load(open(sys.argv[1]))["rows"]
-row = [r for r in rows if r["net"] == "ConvNet" and r["chips"] == 4]
-if not row:
-    print("multichip gate FAILED: no ConvNet 4-chip row", file=sys.stderr)
-    sys.exit(1)
-s = row[0]["speedup_vs_one_chip"]
-if s < 1.3:
-    print("multichip gate FAILED: ConvNet 4x16 speedup %.2fx < 1.3x vs one "
-          "64-core mesh" % s, file=sys.stderr)
-    sys.exit(1)
-print("multichip gate OK: ConvNet 4x16 streaming %.2fx vs one 64-core mesh"
-      % s)
-PYEOF
-fi
-# BENCH_multichip.json holds model cycles only (deterministic lowering,
-# flit-level bursts and streaming), so like BENCH_tune.json it is committed
-# and any byte of drift from the committed copy fails tier-1. A change that
-# means to move it (new stage cuts, a link or NoC model change)
-# re-baselines the committed file and says so in CHANGES.md.
-cmp "$baseline_dir/BENCH_multichip.json" "$repo_root/BENCH_multichip.json" || {
-  echo "multichip bench: BENCH_multichip.json drifted from the committed" \
-    "baseline" >&2
   exit 1; }
 
 # Tune smoke: a bounded search on the small net must populate the schedule
@@ -269,29 +257,6 @@ for bad in "placement 16 1" "layer_dims 16 1" "stage_end 32 2" \
   fi
 done
 
-# Bench regression soft gate: diff the fresh dumps against the versions
-# committed at HEAD (git show HEAD:<file>). A file git does not track has
-# no committed baseline (a copy an earlier local run left behind is not
-# one), so it is skipped with a note. Timing-sensitive metrics (wall-clock
-# ms) vary across runners, so a regression here warns loudly but does not
-# fail tier-1 — the hard gates above (speedup > 1, structure greps) still
-# do. Structure mismatches (renamed/missing metrics) also surface here.
-committed_dir="$build_dir/bench_committed"
-mkdir -p "$committed_dir"
-for f in BENCH_kernels.json BENCH_stream.json BENCH_tune.json \
-         BENCH_multichip.json; do
-  if ! git -C "$repo_root" ls-files --error-unmatch "$f" >/dev/null 2>&1 ||
-     ! git -C "$repo_root" show "HEAD:$f" >"$committed_dir/$f" 2>/dev/null
-  then
-    echo "bench_diff: $f has no committed version at HEAD; skipped"
-    continue
-  fi
-  if ! "$build_dir/tools/bench_diff" "$committed_dir/$f" "$repo_root/$f" \
-      --threshold 0.25; then
-    echo "bench_diff: WARNING — $f drifted beyond threshold vs committed baseline" >&2
-  fi
-done
-
 # Profiler smoke (`ls_experiment profile`): the paper's headline nets at
 # both mesh sizes must produce a profile.json that parses back through
 # util::parse_json (the CLI re-parses its own output and fails if it
@@ -327,4 +292,4 @@ done
 grep -q '"traceEvents"' "$obs_dir/trace.json"
 grep -q '"noc_link_heatmap"' "$obs_dir/metrics.json"
 
-echo "tier1 OK — bench results in BENCH_kernels.json / BENCH_stream.json / BENCH_tune.json / BENCH_multichip.json, obs smoke in $obs_dir, profiles in $profile_dir"
+echo "tier1 OK — bench results in BENCH_kernels.json / BENCH_sparse.json and $fresh_dir, obs smoke in $obs_dir, profiles in $profile_dir"
