@@ -25,7 +25,7 @@ void for_chunks(std::size_t n, const Fn& fn) {
 }  // namespace
 
 Tensor ReLU::forward(const Tensor& in, bool training) {
-  Tensor out(in.shape());
+  Tensor out = Tensor::uninit(in.shape());
   const float* x = in.data();
   float* y = out.data();
   if (training) {
@@ -52,7 +52,7 @@ Tensor ReLU::backward(const Tensor& grad_out) {
         " differs from the training forward's " + cached_shape_.to_string() +
         " at " + name_);
   }
-  Tensor grad_in(cached_shape_);
+  Tensor grad_in = Tensor::uninit(cached_shape_);
   const float* g = grad_out.data();
   const std::uint8_t* dead = dead_.data();
   float* gi = grad_in.data();

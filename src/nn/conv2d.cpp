@@ -113,16 +113,21 @@ void Conv2D::backward_params(const Tensor& grad_out) {
 // ---------------------------------------------------------------------------
 // im2col + GEMM fast path.
 //
-// Forward parallelizes over (sample, group) tasks; each task packs its
+// Forward parallelizes over (sample, group) tasks; each task copies its
+// slice of the input into the cached input (training only), packs its
 // group's input window into a thread-local im2col buffer and runs one
 // row-parallel GEMM (the GEMM's internal parallel_for runs inline when the
-// outer loop already fans out — see util::ThreadPool). Backward runs in two
-// phases: the data gradient fans out over (sample, group) the same way
-// (skipped when the caller needs no input gradient), then the weight
-// gradient fans out over dW tiles, each tile packing its own im2row columns
-// and summing its samples in ascending order — the accumulation order of a
-// serial sample loop, so the result is bit-identical to it for any thread
-// count.
+// outer loop already fans out — see util::ThreadPool). Backward is one
+// fan-out: the dW tiles come first, then one data-gradient task per
+// (sample, group) (none when the caller needs no input gradient). A dW
+// tile packs its own im2row columns and sums its samples in ascending
+// order — the accumulation order of a serial sample loop — and a dX task
+// zeroes and then fills only its own grad_in slice, so every result is
+// bit-identical to the serial loop for any thread count. The dW tiles are
+// the longest tasks; putting them first lets the dX tasks fill the threads
+// the last tiles leave idle. A thread runs its tasks one after another, so
+// the kBwdDrow slot a dW tile stages in and a dX task writes dRow into is
+// never live twice on one thread.
 //
 // Packing share, ConvNet-expt on a 4-vCPU AVX-512 host, single thread per
 // sample against a direct GEMM of the same MACs (DESIGN.md §4i): im2col
@@ -137,7 +142,7 @@ Tensor Conv2D::forward(const Tensor& in, bool training) {
     span.begin(name_ + ".fwd", "kernel", conv_span_args(in.shape()[0]));
   }
   const Shape out_shape = output_shape(in.shape());
-  Tensor out(out_shape);
+  Tensor out = Tensor::uninit(out_shape);
   const std::size_t N = in.shape()[0];
   const std::size_t C = cfg_.in_channels;
   const std::size_t H = in.shape()[2], W = in.shape()[3];
@@ -160,6 +165,12 @@ Tensor Conv2D::forward(const Tensor& in, bool training) {
   const float* in_base = in.data();
   const float* w_base = weight_.value.data();
   float* out_base = out.data();
+  // Backward's copy of the input, kept while the shape holds; each task
+  // copies its own slice.
+  if (training && cached_input_.shape() != in.shape()) {
+    cached_input_ = Tensor::uninit(in.shape());
+  }
+  float* cache_base = training ? cached_input_.data() : nullptr;
 
   // Resolve the block-zero bitmap once, outside the fan-out (the rescan is
   // not thread-safe). Null when unarmed, disabled, or nothing is pruned.
@@ -180,7 +191,11 @@ Tensor Conv2D::forward(const Tensor& in, bool training) {
     const std::size_t n = t / cfg_.groups;
     const std::size_t g = t % cfg_.groups;
     float* col = scratch::buffer(scratch::Slot::kIm2col, ck2 * ohw);
-    const float* in_g = in_base + (n * C + g * cin_g) * H * W;
+    const std::size_t in_off = (n * C + g * cin_g) * H * W;
+    const float* in_g = in_base + in_off;
+    if (cache_base != nullptr) {
+      std::memcpy(cache_base + in_off, in_g, cin_g * H * W * sizeof(float));
+    }
     if (bm != nullptr) {
       gemm::im2col_masked(ps, in_g, col, bm->channel_skip.data());
     } else {
@@ -200,8 +215,6 @@ Tensor Conv2D::forward(const Tensor& in, bool training) {
                     ohw, out_g, ohw, /*accumulate=*/true, /*parallel=*/true);
     }
   });
-
-  if (training) cached_input_ = in;
   return out;
 }
 
@@ -240,51 +253,32 @@ Tensor Conv2D::gemm_backward(const Tensor& grad_out, bool input_grad) {
   const float* w_base = weight_.value.data();
   float* wg_base = weight_.grad.data();
 
+  // Block sparsity in backward only accelerates the data-gradient GEMM.
+  // The weight-gradient GEMM must stay dense: group-Lasso training needs
+  // gradients *into* currently-zero blocks so they can revive. Resolved
+  // once, outside the fan-out (the rescan is not thread-safe).
+  const BlockMap* bm = input_grad ? sparse_map() : nullptr;
   Tensor grad_in;
+  float* gi_base = nullptr;
   if (input_grad) {
-    grad_in = Tensor(in.shape(), 0.0f);
-    float* gi_base = grad_in.data();
-    // Block sparsity in backward only accelerates the data-gradient GEMM.
-    // The weight-gradient GEMM must stay dense: group-Lasso training needs
-    // gradients *into* currently-zero blocks so they can revive. Resolved
-    // once, outside the fan-out (the rescan is not thread-safe).
-    const BlockMap* bm = sparse_map();
-
-    // Phase 1 — data gradient, one task per (sample, group); each writes
-    // only its own grad_in slice. dRow (ohw x ck2) = dOut_g^T * W_g. In the
-    // sparse variant the reduction dim (cout) is the consumer partition and
-    // the columns (ck2) are producer panels; pruned spans stay zero.
-    util::parallel_for(0, N * G, [&](std::size_t t) {
-      const std::size_t n = t / G, g = t % G;
-      float* drow = scratch::buffer(scratch::Slot::kBwdDrow, ohw * ck2);
-      const float* go_g = go_base + (n * OC + g * cout_g) * ohw;
-      const float* w_g = w_base + g * cout_g * ck2;
-      if (bm != nullptr) {
-        gemm::gemm_tn_sparse(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow,
-                             ck2, /*accumulate=*/false, /*parallel=*/true,
-                             bm->mask());
-      } else {
-        gemm::gemm_tn(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
-                      /*accumulate=*/false, /*parallel=*/true);
-      }
-      gemm::row2im_add(ps, drow, gi_base + (n * C + g * cin_g) * H * W);
-    });
+    grad_in = Tensor::uninit(in.shape());
+    gi_base = grad_in.data();
   }
 
-  // Phase 2 — weight and bias gradients, one task per dW tile. A tile packs
-  // only its own im2row columns of each sample, in 16-lane strips, into
-  // this thread's buffer and runs the per-sample GEMM on each strip,
-  // samples ascending.
-  // Every dW element therefore still reduces over n ascending, then k
-  // ascending in the same absolute groups — bit-identical to a serial
-  // sample loop. Bias sums ride along in each row range's first tile.
+  // Weight and bias gradients, one task per dW tile. A tile packs only its
+  // own im2row columns of each sample, in 16-lane strips, into this
+  // thread's buffer and runs the per-sample GEMM on each strip, samples
+  // ascending. Every dW element therefore still reduces over n ascending,
+  // then k ascending in the same absolute groups — bit-identical to a
+  // serial sample loop. Bias sums ride along in each row range's first
+  // tile.
   const std::size_t strips = (ck2 + kDwStrip - 1) / kDwStrip;
   const std::size_t row_tiles =
       std::min(std::max<std::size_t>(1, cout_g / kDwTileRows),
                (kDwMinTiles + G * strips - 1) / (G * strips));
   const std::size_t col_tiles =
       std::min(strips, (kDwMinTiles + G * row_tiles - 1) / (G * row_tiles));
-  util::parallel_for(0, G * row_tiles * col_tiles, [&](std::size_t t) {
+  auto dw_tile = [&](std::size_t t) {
     const std::size_t g = t / (row_tiles * col_tiles);
     const std::size_t rt = t / col_tiles % row_tiles;
     const std::size_t ct = t % col_tiles;
@@ -324,6 +318,38 @@ Tensor Conv2D::gemm_backward(const Tensor& grad_out, bool input_grad) {
     }
     for (std::size_t r = 0; r < rows; ++r) {
       std::memcpy(wg + r * ck2, acc + r * cols, cols * sizeof(float));
+    }
+  };
+
+  // Data gradient of one (sample, group): dRow (ohw x ck2) = dOut_g^T * W_g,
+  // scattered into this task's grad_in slice, which it zeroes first. In
+  // the sparse variant the reduction dim (cout) is the consumer partition
+  // and the columns (ck2) are producer panels; pruned spans stay zero.
+  auto dx_task = [&](std::size_t t) {
+    const std::size_t n = t / G, g = t % G;
+    float* drow = scratch::buffer(scratch::Slot::kBwdDrow, ohw * ck2);
+    const float* go_g = go_base + (n * OC + g * cout_g) * ohw;
+    const float* w_g = w_base + g * cout_g * ck2;
+    if (bm != nullptr) {
+      gemm::gemm_tn_sparse(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
+                           /*accumulate=*/false, /*parallel=*/true,
+                           bm->mask());
+    } else {
+      gemm::gemm_tn(ohw, ck2, cout_g, go_g, ohw, w_g, ck2, drow, ck2,
+                    /*accumulate=*/false, /*parallel=*/true);
+    }
+    float* gi = gi_base + (n * C + g * cin_g) * H * W;
+    std::fill(gi, gi + cin_g * H * W, 0.0f);
+    gemm::row2im_add(ps, drow, gi);
+  };
+
+  const std::size_t dw_tasks = G * row_tiles * col_tiles;
+  const std::size_t dx_tasks = input_grad ? N * G : 0;
+  util::parallel_for(0, dw_tasks + dx_tasks, [&](std::size_t t) {
+    if (t < dw_tasks) {
+      dw_tile(t);
+    } else {
+      dx_task(t - dw_tasks);
     }
   });
   return grad_in;

@@ -9,12 +9,12 @@
 //
 // Compute: im2col packing + the register-tiled GEMM kernels of nn::gemm
 // (DESIGN.md "Performance architecture" and §4i), run as the host's widest
-// ISA clone with the portable build's bits, on the shared pool. Forward and
-// the data gradient fan out over (batch, group); the weight gradient fans
-// out over dW tiles that each pack their own im2row columns and sum
-// samples in ascending order, so every output is bit-identical at any
-// thread count. tests/nn/conv_gemm_parity_test.cpp checks it against the
-// direct loop nest.
+// ISA clone with the portable build's bits, on the shared pool. Forward
+// fans out over (batch, group). Backward is one fan-out of dW tiles, which
+// each pack their own im2row columns and sum samples in ascending order,
+// followed by one data-gradient task per (batch, group), so every output
+// is bit-identical at any thread count. tests/nn/conv_gemm_parity_test.cpp
+// checks it against the direct loop nest.
 
 #include <cstddef>
 #include <memory>
@@ -43,7 +43,7 @@ class Conv2D final : public Layer {
 
   Tensor forward(const Tensor& in, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
-  /// Skips the data gradient (the GEMM paths' whole first phase).
+  /// Skips the data gradient: only the dW tiles run.
   void backward_params(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   const std::string& name() const override { return name_; }
@@ -75,7 +75,7 @@ class Conv2D final : public Layer {
   Conv2DConfig cfg_;
   Param weight_;
   Param bias_;
-  Tensor cached_input_;
+  Tensor cached_input_;  ///< training forward's input, reused per shape
   std::unique_ptr<BlockSparsity> sparsity_;
 };
 

@@ -1,5 +1,6 @@
 #include "nn/fc.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -62,12 +63,13 @@ Tensor FullyConnected::forward(const Tensor& in, bool training) {
   if (obs::trace_enabled()) span.begin(name_ + ".fwd", "kernel");
   const Shape out_shape = output_shape(in.shape());
   const std::size_t N = out_shape[0];
-  Tensor flat = in.reshaped(Shape{N, in_features_});
-  Tensor out(out_shape);
-  if (has_bias_) {
-    for (std::size_t n = 0; n < N; ++n) {
-      std::memcpy(out.data() + n * out_features_, bias_.value.data(),
-                  out_features_ * sizeof(float));
+  Tensor out = Tensor::uninit(out_shape);
+  for (std::size_t n = 0; n < N; ++n) {
+    float* row = out.data() + n * out_features_;
+    if (has_bias_) {
+      std::memcpy(row, bias_.value.data(), out_features_ * sizeof(float));
+    } else {
+      std::fill(row, row + out_features_, 0.0f);
     }
   }
   // out (N x Out) += X (N x In) * W^T, column-parallel over output units.
@@ -82,18 +84,18 @@ Tensor FullyConnected::forward(const Tensor& in, bool training) {
     obs::Registry::instance()
         .gauge("sparse.layer." + name_ + ".block_density")
         .set(bm->block_density());
-    gemm::gemm_nt_sparse(N, out_features_, in_features_, flat.data(),
+    gemm::gemm_nt_sparse(N, out_features_, in_features_, in.data(),
                          in_features_, weight_.value.data(), in_features_,
                          out.data(), out_features_, /*accumulate=*/true,
                          /*parallel=*/true, bm->mask());
   } else {
-    gemm::gemm_nt(N, out_features_, in_features_, flat.data(), in_features_,
+    gemm::gemm_nt(N, out_features_, in_features_, in.data(), in_features_,
                   weight_.value.data(), in_features_, out.data(),
                   out_features_,
                   /*accumulate=*/true, /*parallel=*/true);
   }
   if (training) {
-    cached_input_ = flat;
+    cached_input_ = in.reshaped(Shape{N, in_features_});
     cached_input_shape_ = in.shape();
   }
   return out;
@@ -129,12 +131,12 @@ Tensor FullyConnected::gemm_backward(const Tensor& grad_out,
                 /*parallel=*/true);
   if (!input_grad) return Tensor();
   // dX (N x In) = dOut (N x Out) * W (Out x In)
-  Tensor grad_flat(Shape{N, in_features_});
+  Tensor grad_flat = Tensor::uninit(Shape{N, in_features_});
   gemm::gemm_nn(N, in_features_, out_features_, grad_out.data(),
                 out_features_, weight_.value.data(), in_features_,
                 grad_flat.data(), in_features_, /*accumulate=*/false,
                 /*parallel=*/true);
-  return grad_flat.reshaped(cached_input_shape_);
+  return std::move(grad_flat).reshaped(cached_input_shape_);
 }
 
 std::vector<Param*> FullyConnected::params() {

@@ -18,13 +18,20 @@ Tensor Network::forward(const Tensor& in, bool training) {
   // whose forward() drifts from their shape contract and pinpoints the
   // first layer that produces NaN/Inf instead of letting it surface as a
   // garbage loss many steps later.
+  // Layers take their input by const reference, so the caller's tensor
+  // feeds the first layer uncopied and each output is released once the
+  // next layer returns.
+  if (layers_.empty()) return in;
   if constexpr (check::kEnabled) {
     LS_CHECK_MSG(in.all_finite(), "non-finite input into network '%s'",
                  name_.c_str());
-    Tensor x = in;
-    for (auto& layer : layers_) {
-      const Shape expected = layer->output_shape(x.shape());
-      Tensor out = layer->forward(x, training);
+  }
+  Tensor x;
+  const Tensor* cur = &in;
+  for (auto& layer : layers_) {
+    if constexpr (check::kEnabled) {
+      const Shape expected = layer->output_shape(cur->shape());
+      Tensor out = layer->forward(*cur, training);
       LS_CHECK_MSG(out.shape() == expected,
                    "layer '%s' produced shape %s but declared %s",
                    layer->name().c_str(), out.shape().to_string().c_str(),
@@ -33,11 +40,11 @@ Tensor Network::forward(const Tensor& in, bool training) {
                    "non-finite activations out of layer '%s'",
                    layer->name().c_str());
       x = std::move(out);
+    } else {
+      x = layer->forward(*cur, training);
     }
-    return x;
+    cur = &x;
   }
-  Tensor x = in;
-  for (auto& layer : layers_) x = layer->forward(x, training);
   return x;
 }
 
@@ -45,11 +52,13 @@ void Network::backward(const Tensor& grad_logits) {
   std::size_t first = 0;
   while (first < layers_.size() && layers_[first]->params().empty()) ++first;
   if (first == layers_.size()) return;
-  Tensor g = grad_logits;
+  Tensor g;
+  const Tensor* cur = &grad_logits;
   for (std::size_t i = layers_.size() - 1; i > first; --i) {
-    g = layers_[i]->backward(g);
+    g = layers_[i]->backward(*cur);
+    cur = &g;
   }
-  layers_[first]->backward_params(g);
+  layers_[first]->backward_params(*cur);
 }
 
 void Network::zero_grad() {

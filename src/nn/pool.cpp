@@ -1,5 +1,6 @@
 #include "nn/pool.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -27,7 +28,7 @@ Shape Pool2D::output_shape(const Shape& in) const {
 
 Tensor Pool2D::forward(const Tensor& in, bool training) {
   const Shape out_shape = output_shape(in.shape());
-  Tensor out(out_shape);
+  Tensor out = Tensor::uninit(out_shape);
   const std::size_t C = in.shape()[1];
   const std::size_t H = in.shape()[2], W = in.shape()[3];
   const std::size_t OH = out_shape[2], OW = out_shape[3];
@@ -85,7 +86,7 @@ Tensor Pool2D::backward(const Tensor& grad_out) {
         " differs from the training forward's " + out_shape.to_string() +
         " at " + name_);
   }
-  Tensor grad_in(cached_input_shape_, 0.0f);
+  Tensor grad_in = Tensor::uninit(cached_input_shape_);
   const std::size_t H = cached_input_shape_[2], W = cached_input_shape_[3];
   const std::size_t OH = out_shape[2], OW = out_shape[3];
   const float inv = 1.0f / static_cast<float>(window_ * window_);
@@ -93,12 +94,14 @@ Tensor Pool2D::backward(const Tensor& grad_out) {
   float* gi = grad_in.data();
   util::parallel_for(0, cached_input_shape_[0] * cached_input_shape_[1],
                      [&](std::size_t plane) {
+    // Every scatter stays inside the plane, so the task zeroes it here.
+    float* gi_p = gi + plane * H * W;
+    std::fill(gi_p, gi_p + H * W, 0.0f);
     const std::size_t o0 = plane * OH * OW, o1 = o0 + OH * OW;
     if (kind_ == PoolKind::kMax) {
       for (std::size_t i = o0; i < o1; ++i) gi[argmax_[i]] += go[i];
       return;
     }
-    float* gi_p = gi + plane * H * W;
     std::size_t out_idx = o0;
     for (std::size_t oh = 0; oh < OH; ++oh) {
       for (std::size_t ow = 0; ow < OW; ++ow, ++out_idx) {

@@ -170,16 +170,4 @@ std::vector<StrategyOutcome> run_sparsified_experiment(
   return outcomes;
 }
 
-StrategyOutcome run_structure_level_variant(
-    const nn::NetSpec& grouped_spec, const data::Dataset& train_set,
-    const data::Dataset& test_set, const ExperimentConfig& cfg,
-    const StrategyOutcome* baseline) {
-  TrainedNet net =
-      train(dense_recipe(grouped_spec, cfg), train_set, test_set);
-  StrategyOutcome out =
-      simulate(net, sched::Strategy::kStructureLevel, cfg, baseline);
-  out.scheme = grouped_spec.name;
-  return out;
-}
-
 }  // namespace ls::sim

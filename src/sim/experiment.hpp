@@ -132,13 +132,4 @@ std::vector<StrategyOutcome> run_sparsified_experiment(
     const nn::NetSpec& spec, const data::Dataset& train_set,
     const data::Dataset& test_set, const ExperimentConfig& cfg);
 
-/// TABLE III / V pipeline: trains `spec` with conv grouping factor n on its
-/// default targets (all conv layers but the first) and simulates it;
-/// `baseline` must be the n=1 outcome of the same pipeline (pass nullptr
-/// when computing the baseline itself).
-StrategyOutcome run_structure_level_variant(
-    const nn::NetSpec& grouped_spec, const data::Dataset& train_set,
-    const data::Dataset& test_set, const ExperimentConfig& cfg,
-    const StrategyOutcome* baseline);
-
 }  // namespace ls::sim

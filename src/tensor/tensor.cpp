@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
+#include "check/check.hpp"
 #include "util/fixed_point.hpp"
 
 namespace ls::tensor {
@@ -52,6 +54,16 @@ std::string Shape::to_string() const {
 Tensor::Tensor(Shape shape, float fill)
     : shape_(std::move(shape)), data_(shape_.numel(), fill) {}
 
+Tensor Tensor::uninit(Shape shape) {
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.data_.resize(t.shape_.numel());
+  if constexpr (check::kEnabled) {
+    t.fill(std::numeric_limits<float>::quiet_NaN());
+  }
+  return t;
+}
+
 Tensor Tensor::he_normal(Shape shape, std::size_t fan_in, util::Rng& rng) {
   Tensor t(shape);
   const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
@@ -71,7 +83,7 @@ Tensor Tensor::from_data(Shape shape, std::vector<float> data) {
   }
   Tensor t;
   t.shape_ = std::move(shape);
-  t.data_ = std::move(data);
+  t.data_.assign(data.begin(), data.end());
   return t;
 }
 
@@ -117,13 +129,17 @@ float Tensor::at2(std::size_t r, std::size_t c) const {
   return data_[r * shape_[1] + c];
 }
 
-Tensor Tensor::reshaped(Shape new_shape) const {
+Tensor Tensor::reshaped(Shape new_shape) const& {
+  return Tensor(*this).reshaped(std::move(new_shape));
+}
+
+Tensor Tensor::reshaped(Shape new_shape) && {
   if (new_shape.numel() != numel()) {
     throw std::invalid_argument("reshape numel mismatch");
   }
   Tensor t;
   t.shape_ = std::move(new_shape);
-  t.data_ = data_;
+  t.data_ = std::move(data_);
   return t;
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -43,11 +44,36 @@ class Shape {
   std::vector<std::size_t> dims_;
 };
 
+/// std::allocator whose value-less construct() default-initializes, so
+/// resizing a float vector leaves the new elements unwritten. Construction
+/// from a value (a fill, a copy) falls back to std::construct_at.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  // Declared so no std::allocator<T>::rebind is inherited.
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
 class Tensor {
  public:
   Tensor() = default;
   explicit Tensor(Shape shape, float fill = 0.0f);
 
+  /// A tensor whose elements are left unwritten, for outputs a kernel
+  /// overwrites in full (DESIGN.md §4b, "Write-once tensors"). Checked
+  /// builds (LS_CHECKS) fill it with quiet NaN instead, so an element the
+  /// kernel forgets trips Network::forward's all_finite layer guard.
+  static Tensor uninit(Shape shape);
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape), 0.0f); }
   static Tensor full(Shape shape, float v) { return Tensor(std::move(shape), v); }
   /// He/Kaiming-normal initialization for a weight tensor with the given
@@ -80,8 +106,10 @@ class Tensor {
   float& at2(std::size_t r, std::size_t c);
   float at2(std::size_t r, std::size_t c) const;
 
-  /// Reinterprets the data with a new shape of equal numel.
-  Tensor reshaped(Shape new_shape) const;
+  /// Reinterprets the data with a new shape of equal numel. The rvalue
+  /// form moves the storage instead of copying it.
+  Tensor reshaped(Shape new_shape) const&;
+  Tensor reshaped(Shape new_shape) &&;
 
   void fill(float v);
   void zero() { fill(0.0f); }
@@ -110,7 +138,7 @@ class Tensor {
                     std::size_t w) const;
 
   Shape shape_;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 /// Element-wise |a-b| max; shapes must match.

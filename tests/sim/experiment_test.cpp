@@ -201,10 +201,13 @@ TEST(Experiment, StructureLevelVariantAgainstBaseline) {
   ExperimentConfig cfg;
   cfg.cores = 4;
   cfg.train.epochs = 2;
+  TrainedNet dense_net = sim::train(dense_recipe(dense, cfg), train, test);
   const auto base =
-      run_structure_level_variant(dense, train, test, cfg, nullptr);
+      simulate(dense_net, sched::Strategy::kStructureLevel, cfg, nullptr);
+  TrainedNet grouped_net =
+      sim::train(dense_recipe(grouped, cfg), train, test);
   const auto var =
-      run_structure_level_variant(grouped, train, test, cfg, &base);
+      simulate(grouped_net, sched::Strategy::kStructureLevel, cfg, &base);
   EXPECT_GT(var.speedup, 1.0);
   EXPECT_LT(var.result.traffic_bytes, base.result.traffic_bytes);
 }

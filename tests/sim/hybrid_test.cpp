@@ -50,10 +50,14 @@ TEST(Hybrid, BeatsGroupingAloneOnTraffic) {
 
   const auto train_set = micro_data(1);
   const auto test_set = micro_data(2);
-  const auto base = run_structure_level_variant(micro_dense(), train_set,
-                                                test_set, cfg, nullptr);
+  TrainedNet dense_net =
+      train(dense_recipe(micro_dense(), cfg), train_set, test_set);
+  const auto base =
+      simulate(dense_net, sched::Strategy::kStructureLevel, cfg, nullptr);
+  TrainedNet grouped_net =
+      train(dense_recipe(grouped, cfg), train_set, test_set);
   const auto grp =
-      run_structure_level_variant(grouped, train_set, test_set, cfg, &base);
+      simulate(grouped_net, sched::Strategy::kStructureLevel, cfg, &base);
   TrainedNet hybrid_net = train(
       lasso_recipe(grouped, cfg, /*distance_aware=*/true), train_set, test_set);
   const auto hyb = simulate(hybrid_net, sched::Strategy::kHybrid, cfg, &base);

@@ -12,8 +12,10 @@
 //     burst cache;
 //   * concurrent block-sparse forwards on per-thread layers over the shared
 //     pool;
-//   * conv backward (sample-parallel data gradient, dW tiles packing their
-//     own columns) racing an external thread's inline backward;
+//   * conv forward (each task caching its own input slice) and backward
+//     (one fan-out of dW tiles packing their own columns and per-sample
+//     data-gradient tasks zeroing their own grad_in slices), full and short
+//     batches, racing an external thread's inline passes;
 //   * plane-parallel pooling and chunk-parallel ReLU, forward and backward,
 //     racing an external thread's inline passes;
 //   * concurrent streamed executions each accumulating a private
@@ -250,12 +252,15 @@ TEST(TsanStress, ConcurrentSparseForwards) {
 }
 
 TEST(TsanStress, SampleParallelConvBackward) {
-  // Conv backward fans out per (sample, group) for the data gradient, then
-  // per dW tile, each tile packing its own im2row columns into its thread's
-  // buffer for every sample. Dense, grouped and sparse-armed
-  // layers run on the 4-thread pool while a second external thread runs
-  // another layer's backward, which takes the inline path whenever the pool
-  // is busy. Every result must match a 1-thread run byte for byte.
+  // Conv backward is one fan-out: the dW tiles, each packing its own im2row
+  // columns into its thread's buffer for every sample, then one task per
+  // (sample, group) that zeroes and fills its grad_in slice. Forward tasks
+  // each copy their input slice into the cached input. Dense, grouped and
+  // sparse-armed layers run full and short batches (the short one
+  // reallocates the cached input), with and without the input gradient, on
+  // the 4-thread pool while a second external thread runs another layer's
+  // passes, which take the inline path whenever the pool is busy. Every
+  // result must match a 1-thread run byte for byte.
   struct ConvCase {
     std::size_t cin, cout, groups, parts;
   };
@@ -267,6 +272,7 @@ TEST(TsanStress, SampleParallelConvBackward) {
   };
   constexpr std::size_t kLayers = std::size(cases);
   std::vector<std::unique_ptr<nn::Conv2D>> layers;
+  // Per layer: a full batch of 6 and a short batch of 2.
   std::vector<Tensor> ins, grads;
   for (std::size_t l = 0; l < kLayers; ++l) {
     const ConvCase& c = cases[l];
@@ -288,21 +294,36 @@ TEST(TsanStress, SampleParallelConvBackward) {
       }
       conv->weight().bump();
     }
-    ins.push_back(Tensor::uniform(Shape{6, c.cin, 9, 9}, -1.f, 1.f, rng));
-    grads.push_back(Tensor::uniform(conv->output_shape(ins.back().shape()),
-                                    -1.f, 1.f, rng));
+    for (const std::size_t batch : {6u, 2u}) {
+      ins.push_back(
+          Tensor::uniform(Shape{batch, c.cin, 9, 9}, -1.f, 1.f, rng));
+      grads.push_back(Tensor::uniform(
+          conv->output_shape(ins.back().shape()), -1.f, 1.f, rng));
+    }
     layers.push_back(std::move(conv));
   }
-  // grad_in, weight.grad and bias.grad of one backward from zero gradients.
+  // For the full then the short batch: grad_in, weight.grad and bias.grad
+  // of one backward, then weight.grad and bias.grad of backward_params,
+  // each from zero gradients.
   auto backward_bytes = [&](std::size_t l) {
     nn::Conv2D& conv = *layers[l];
-    conv.weight().grad = Tensor(conv.weight().value.shape(), 0.0f);
-    conv.bias().grad = Tensor(conv.bias().value.shape(), 0.0f);
-    conv.forward(ins[l], /*training=*/true);
-    const Tensor gi = conv.backward(grads[l]);
-    std::vector<float> out(gi.data(), gi.data() + gi.numel());
-    for (const Tensor* t : {&conv.weight().grad, &conv.bias().grad}) {
-      out.insert(out.end(), t->data(), t->data() + t->numel());
+    std::vector<float> out;
+    auto append = [&out](const Tensor& t) {
+      out.insert(out.end(), t.data(), t.data() + t.numel());
+    };
+    for (std::size_t b = 2 * l; b < 2 * l + 2; ++b) {
+      for (const bool input_grad : {true, false}) {
+        conv.weight().grad = Tensor(conv.weight().value.shape(), 0.0f);
+        conv.bias().grad = Tensor(conv.bias().value.shape(), 0.0f);
+        conv.forward(ins[b], /*training=*/true);
+        if (input_grad) {
+          append(conv.backward(grads[b]));
+        } else {
+          conv.backward_params(grads[b]);
+        }
+        append(conv.weight().grad);
+        append(conv.bias().grad);
+      }
     }
     return out;
   };
